@@ -1,0 +1,71 @@
+"""Golden digests: the canonical reports of fixed configurations.
+
+Each digest is the sha256 of json.dumps(reports, sort_keys=True) with
+every elapsed_s field removed.  A Howell form is canonical, so a change
+that only reorganises how spans are computed keeps every digest; a change
+meant to alter an output updates the digest here and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from treelab.cli import main
+from treelab.hecke import check_flatness
+
+
+def strip_elapsed(x):
+    if isinstance(x, dict):
+        return {k: strip_elapsed(v) for k, v in x.items() if k != "elapsed_s"}
+    if isinstance(x, list):
+        return [strip_elapsed(v) for v in x]
+    return x
+
+
+def digest(reports) -> str:
+    text = json.dumps(strip_elapsed(reports), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def cli_doc(tmp_path, argv: str) -> dict:
+    out = tmp_path / "doc.json"
+    main(argv.split() + ["--json", str(out)])
+    return json.loads(out.read_text())
+
+
+VERIFY = {
+    "all --p 2 --depth 4 --seed 7 --random 3": "86f203f09f0c041087f2679759db72c940c93ce4fbafee835e4de4b71f44745c",
+    "all --p 3 --depth 3 --seed 7 --random 2": "95350574fdb1aed429da27be09fe7b66b25cb09cc53c2b44983546491ff04833",
+    "hecke --p 3 --seed 1 --random 3": "e93ed30f783ec7db2ed1764e6e9ebea4eec2fa142bc82ec0dbcbbd4a823c65d3",
+    "hecke --p 2 --e 2": "eebb1d8c426323fe78193d389100f1864a1cf73e8f3530ccc7779d7a02039912",
+    "lemma22 --p 3 --e 3 --seed 7 --random 5": "25dd4fafbfa55c45435b5dc5bcae2517d25b7af1b8e0155be9261246f80afe25",
+    "corrpro --p 3 --depth 4 --rho twist:1 --twist 2": "fbc2999d3e11c9f500736c5988749e7570f12fb9534201685d8b13459cda1aae",
+}
+
+REDUCE = "reduce --p 3 --depth 4 --seed 5 --count 3"
+REDUCE_DIGEST = "bd80903f3a3502f58ba85ac0faea7c50113a5345f3223463cd1564a60de6b30c"
+
+FLATNESS = {
+    (3, 1, "presentation"): "b0524783885a74194359c621920af043177870cc71a2754647efec22d12c2ab5",
+    (3, 1, "split_test"): "3acc6195b9a7ef84d80d007b11799429e7487354eb8ceb09121b978eb40728e1",
+    (2, 2, "presentation"): "cffcb1bef8f49c8907f0fc70834d06436c3416bcb6d7c5b1f0fd2eee822de461",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY))
+def test_verify_reports_digest(tmp_path, argv):
+    doc = cli_doc(tmp_path, "verify " + argv)
+    assert digest(doc["reports"]) == VERIFY[argv]
+
+
+def test_reduce_runs_digest(tmp_path):
+    doc = cli_doc(tmp_path, REDUCE)
+    assert digest(doc["runs"]) == REDUCE_DIGEST
+
+
+@pytest.mark.parametrize("p,e,method", sorted(FLATNESS))
+def test_flatness_report_digest(p, e, method):
+    rep = check_flatness(p, e, method)
+    assert "section" in rep.details
+    assert digest([rep.to_dict()]) == FLATNESS[(p, e, method)]
