@@ -6,12 +6,11 @@ __version__ = "0.1.0"
 
 from .exactalg import (  # noqa: F401
     CanonicalBasis,
-    Mat,
     RingSpec,
+    RowSolver,
     VerificationBug,
-    howell_form,
-    kernel,
-    solve,
+    howell_array,
+    kernel_array,
     split_test,
 )
 from .grouprep import (  # noqa: F401

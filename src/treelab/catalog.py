@@ -67,11 +67,18 @@ def builtin_catalog(p: int, e: int, kind: str = "sl2") -> list[GModule]:
 
 
 def get_module(p: int, e: int, name: str, kind: str = "sl2") -> GModule:
-    for m in builtin_catalog(p, e, kind):
+    mods = builtin_catalog(p, e, kind)
+    for m in mods:
         if m.name == name:
             return m
-    known = [m.name for m in builtin_catalog(p, e, kind)]
-    raise ValueError(f"unknown module {name!r}; catalog has {known}")
+    raise ValueError(f"unknown module {name!r}; catalog has {[m.name for m in mods]}")
+
+
+def select_modules(p: int, e: int, name: str = "all", kind: str = "sl2") -> list[GModule]:
+    """The whole catalog for name "all", else the one module of that name."""
+    if name == "all":
+        return builtin_catalog(p, e, kind)
+    return [get_module(p, e, name, kind)]
 
 
 def catalog_document(p: int, e: int, kind: str = "sl2") -> dict:

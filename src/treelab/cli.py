@@ -24,12 +24,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .catalog import builtin_catalog, emit_catalog
+from .catalog import builtin_catalog, emit_catalog, select_modules
 from .halftree import (
     build_complex,
     check_cogtri_hypothesis,
     check_corrpro,
     check_presentation,
+    parse_rho,
     reduce_chain,
     sample_fixed_class,
 )
@@ -40,6 +41,8 @@ from .report import FAIL, PASS, LemmaReport, aggregate_status
 SUPPORTED_P = (2, 3, 5, 7)
 MAX_E = 3
 MAX_DEPTH = 6
+# suites that work over the field F_p only; lemma22 and hecke take any e
+FIELD_ONLY = ("lemma21", "corrpro", "presentation", "cogtri", "reduce")
 
 
 @dataclass
@@ -51,7 +54,6 @@ class RunConfig:
     e: int = 1
     depth: int = 4
     seed: Optional[int] = None
-    catalog: str = "all"
     module: str = "all"
     rho: str = "w0"
     twist: int = 1
@@ -66,14 +68,19 @@ class RunConfig:
             raise ValueError(f"p must be one of {SUPPORTED_P}")
         if not 1 <= self.e <= MAX_E:
             raise ValueError(f"e must lie in 1..{MAX_E}")
+        if self.command in FIELD_ONLY and self.e != 1:
+            raise ValueError(f"{self.command} runs over F_p only: e must be 1")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not self.module:
             raise ValueError("empty module selection")
-        if not self.catalog:
-            raise ValueError("empty catalog selection")
+        if self.command == "reduce" and self.module == "all":
+            raise ValueError("reduce expects a single module")
+        parse_rho(self.rho)
+        if self.twist % self.p == 0:
+            raise ValueError("twist must be a unit mod p")
         randomized = self.command in ("lemma21", "lemma22", "all", "reduce") or (
             self.command == "hecke" and self.n_random > 0
         )
@@ -87,7 +94,6 @@ class RunConfig:
             "e": self.e,
             "depth": self.depth,
             "seed": self.seed,
-            "catalog": self.catalog,
             "module": self.module,
             "rho": self.rho,
             "twist": self.twist,
@@ -98,21 +104,11 @@ class RunConfig:
         }
 
 
-def _selected_modules(cfg: RunConfig):
-    mods = builtin_catalog(cfg.p, 1)
-    if cfg.module != "all":
-        mods = [m for m in mods if m.name == cfg.module]
-        if not mods:
-            raise ValueError(f"unknown module {cfg.module!r}")
-    return mods
-
-
 def _tree_reports(cfg: RunConfig, which: str) -> list[LemmaReport]:
     reports = []
-    for W in _selected_modules(cfg):
+    for W in select_modules(cfg.p, 1, cfg.module):
         if which == "corrpro":
-            cc = build_complex(W, cfg.depth, cfg.rho, cfg.twist)
-            reports.append(check_corrpro(W, cfg.depth, cfg.rho, cfg.twist, cc=cc))
+            reports.append(check_corrpro(W, cfg.depth, cfg.rho, cfg.twist))
         elif which == "presentation":
             reports.append(check_presentation(W, cfg.depth, cfg.rho, cfg.twist))
         elif which == "cogtri":
@@ -127,7 +123,7 @@ def run_suite(cfg: RunConfig) -> dict:
     reports: list[LemmaReport] = []
     seed = cfg.seed if cfg.seed is not None else 0
     if cfg.command == "lemma21":
-        reports = lemma21_suite(cfg.p, 1, cfg.catalog, seed, cfg.n_random)
+        reports = lemma21_suite(cfg.p, 1, cfg.module, seed, cfg.n_random)
     elif cfg.command == "lemma22":
         reports = lemma22_suite(cfg.p, cfg.e, seed, cfg.n_random)
     elif cfg.command in ("corrpro", "presentation", "cogtri"):
@@ -137,7 +133,7 @@ def run_suite(cfg: RunConfig) -> dict:
         reports = hecke_suite(cfg.p, cfg.e, checks, seed, cfg.n_random)
     elif cfg.command == "all":
         tasks = [
-            lambda: lemma21_suite(cfg.p, 1, "all", seed, cfg.n_random),
+            lambda: lemma21_suite(cfg.p, 1, cfg.module, seed, cfg.n_random),
             lambda: lemma22_suite(cfg.p, cfg.e, seed, cfg.n_random),
             lambda: _tree_reports(cfg, "corrpro"),
             lambda: _tree_reports(cfg, "presentation"),
@@ -185,7 +181,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         e=args.e,
         depth=args.depth,
         seed=args.seed,
-        catalog=args.catalog,
         module=args.module,
         rho=args.rho,
         twist=args.twist,
@@ -208,15 +203,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         p=args.p,
         depth=args.depth,
         seed=args.seed,
-        module=args.module or "jbar",
+        module=args.module,
         count=args.count,
         out=args.json,
     )
     cfg.validate()
-    mods = _selected_modules(cfg)
-    if cfg.module == "all":
-        raise ValueError("reduce expects a single module")
-    W = mods[0]
+    (W,) = select_modules(cfg.p, 1, cfg.module)
     cc = build_complex(W, cfg.depth)
     rng = np.random.default_rng(cfg.seed)
     runs = []
@@ -274,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--e", type=int, default=1)
     ver.add_argument("--depth", type=int, default=4)
     ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--catalog", default="all", help="catalog module name or 'all'")
     ver.add_argument("--module", default="all", help="module name or 'all'")
     ver.add_argument("--rho", default="w0", help="gluing choice: w0 | twist:K | scalar:K")
     ver.add_argument("--twist", type=int, default=1, help="unit twist of the cyclic generator")

@@ -9,8 +9,8 @@ equal iff their Howell forms are identical arrays, which is what makes
 submodule equality, membership and quotient bookkeeping bit-exact.
 
 Vectors are rows throughout; a linear map is a matrix acting by right
-multiplication, so `kernel` and `solve` are left-sided (x @ A = 0 and
-x @ A = b).
+multiplication, so `kernel_array` and `RowSolver.solve` are left-sided
+(x @ A = 0 and x @ A = b).
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class RingSpec:
     def reduce(self, a) -> np.ndarray:
         return np.asarray(a, dtype=np.int64) % self.modulus
 
-    def inv_unit(self, a: int) -> int:
-        """Inverse of a unit; raises ValueError if a is divisible by p."""
-        return pow(int(a) % self.modulus, -1, self.modulus)
-
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b)."""
@@ -80,49 +76,6 @@ def _pivot_normalize(v: np.ndarray, j: int, N: int) -> np.ndarray:
     g = gcd(a, N)
     u = pow(a // g, -1, N)  # a//g is prime to p since N is a prime power
     return (v * u) % N
-
-
-@dataclass(frozen=True, eq=False)
-class Mat:
-    """A matrix over a RingSpec with entries reduced to 0..p^e-1."""
-
-    ring: RingSpec
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = self.ring.reduce(self.a)
-        if arr.ndim != 2:
-            raise ValueError("Mat requires a 2-D array")
-        object.__setattr__(self, "a", arr)
-
-    @classmethod
-    def from_rows(cls, ring: RingSpec, rows: Sequence[Sequence[int]]) -> "Mat":
-        return cls(ring, np.array(rows, dtype=np.int64).reshape(len(rows), -1))
-
-    @classmethod
-    def identity(cls, ring: RingSpec, n: int) -> "Mat":
-        return cls(ring, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, ring: RingSpec, rows: int, cols: int) -> "Mat":
-        return cls(ring, np.zeros((rows, cols), dtype=np.int64))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-        return Mat(self.ring, (self.a @ other.a) % self.ring.modulus)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mat)
-            and self.ring == other.ring
-            and self.a.shape == other.a.shape
-            and np.array_equal(self.a, other.a)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,19 +366,6 @@ def howell_array_sparse(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
     return CanonicalBasis(ring, ncols, M, pivots)
 
 
-def howell_form(M: Mat, method: str = "dense") -> CanonicalBasis:
-    """Canonical generating set of the row span of M.
-
-    Idempotent and span-preserving; `method="sparse"` selects the
-    independent dict-based path (identical output required).
-    """
-    if method == "dense":
-        return howell_array(M.ring, M.a)
-    if method == "sparse":
-        return howell_array_sparse(M.ring, M.a)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def span_sum(ring: RingSpec, parts: Iterable[np.ndarray]) -> CanonicalBasis:
     """Howell basis of the sum of the row spaces of the given arrays."""
     mats = [np.atleast_2d(np.asarray(p, dtype=np.int64)) for p in parts]
@@ -436,6 +376,20 @@ def span_sum(ring: RingSpec, parts: Iterable[np.ndarray]) -> CanonicalBasis:
     if not filled:
         return _empty_basis(ring, ncols)
     return howell_array(ring, np.concatenate(filled, axis=0))
+
+
+def span_closure(ring: RingSpec, seed: np.ndarray, ops: Sequence[np.ndarray]) -> CanonicalBasis:
+    """Smallest span containing the rows of seed and stable under x -> x @ op.
+
+    Fixpoint iteration: add the images of the current Howell basis under
+    every operator until the canonical form stops changing.
+    """
+    span = howell_array(ring, np.atleast_2d(seed))
+    while True:
+        bigger = span_sum(ring, [span.mat] + [(span.mat @ op) % ring.modulus for op in ops])
+        if bigger == span:
+            return span
+        span = bigger
 
 
 def kernel_array(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
@@ -463,15 +417,6 @@ def kernel_array(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
     if not keep:
         return _empty_basis(ring, m)
     return howell_array(ring, H.mat[keep, n:])
-
-
-def kernel(M: Mat) -> CanonicalBasis:
-    return kernel_array(M.ring, M.a)
-
-
-def rank_array(ring: RingSpec, A: np.ndarray) -> int:
-    """Number of Howell rows (= rank when e = 1)."""
-    return howell_array(ring, A).nrows
 
 
 class RowSolver:
@@ -519,25 +464,6 @@ class RowSolver:
             return None
         return x
 
-    def solve_rows(self, B: np.ndarray) -> Optional[np.ndarray]:
-        B = np.atleast_2d(np.asarray(B, dtype=np.int64))
-        out = np.zeros((B.shape[0], self.m), dtype=np.int64)
-        for i, row in enumerate(B):
-            x = self.solve(row)
-            if x is None:
-                return None
-            out[i] = x
-        return out
-
-
-def solve_array(ring: RingSpec, A: np.ndarray, b) -> Optional[np.ndarray]:
-    return RowSolver(ring, A).solve(b)
-
-
-def solve(A: Mat, b) -> Optional[np.ndarray]:
-    """Some x with x @ A = b iff b lies in the row span of A, else None."""
-    return solve_array(A.ring, A.a, b)
-
 
 def preimage_kernel(
     ring: RingSpec,
@@ -571,27 +497,27 @@ def preimage_kernel(
 
 
 def split_test(
-    pi: Mat,
-    constraints: Sequence[tuple[Mat, Mat]] = (),
-    target_relations: Optional[Mat] = None,
-) -> Optional[Mat]:
-    """Search for a section S of the surjection pi, as an exact linear system.
+    ring: RingSpec,
+    P: np.ndarray,
+    constraints: Sequence[tuple[np.ndarray, np.ndarray]] = (),
+    target_relations: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """Search for a section S of the surjection P, as an exact linear system.
 
-    pi is an (a x b) matrix, a map Lambda^a -> Lambda^b (rows act on the
+    P is an (a x b) matrix, a map Lambda^a -> Lambda^b (rows act on the
     right); target_relations R presents the target as Lambda^b / span(R).
-    A section is S (b x a) with S @ pi = I modulo the relations, killing
+    A section is S (b x a) with S @ P = I modulo the relations, killing
     the relations, and intertwining every constraint pair (L_i, R_i):
     L_i @ S = S @ R_i.  Returns the section or None; raises ValueError
-    when pi is not surjective onto the presented target.
+    when P is not surjective onto the presented target.
     """
-    ring = pi.ring
     N = ring.modulus
-    P = pi.a
+    P = np.atleast_2d(ring.reduce(P))
     a, b = P.shape
     relmat = (
         np.zeros((0, b), dtype=np.int64)
         if target_relations is None
-        else np.atleast_2d(ring.reduce(target_relations.a))
+        else np.atleast_2d(ring.reduce(target_relations))
     )
     onto = howell_array(ring, np.concatenate([P, relmat], axis=0))
     if onto.span_log_size() != ring.e * b:
@@ -605,7 +531,7 @@ def split_test(
     eq_blocks.append(np.kron(Ib, P))
     rhs_blocks.append(np.eye(b, dtype=np.int64).reshape(-1))
     for L, R in constraints:
-        eq_blocks.append((np.kron(L.a.T, Ia) - np.kron(Ib, R.a)) % N)
+        eq_blocks.append((np.kron(L.T, Ia) - np.kron(Ib, R)) % N)
         rhs_blocks.append(np.zeros(b * a, dtype=np.int64))
     r = relmat.shape[0]
     if r:
@@ -618,8 +544,7 @@ def split_test(
         Ey = np.zeros((r * b, E.shape[1]), dtype=np.int64)
         Ey[:, : b * b] = np.kron(Ib, relmat)
         E = np.concatenate([E, Ey], axis=0)
-    x = solve_array(ring, E, rhs)
+    x = RowSolver(ring, E).solve(rhs)
     if x is None:
         return None
-    S = x[:nun].reshape(b, a) % N
-    return Mat(ring, S)
+    return x[:nun].reshape(b, a) % N

@@ -27,6 +27,7 @@ from .exactalg import (
     howell_array,
     kernel_array,
     preimage_kernel,
+    span_closure,
     span_sum,
 )
 
@@ -338,13 +339,7 @@ def generated_submodule(
     generators closes up under that subgroup only.
     """
     gens = tuple(gens) if gens is not None else M.group.gens
-    span = howell_array(M.ring, np.atleast_2d(vectors))
-    while True:
-        images = [span.mat] + [M.act_rows(span.mat, g) for g in gens]
-        bigger = span_sum(M.ring, images)
-        if bigger == span:
-            return span
-        span = bigger
+    return span_closure(M.ring, vectors, [M.action(g) for g in gens])
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,34 +352,12 @@ class QuotientPresentation:
 
     @property
     def dim(self) -> int:
-        return self.ambient - self.rel.nrows if self.ring.is_field else self._length()
-
-    def _length(self) -> int:
-        return self.ring.e * self.ambient - self.rel.span_log_size()
+        """Dimension over k when e = 1; the length (log_size) in general."""
+        return self.log_size()
 
     def log_size(self) -> int:
         """log_p of the number of elements of the quotient."""
         return self.ring.e * self.ambient - self.rel.span_log_size()
-
-    def reduce(self, v) -> np.ndarray:
-        return self.rel.reduce(v)
-
-    def reduce_rows(self, X) -> np.ndarray:
-        return self.rel.reduce_rows(X)
-
-    def is_zero(self, v) -> bool:
-        return self.rel.contains(v)
-
-    def section_cols(self) -> list[int]:
-        return self.rel.section_cols()
-
-    def induced_operator(self, op: np.ndarray) -> np.ndarray:
-        """Matrix of a rel-stable operator on the section coordinates (e = 1)."""
-        if not self.ring.is_field:
-            raise ValueError("section coordinates require e = 1")
-        sec = self.section_cols()
-        rows = self.rel.reduce_rows(np.asarray(op, dtype=np.int64)[sec, :])
-        return rows[:, sec]
 
 
 def coinvariants(M: GModule, subgroup: Sequence[Elem]) -> QuotientPresentation:
@@ -394,16 +367,9 @@ def coinvariants(M: GModule, subgroup: Sequence[Elem]) -> QuotientPresentation:
     under the subgroup action, equals the span over the full subgroup.
     """
     eye = np.eye(M.rank, dtype=np.int64)
-    images = [((M.action(h) - eye) % M.ring.modulus) for h in subgroup]
-    if not images:
-        rel = howell_array(M.ring, np.zeros((0, M.rank), dtype=np.int64))
-        return QuotientPresentation(M.ring, M.rank, rel)
-    rel = span_sum(M.ring, images)
-    while True:
-        closed = span_sum(M.ring, [rel.mat] + [M.act_rows(rel.mat, h) for h in subgroup])
-        if closed == rel:
-            return QuotientPresentation(M.ring, M.rank, rel)
-        rel = closed
+    ops = [M.action(h) for h in subgroup]
+    seed = [np.zeros((0, M.rank), dtype=np.int64)] + [(op - eye) % M.ring.modulus for op in ops]
+    return QuotientPresentation(M.ring, M.rank, span_closure(M.ring, np.concatenate(seed), ops))
 
 
 def _ppower_order(ring: RingSpec, op: np.ndarray, p: int, bound: int = 16) -> int:
@@ -429,6 +395,19 @@ def _matpow(m: np.ndarray, k: int, N: int) -> np.ndarray:
         base = (base @ base) % N
         k >>= 1
     return out
+
+
+def translate_stack(ring: RingSpec, rows: np.ndarray, op: np.ndarray, count: int) -> np.ndarray:
+    """The translates rows @ op^j for j < count, stacked j-major."""
+    blocks = [np.asarray(rows, dtype=np.int64) % ring.modulus]
+    for _ in range(count - 1):
+        blocks.append((blocks[-1] @ op) % ring.modulus)
+    return np.concatenate(blocks, axis=0)
+
+
+def block_shift(p: int, t: int, u: int = 1) -> np.ndarray:
+    """Cyclic shift of p blocks of size t: block j goes to block j + u mod p."""
+    return np.kron(np.roll(np.eye(p, dtype=np.int64), u, axis=1), np.eye(t, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)

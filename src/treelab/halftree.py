@@ -33,7 +33,17 @@ from .exactalg import (
     preimage_kernel,
     span_sum,
 )
-from .grouprep import Elem, GModule, QuotientPresentation, generated_submodule, invariants, primitive_root
+from .grouprep import (
+    Elem,
+    GModule,
+    QuotientPresentation,
+    _matpow,
+    block_shift,
+    generated_submodule,
+    invariants,
+    primitive_root,
+    translate_stack,
+)
 from .report import FAIL, PASS, REJECTED, LemmaReport
 
 
@@ -50,6 +60,19 @@ class CoeffSystemSpec:
     rho_choice: str
 
 
+def parse_rho(rho_choice: str) -> tuple[str, int]:
+    """Split a gluing choice into (kind, K); raises ValueError if malformed."""
+    if rho_choice == "w0":
+        return "w0", 0
+    kind, _, arg = rho_choice.partition(":")
+    if kind not in ("twist", "scalar"):
+        raise ValueError(f"unknown rho choice {rho_choice!r}")
+    try:
+        return kind, int(arg)
+    except ValueError:
+        raise ValueError(f"rho choice {rho_choice!r} needs an integer K") from None
+
+
 def resolve_rho(W: GModule, rho_choice: str) -> np.ndarray:
     """The gluing matrix for a named choice.
 
@@ -58,27 +81,25 @@ def resolve_rho(W: GModule, rho_choice: str) -> np.ndarray:
                  (it normalizes the upper unipotent subgroup);
     "scalar:K" : multiply by the unit z^K.
     """
+    kind, k = parse_rho(rho_choice)
     group = W.group
     p = group.p
     N = W.ring.modulus
     inv_lower = invariants(W, [group.lower_gen])
     base = (inv_lower.mat @ W.action(group.weyl)) % N
-    if rho_choice == "w0":
+    if kind == "w0":
         return base
-    kind, _, arg = rho_choice.partition(":")
     if kind == "twist":
         z = primitive_root(p)
         t: Elem = (z % p, 0, 0, pow(z, -1, p)) if p > 2 else (1, 0, 0, 1)
-        power = int(arg) % max(p - 1, 1)
+        power = k % max(p - 1, 1)
         out = base
         for _ in range(power):
             out = (out @ W.action(t)) % N
         return out
-    if kind == "scalar":
-        z = primitive_root(p) if p > 2 else 1
-        lam = pow(z, int(arg), p) if p > 2 else 1
-        return (lam * base) % N
-    raise ValueError(f"unknown rho choice {rho_choice!r}")
+    z = primitive_root(p) if p > 2 else 1
+    lam = pow(z, k, p) if p > 2 else 1
+    return (lam * base) % N
 
 
 def build_coeff_spec(W: GModule, rho_choice: str = "w0", twist_u: int = 1) -> CoeffSystemSpec:
@@ -99,7 +120,7 @@ def build_coeff_spec(W: GModule, rho_choice: str = "w0", twist_u: int = 1) -> Co
     image = howell_array(ring, rho)
     if image != inv_upper or image.nrows != inv_lower.nrows:
         raise ValueError("rho is not an isomorphism onto the upper invariants")
-    twist = np.linalg.matrix_power(W.action(group.upper_gen), twist_u % p) % p
+    twist = _matpow(W.action(group.upper_gen), twist_u % p, ring.modulus)
     return CoeffSystemSpec(W, inv_lower, inv_upper, rho, twist, twist_u % p, rho_choice)
 
 
@@ -130,12 +151,7 @@ class ChainComplexData:
 
         # down blocks: child j of a vertex carries the j-th twist translate
         N = self.ring.modulus
-        self.down = []
-        block = spec.inv_lower.mat.copy()
-        for j in range(p):
-            self.down.append(block)
-            block = (block @ spec.twist) % N
-        self.down_stack = np.concatenate(self.down, axis=0)  # (p*t, w)
+        self.down_stack = translate_stack(self.ring, spec.inv_lower.mat, spec.twist, p)  # (p*t, w)
 
         D1 = np.zeros((self.dim1, self.dim0), dtype=np.int64)
         for m in range(D):
@@ -146,7 +162,7 @@ class ChainComplexData:
                 rows = slice(self.off1[m] + b * t, self.off1[m] + (b + 1) * t)
                 cols_par = slice(self.off0[m] + a * w, self.off0[m] + (a + 1) * w)
                 cols_child = slice(self.off0[m + 1] + b * w, self.off0[m + 1] + (b + 1) * w)
-                D1[rows, cols_par] = (sm * self.down[j]) % N
+                D1[rows, cols_par] = (sm * self.down_stack[j * t : (j + 1) * t]) % N
                 D1[rows, cols_child] = (sm1 * spec.rho) % N
         self.dmat = D1
         self._check_invariants()
@@ -156,9 +172,6 @@ class ChainComplexData:
         self._rho_solver: Optional[RowSolver] = None
 
     # -- index helpers ------------------------------------------------
-    def v_slice(self, m: int, a: int) -> slice:
-        return slice(self.off0[m] + a * self.w, self.off0[m] + (a + 1) * self.w)
-
     def level0_block(self, c: np.ndarray, m: int) -> np.ndarray:
         return c[self.off0[m] : self.off0[m + 1]]
 
@@ -431,16 +444,8 @@ def check_cogtri_hypothesis(W: GModule, twist_u: int = 1) -> LemmaReport:
         return LemmaReport("cogtri", desc, REJECTED, details={"reason": str(err)})
     p = W.group.p
     t = spec.inv_lower.nrows
-    shift = np.zeros((p * t, p * t), dtype=np.int64)
-    for j in range(p):
-        jj = (j + 1) % p
-        shift[j * t : (j + 1) * t, jj * t : (jj + 1) * t] = np.eye(t, dtype=np.int64)
-    blocks = []
-    block = spec.inv_lower.mat.copy()
-    for _ in range(p):
-        blocks.append(block)
-        block = (block @ spec.twist) % ring.modulus
-    mult = np.concatenate(blocks, axis=0)
+    shift = block_shift(p, t)
+    mult = translate_stack(ring, spec.inv_lower.mat, spec.twist, p)
     src_rel = howell_array(ring, (shift - np.eye(p * t, dtype=np.int64)) % ring.modulus)
     tgt_rel = howell_array(ring, (spec.twist - np.eye(W.rank, dtype=np.int64)) % ring.modulus)
     pre = preimage_kernel(ring, [mult], tgt_rel)

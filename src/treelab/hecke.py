@@ -26,17 +26,17 @@ import numpy as np
 
 from .exactalg import (
     CanonicalBasis,
-    Mat,
     RingSpec,
     RowSolver,
     VerificationBug,
     howell_array,
     kernel_array,
     preimage_kernel,
+    span_closure,
     span_sum,
     split_test,
 )
-from .grouprep import GModule, build_group, invariants, jbar
+from .grouprep import GModule, build_group, elem_mul, invariants, jbar
 from .report import FAIL, PASS, RECORDED, LemmaReport
 
 
@@ -79,20 +79,11 @@ class HeckeAlgebra:
         return (np.tensordot(np.asarray(coeffs, dtype=np.int64) % N, self.struct, axes=(0, 0))) % N
 
     def _generated_subalgebra_full(self, gens: list[int]) -> bool:
-        N = self.ring.modulus
-        d = self.dim
-        unit_vec = np.zeros((1, d), dtype=np.int64)
+        unit_vec = np.zeros((1, self.dim), dtype=np.int64)
         unit_vec[0, self.unit] = 1
-        span = howell_array(self.ring, unit_vec)
-        while True:
-            prods = []
-            for g in gens:
-                prods.append((span.mat @ self.left_regular(g)) % N)
-                prods.append((span.mat @ self.right_regular(g)) % N)
-            bigger = span_sum(self.ring, [span.mat] + prods)
-            if bigger == span:
-                return span.span_log_size() == self.ring.e * d
-            span = bigger
+        ops = [m for g in gens for m in (self.left_regular(g), self.right_regular(g))]
+        span = span_closure(self.ring, unit_vec, ops)
+        return span.span_log_size() == self.ring.e * self.dim
 
     def algebra_generators(self) -> list[int]:
         """A small basis subset generating the unital algebra.
@@ -146,7 +137,7 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
                 continue
             orbit.add(j)
             for u in upper:
-                k = of[mul2(reps[j], u, p)]
+                k = of[elem_mul(reps[j], u, p)]
                 if k not in orbit:
                     stack.append(k)
         for j in orbit:
@@ -163,7 +154,7 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
         m = np.zeros((n, n), dtype=np.int64)
         for i in range(n):
             for x in orbit:
-                m[i, of[mul2(reps[x], reps[i], p)]] += 1
+                m[i, of[elem_mul(reps[x], reps[i], p)]] += 1
         mats.append(m % N)
     base_coset_idx = of[(1, 0, 0, 1)]
     unit = next(i for i, o in enumerate(double_cosets) if o == [base_coset_idx])
@@ -191,23 +182,28 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     return alg
 
 
-def mul2(x, y, p):
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+def _algebra_laws(alg: HeckeAlgebra) -> dict[str, bool]:
+    """Exhaustive associativity and unit laws on the structure tensor."""
+    N = alg.ring.modulus
+    eye = np.eye(alg.dim, dtype=np.int64) % N
+    left = np.einsum("uvx,xwy->uvwy", alg.struct, alg.struct) % N
+    right = np.einsum("vwx,uxy->uvwy", alg.struct, alg.struct) % N
+    return {
+        "associative": bool(np.array_equal(left, right)),
+        "unit_laws": bool(
+            np.array_equal(alg.struct[alg.unit] % N, eye)
+            and np.array_equal(alg.struct[:, alg.unit, :] % N, eye)
+        ),
+    }
 
 
 def _verify_algebra(alg: HeckeAlgebra) -> None:
     N = alg.ring.modulus
     d = alg.dim
-    # unit laws
-    if not (np.array_equal(alg.struct[alg.unit], np.eye(d, dtype=np.int64) % N)
-            and np.array_equal(alg.struct[:, alg.unit, :], np.eye(d, dtype=np.int64) % N)):
+    laws = _algebra_laws(alg)
+    if not laws["unit_laws"]:
         raise VerificationBug("unit laws fail")
-    # exhaustive associativity on the structure tensor
-    left = np.einsum("uvx,xwy->uvwy", alg.struct, alg.struct) % N
-    right = np.einsum("vwx,uxy->uvwy", alg.struct, alg.struct) % N
-    if not np.array_equal(left, right):
+    if not laws["associative"]:
         raise VerificationBug("associativity fails on a basis triple")
     # operators commute with the group action and compose per the tensor
     for g in alg.J.group.gens:
@@ -260,13 +256,7 @@ class HeckeModule:
 
 
 def free_module(alg: HeckeAlgebra, s: int = 1, name: str = "") -> HeckeModule:
-    mats = []
-    for w in range(alg.dim):
-        r = alg.right_regular(w)
-        big = np.zeros((s * alg.dim, s * alg.dim), dtype=np.int64)
-        for k in range(s):
-            big[k * alg.dim : (k + 1) * alg.dim, k * alg.dim : (k + 1) * alg.dim] = r
-        mats.append(big)
+    mats = [np.kron(np.eye(s, dtype=np.int64), alg.right_regular(w)) for w in range(alg.dim)]
     marked = None
     if s == 1:
         one = np.zeros(alg.dim, dtype=np.int64)
@@ -276,14 +266,7 @@ def free_module(alg: HeckeAlgebra, s: int = 1, name: str = "") -> HeckeModule:
 
 
 def right_stable_span(M: HeckeModule, vectors: np.ndarray) -> CanonicalBasis:
-    ring = M.alg.ring
-    span = howell_array(ring, np.atleast_2d(vectors))
-    while True:
-        images = [span.mat] + [(span.mat @ M.action[w]) % ring.modulus for w in range(M.alg.dim)]
-        bigger = span_sum(ring, images)
-        if bigger == span:
-            return span
-        span = bigger
+    return span_closure(M.alg.ring, vectors, M.action)
 
 
 def quotient_module(M: HeckeModule, rel: CanonicalBasis, name: str = "") -> HeckeModule:
@@ -338,42 +321,33 @@ class TensorModule:
         return self.alg.ring.e * self.ambient - self.rel.span_log_size()
 
 
-def _module_generators(M: HeckeModule) -> tuple[list[np.ndarray], np.ndarray]:
-    """Greedy module generators of M and the presentation matrix.
+def _module_generators(
+    ring: RingSpec, candidates: np.ndarray, ops: list[np.ndarray]
+) -> tuple[list[int], np.ndarray]:
+    """Greedy module generators among the candidate rows, and the presentation.
 
-    A marked cyclic generator is tried first, then the basis vectors.
-    Returns (generator vectors, P), where P maps the free module H^s
-    onto M: row (k, w) is x_k @ action[w].
+    A module is spanned by the images v @ op of its elements, so each
+    candidate outside the span reached so far is kept together with its
+    orbit, until the orbits fill the ambient space.  Returns (indices of
+    the kept candidates, P), where P maps the free module onto the
+    ambient space: row (k, w) is candidate k @ ops[w].
     """
-    ring = M.alg.ring
-    d = M.alg.dim
-    candidates = []
-    if M.marked and "cyclic" in M.marked:
-        candidates.append(np.asarray(M.marked["cyclic"], dtype=np.int64) % ring.modulus)
-    candidates.extend(np.eye(M.rank, dtype=np.int64))
-    chosen: list[np.ndarray] = []
-    span: Optional[CanonicalBasis] = None
-    full = ring.e * M.rank
-    for v in candidates:
-        if not np.any(v) or (span is not None and span.contains(v)):
-            continue
-        chosen.append(v)
-        rows = [(np.stack([v @ M.action[w] for w in range(d)]) % ring.modulus)]
-        if span is not None:
-            rows.append(span.mat)
-        span = span_sum(ring, rows)
+    N = ring.modulus
+    full = ring.e * candidates.shape[1]
+    chosen: list[int] = []
+    orbits = [np.zeros((0, candidates.shape[1]), dtype=np.int64)]
+    span = span_sum(ring, orbits)
+    for i, v in enumerate(candidates):
         if span.span_log_size() == full:
             break
-    if M.rank == 0:
-        return [], np.zeros((0, 0), dtype=np.int64)
-    if span is None or span.span_log_size() != full:
+        if not np.any(v) or span.contains(v):
+            continue
+        chosen.append(i)
+        orbits.append(np.stack([v @ op for op in ops]) % N)
+        span = span_sum(ring, [orbits[-1], span.mat])
+    if span.span_log_size() != full:
         raise VerificationBug("module generator search failed")
-    s = len(chosen)
-    P = np.zeros((s * d, M.rank), dtype=np.int64)
-    for k, v in enumerate(chosen):
-        for w in range(d):
-            P[k * d + w] = (v @ M.action[w]) % ring.modulus
-    return chosen, P
+    return chosen, np.concatenate(orbits)
 
 
 def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
@@ -414,7 +388,10 @@ def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
     if M.rank == 0:
         rel = howell_array(ring, np.zeros((0, 0), dtype=np.int64))
         return TensorModule(alg, 0, rel, {}, np.zeros((0, 0), dtype=np.int64), "generators")
-    chosen, P = _module_generators(M)
+    candidates = np.eye(M.rank, dtype=np.int64)
+    if M.marked and "cyclic" in M.marked:
+        candidates = np.concatenate([np.atleast_2d(M.marked["cyclic"]) % ring.modulus, candidates])
+    chosen, P = _module_generators(ring, candidates, M.action)
     s = len(chosen)
     d = alg.dim
     Q = kernel_array(ring, P)
@@ -498,44 +475,18 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     gens = alg.algebra_generators()
 
     # left-module generators of J over the algebra
-    chosen: list[int] = []
-    span: Optional[CanonicalBasis] = None
-    full = ring.e * n
-    for i in range(n):
-        v = np.zeros(n, dtype=np.int64)
-        v[i] = 1
-        if span is not None and span.contains(v):
-            continue
-        chosen.append(i)
-        orbit = np.stack([v @ m for m in alg.basis_mats]) % ring.modulus
-        span = span_sum(ring, [orbit] if span is None else [orbit, span.mat])
-        if span.span_log_size() == full:
-            break
-    if span is None or span.span_log_size() != full:
-        raise VerificationBug("generator search over the algebra failed")
+    chosen, P = _module_generators(ring, np.eye(n, dtype=np.int64), alg.basis_mats)
     r = len(chosen)
-    P = np.zeros((r * d, n), dtype=np.int64)
-    for k, i in enumerate(chosen):
-        v = np.zeros(n, dtype=np.int64)
-        v[i] = 1
-        for w in range(d):
-            P[k * d + w] = (v @ alg.basis_mats[w]) % ring.modulus
 
     def blockdiag(mat: np.ndarray) -> np.ndarray:
-        big = np.zeros((r * d, r * d), dtype=np.int64)
-        for k in range(r):
-            big[k * d : (k + 1) * d, k * d : (k + 1) * d] = mat
-        return big
+        return np.kron(np.eye(r, dtype=np.int64), mat)
 
     if method == "auto":
         method = "split_test" if n * r * d <= 4096 else "presentation"
     section: Optional[np.ndarray] = None
     if method == "split_test":
-        constraints = [
-            (Mat(ring, alg.basis_mats[u]), Mat(ring, blockdiag(alg.left_regular(u)))) for u in gens
-        ]
-        got = split_test(Mat(ring, P), constraints)
-        section = None if got is None else got.a
+        constraints = [(alg.basis_mats[u], blockdiag(alg.left_regular(u))) for u in gens]
+        section = split_test(ring, P, constraints)
     elif method == "presentation":
         section = _section_via_presentation(alg, chosen, P, gens)
     else:
@@ -585,11 +536,7 @@ def _section_via_presentation(
     K = kernel_array(ring, P)
 
     def blockdiag_combo(coeffs: np.ndarray) -> np.ndarray:
-        one = alg.left_regular_combo(coeffs)
-        big = np.zeros((m, m), dtype=np.int64)
-        for k in range(r):
-            big[k * d : (k + 1) * d, k * d : (k + 1) * d] = one
-        return big
+        return np.kron(np.eye(r, dtype=np.int64), alg.left_regular_combo(coeffs))
 
     # unknown vector Y = [y_1 | ... | y_r], each y_k of length m
     blocks = []
@@ -651,10 +598,6 @@ def invariants_jbar_star(p: int, e: int = 1) -> LemmaReport:
     )
 
 
-def hecke_module_from_free_quotient(alg: HeckeAlgebra, rel: CanonicalBasis, name: str = "") -> HeckeModule:
-    return quotient_module(free_module(alg, 1), rel, name)
-
-
 def check_dim(p: int, e: int = 1) -> LemmaReport:
     t0 = time.monotonic()
     alg = build_hecke(p, e)
@@ -675,16 +618,8 @@ def check_assoc(p: int, e: int = 1) -> LemmaReport:
     """Exhaustive associativity and unit laws on the structure tensor."""
     t0 = time.monotonic()
     alg = build_hecke(p, e)
-    N = alg.ring.modulus
-    left = np.einsum("uvx,xwy->uvwy", alg.struct, alg.struct) % N
-    right = np.einsum("vwx,uxy->uvwy", alg.struct, alg.struct) % N
-    assoc = bool(np.array_equal(left, right))
     d = alg.dim
-    unit_ok = bool(
-        np.array_equal(alg.struct[alg.unit] % N, np.eye(d, dtype=np.int64) % N)
-        and np.array_equal(alg.struct[:, alg.unit, :] % N, np.eye(d, dtype=np.int64) % N)
-    )
-    verdicts = {"associative": assoc, "unit_laws": unit_ok}
+    verdicts = _algebra_laws(alg)
     return LemmaReport(
         "hecke_assoc",
         {"p": p, "e": e},

@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .catalog import builtin_catalog
+from .catalog import select_modules
 from .exactalg import (
     CanonicalBasis,
     RingSpec,
@@ -36,6 +36,8 @@ from .exactalg import (
 from .grouprep import (
     GModule,
     PresentedModule,
+    _matpow,
+    block_shift,
     build_group,
     direct_sum,
     generated_submodule,
@@ -43,6 +45,7 @@ from .grouprep import (
     invariants,
     jbar,
     quotient_gmodule,
+    translate_stack,
 )
 from .report import FAIL, PASS, REJECTED, LemmaReport
 
@@ -74,27 +77,15 @@ class ComparisonPair:
 
     def source_shift(self, u: int = 1) -> np.ndarray:
         """Translation by upper_gen^u on the group coordinate of the source."""
-        p, t = self.p, self.t
-        m = np.zeros((p * t, p * t), dtype=np.int64)
-        for j in range(p):
-            jj = (j + u) % p
-            m[j * t : (j + 1) * t, jj * t : (jj + 1) * t] = np.eye(t, dtype=np.int64)
-        return m
+        return block_shift(self.p, self.t, u)
 
 
 def build_comparison(W: GModule) -> ComparisonPair:
     group = W.group
     p = group.p
     inv = invariants(W, [group.lower_gen])
-    t = inv.nrows
-    A = W.action(group.upper_gen)
-    mult = np.zeros((p * t, W.rank), dtype=np.int64)
-    aug = np.zeros((p * t, t), dtype=np.int64)
-    block = inv.mat.copy()
-    for j in range(p):
-        mult[j * t : (j + 1) * t] = block
-        aug[j * t : (j + 1) * t] = np.eye(t, dtype=np.int64)
-        block = (block @ A) % W.ring.modulus
+    mult = translate_stack(W.ring, inv.mat, W.action(group.upper_gen), p)
+    aug = np.tile(np.eye(inv.nrows, dtype=np.int64), (p, 1))
     return ComparisonPair(W, inv, mult, aug)
 
 
@@ -162,7 +153,7 @@ def check_comparison_map(W: GModule, instance: Optional[dict] = None) -> LemmaRe
     ok_h1 = True
     for u in range(1, p):
         src = h1_procyclic(ring, em.source_shift(u), p)
-        tgt = h1_procyclic(ring, np.linalg.matrix_power(W.action(group.upper_gen), u) % p, p)
+        tgt = h1_procyclic(ring, _matpow(W.action(group.upper_gen), u, ring.modulus), p)
         if not src.induced_map_bijective(em.mult, tgt):
             ok_h1 = False
             details["h1_failure_twist"] = u
@@ -401,20 +392,14 @@ def random_injections(
 def lemma21_suite(
     p: int,
     e: int = 1,
-    catalog: str = "all",
+    module: str = "all",
     seed: int = 0,
     n_random: int = 0,
     kind: str = "sl2",
 ) -> list[LemmaReport]:
-    """The full comparison-map suite over the catalog plus random modules."""
+    """The comparison-map suite over the selected catalog modules plus random ones."""
     reports: list[LemmaReport] = []
-    mods: list[GModule] = []
-    if catalog == "all":
-        mods.extend(builtin_catalog(p, e, kind))
-    elif catalog:
-        mods.extend(m for m in builtin_catalog(p, e, kind) if m.name == catalog)
-        if not mods:
-            raise ValueError(f"unknown catalog module {catalog!r}")
+    mods = select_modules(p, e, module, kind)
     mods.extend(random_modules(seed, p, n_random, kind=kind))
     for W in mods:
         reports.append(check_comparison_map(W))

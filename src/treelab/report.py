@@ -28,10 +28,6 @@ class LemmaReport:
     details: dict[str, Any] = field(default_factory=dict)
     elapsed_s: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "lemma": self.lemma,

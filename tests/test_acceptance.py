@@ -54,7 +54,7 @@ def test_criterion_1_lemma21_suite():
     t0 = time.monotonic()
     total = 0
     for p in (2, 3, 5):
-        reports = lemma21_suite(p, e=1, catalog="all", seed=2024, n_random=50)
+        reports = lemma21_suite(p, e=1, module="all", seed=2024, n_random=50)
         total += len(reports)
         bad = [r for r in reports if r.status != PASS]
         assert not bad, bad[0].to_dict()

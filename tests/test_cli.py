@@ -129,3 +129,41 @@ def test_hecke_cli_subset_of_checks(capsys):
 def test_parser_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["verify", "bogus", "--p", "2"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "presentation", "--p", "3", "--depth", "2", "--rho", "bogus"],
+        ["verify", "corrpro", "--p", "3", "--depth", "2", "--rho", "twist:x"],
+        ["verify", "cogtri", "--p", "3", "--twist", "3"],
+        ["verify", "corrpro", "--p", "3", "--depth", "2", "--e", "2"],
+        ["verify", "lemma21", "--p", "3", "--e", "3", "--seed", "1"],
+        ["reduce", "--p", "3", "--depth", "2", "--seed", "1", "--module", ""],
+        ["reduce", "--p", "3", "--depth", "2", "--seed", "1", "--module", "all"],
+    ],
+)
+def test_ignored_or_invalid_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_catalog_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lemma21", "--p", "3", "--seed", "1", "--catalog", "jbar"])
+    assert exc.value.code == 2
+    assert "catalog" not in RunConfig(command="lemma21", p=3).echo()
+
+
+def test_lemma21_reads_module(capsys):
+    assert main(["verify", "lemma21", "--p", "3", "--seed", "1", "--module", "jbar"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["lemma"] for r in doc["reports"]] == ["lemma21", "lemma21.min_generators"]
+    assert {r["instance"]["module"] for r in doc["reports"]} == {"jbar"}
+
+
+def test_lemma21_unknown_module_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lemma21", "--p", "3", "--seed", "1", "--module", "nope"])
+    assert exc.value.code == 2
