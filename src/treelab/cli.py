@@ -43,6 +43,26 @@ MAX_E = 3
 MAX_DEPTH = 6
 # suites that work over the field F_p only; lemma22 and hecke take any e
 FIELD_ONLY = ("lemma21", "corrpro", "presentation", "cogtri", "reduce")
+# the optional flags each command reads; setting any other one away from
+# its default is a usage error, so no flag is silently ignored
+FLAGS = {
+    "depth": "--depth",
+    "module": "--module",
+    "rho": "--rho",
+    "twist": "--twist",
+    "n_random": "--random",
+    "checks": "--check",
+}
+READS = {
+    "lemma21": ("module", "n_random"),
+    "lemma22": ("n_random",),
+    "corrpro": ("depth", "module", "rho", "twist"),
+    "presentation": ("depth", "module", "rho", "twist"),
+    "cogtri": ("module", "twist"),
+    "hecke": ("n_random", "checks"),
+    "all": ("depth", "module", "rho", "twist", "n_random", "checks"),
+    "reduce": ("depth", "module"),
+}
 
 
 @dataclass
@@ -64,6 +84,11 @@ class RunConfig:
     count: int = 1
 
     def validate(self) -> None:
+        if self.command not in READS:
+            raise ValueError(f"unknown command {self.command!r}")
+        for field, flag in FLAGS.items():
+            if field not in READS[self.command] and getattr(self, field) != getattr(RunConfig, field):
+                raise ValueError(f"{self.command} does not read {flag}")
         if self.p not in SUPPORTED_P:
             raise ValueError(f"p must be one of {SUPPORTED_P}")
         if not 1 <= self.e <= MAX_E:
@@ -122,6 +147,7 @@ def run_suite(cfg: RunConfig) -> dict:
     t0 = time.monotonic()
     reports: list[LemmaReport] = []
     seed = cfg.seed if cfg.seed is not None else 0
+    checks = tuple(x for x in cfg.checks.split(",") if x)
     if cfg.command == "lemma21":
         reports = lemma21_suite(cfg.p, 1, cfg.module, seed, cfg.n_random)
     elif cfg.command == "lemma22":
@@ -129,7 +155,6 @@ def run_suite(cfg: RunConfig) -> dict:
     elif cfg.command in ("corrpro", "presentation", "cogtri"):
         reports = _tree_reports(cfg, cfg.command)
     elif cfg.command == "hecke":
-        checks = tuple(x for x in cfg.checks.split(",") if x)
         reports = hecke_suite(cfg.p, cfg.e, checks, seed, cfg.n_random)
     elif cfg.command == "all":
         tasks = [
@@ -140,7 +165,7 @@ def run_suite(cfg: RunConfig) -> dict:
             lambda: _tree_reports(cfg, "cogtri"),
         ]
         if cfg.p <= 5:
-            tasks.append(lambda: hecke_suite(cfg.p, cfg.e, seed=seed, n_random=min(cfg.n_random, 5)))
+            tasks.append(lambda: hecke_suite(cfg.p, cfg.e, checks, seed, min(cfg.n_random, 5)))
         if cfg.jobs > 1:
             with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
                 chunks = list(pool.map(lambda f: f(), tasks))

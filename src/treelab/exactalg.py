@@ -192,8 +192,14 @@ def _empty_basis(ring: RingSpec, ncols: int) -> CanonicalBasis:
 
 
 def _rref_field(p: int, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Vectorized reduced row echelon form over F_p (dense fast path)."""
-    A = (np.asarray(A, dtype=np.int64) % p).copy()
+    """Vectorized reduced row echelon form over F_p (dense fast path).
+
+    Each elimination step updates only the pivot row's support: the other
+    columns would subtract zero, so the result is the same array a
+    full-width update gives, at the cost of the nonzeros instead of the
+    width.
+    """
+    A = np.asarray(A, dtype=np.int64) % p
     m, n = A.shape
     pivcols: list[int] = []
     r = 0
@@ -207,11 +213,12 @@ def _rref_field(p: int, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if i != r:
             A[[r, i]] = A[[i, r]]
         A[r] = (A[r] * pow(int(A[r, c]), -1, p)) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
+        rows = np.flatnonzero(A[:, c])
+        rows = rows[rows != r]
         if rows.size:
-            A[rows] = (A[rows] - np.outer(col[rows], A[r])) % p
+            nzc = np.flatnonzero(A[r])
+            block = np.ix_(rows, nzc)
+            A[block] = (A[block] - np.outer(A[rows, c], A[r, nzc])) % p
         pivcols.append(c)
         r += 1
     return A[: len(pivcols)], pivcols
@@ -433,13 +440,10 @@ class RowSolver:
         self.m, self.n = A.shape
         aug = np.concatenate([A, np.eye(self.m, dtype=np.int64)], axis=1)
         H = howell_array(ring, aug)
-        lead = [i for i in range(H.nrows) if np.any(H.mat[i, : self.n])]
-        self.hmat = H.mat[lead, : self.n]
-        self.umat = H.mat[lead, self.n :]
-        self.pivots = [
-            (int(np.nonzero(self.hmat[i])[0][0]), int(self.hmat[i][np.nonzero(self.hmat[i])[0][0]]))
-            for i in range(len(lead))
-        ]
+        # rows pivoting inside A come first, since pivot columns increase
+        self.pivots = [(c, g) for c, g in H.pivots if c < self.n]
+        self.hmat = H.mat[: len(self.pivots), : self.n]
+        self.umat = H.mat[: len(self.pivots), self.n :]
         self._unit = all(g == 1 for _, g in self.pivots)
         self._pivcols = [c for c, _ in self.pivots]
 

@@ -167,6 +167,7 @@ class ChainComplexData:
         self.dmat = D1
         self._check_invariants()
         self._rspan: Optional[CanonicalBasis] = None
+        self._fixed: Optional[tuple[np.ndarray, list[int]]] = None
         self._solver: Optional[RowSolver] = None
         self._down_solver: Optional[RowSolver] = None
         self._rho_solver: Optional[RowSolver] = None
@@ -241,15 +242,35 @@ class ChainComplexData:
             raise VerificationBug("boundary map is not equivariant")
 
     # -- cached solvers ------------------------------------------------
+    # The boundary is eliminated leaf first: with the C0 columns reversed,
+    # the deepest level comes first, so each edge's rows take their pivots
+    # in the edge's private child block, where rho is injective, and the
+    # elimination makes no fill-in.  The public C0 layout stays root first.
     def boundary_span(self) -> CanonicalBasis:
+        """Canonical basis of the boundary image, reduced in leaf-first order.
+
+        A row's pivot is its last nonzero column; pivot columns still
+        increase down the rows, so `reduce_rows`, `coords` and
+        `section_cols` apply as usual.  The basis is canonical for this
+        order only: do not compare it with `==` against
+        `howell_array(ring, dmat)`, which is reduced root first.
+        """
         if self._rspan is None:
-            self._rspan = howell_array(self.ring, self.dmat)
+            H = howell_array(self.ring, self.dmat[:, ::-1])
+            n = self.dim0
+            pivots = tuple((n - 1 - c, g) for c, g in reversed(H.pivots))
+            self._rspan = CanonicalBasis(self.ring, n, np.ascontiguousarray(H.mat[::-1, ::-1]), pivots)
         return self._rspan
 
     def boundary_solver(self) -> RowSolver:
+        """Solver for the leaf-first boundary; `boundary_preimage` takes public coordinates."""
         if self._solver is None:
-            self._solver = RowSolver(self.ring, self.dmat)
+            self._solver = RowSolver(self.ring, self.dmat[:, ::-1])
         return self._solver
+
+    def boundary_preimage(self, b: np.ndarray) -> Optional[np.ndarray]:
+        """The 1-chain x with x @ dmat = b, or None when b is not a boundary."""
+        return self.boundary_solver().solve(np.asarray(b).reshape(-1)[::-1])
 
     def down_solver(self) -> RowSolver:
         if self._down_solver is None:
@@ -342,12 +363,16 @@ def iota_embed(cc: ChainComplexData) -> np.ndarray:
 
 
 def fixed_classes(cc: ChainComplexData) -> tuple[np.ndarray, list[int]]:
-    """Basis (section coordinates) of the generator-fixed part of H0."""
-    ring = cc.ring
-    gq = cc.h0_generator_matrix()
-    eye = np.eye(gq.shape[0], dtype=np.int64)
-    fixed = kernel_array(ring, (gq - eye) % ring.modulus)
-    return fixed.mat, cc.boundary_span().section_cols()
+    """Basis (section coordinates) of the generator-fixed part of H0.
+
+    Computed once per complex and kept on it, as the boundary span is.
+    """
+    if cc._fixed is None:
+        gq = cc.h0_generator_matrix()
+        gq[np.diag_indices_from(gq)] -= 1
+        gq %= cc.ring.modulus
+        cc._fixed = (kernel_array(cc.ring, gq).mat, cc.boundary_span().section_cols())
+    return cc._fixed
 
 
 def check_corrpro(
@@ -479,8 +504,7 @@ def reduce_chain(cc: ChainComplexData, c: np.ndarray) -> tuple[np.ndarray, np.nd
     c = np.asarray(c, dtype=np.int64).reshape(-1) % N
     if c.shape[0] != cc.dim0:
         raise ValueError("chain dimension mismatch")
-    solver = cc.boundary_solver()
-    if solver.solve((cc.apply_g0(c) - c) % N) is None:
+    if cc.boundary_preimage((cc.apply_g0(c) - c) % N) is None:
         raise NotFixedClassError("class not fixed by the cyclic generator")
     B = np.zeros(cc.dim1, dtype=np.int64)
     c = c.copy()
@@ -520,7 +544,7 @@ def reduce_chain(cc: ChainComplexData, c: np.ndarray) -> tuple[np.ndarray, np.nd
         if n == 0:
             break
         # unique 1-chain moving c to its translate; levels >= n must vanish
-        b = solver.solve((cc.apply_g0(c) - c) % N)
+        b = cc.boundary_preimage((cc.apply_g0(c) - c) % N)
         if b is None:
             raise VerificationBug("fixedness certificate disappeared during reduction")
         for m in range(n, cc.depth):

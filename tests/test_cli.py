@@ -141,6 +141,11 @@ def test_parser_rejects_unknown_suite():
         ["verify", "lemma21", "--p", "3", "--e", "3", "--seed", "1"],
         ["reduce", "--p", "3", "--depth", "2", "--seed", "1", "--module", ""],
         ["reduce", "--p", "3", "--depth", "2", "--seed", "1", "--module", "all"],
+        ["verify", "cogtri", "--p", "3", "--rho", "scalar:1", "--depth", "5"],
+        ["verify", "hecke", "--p", "2", "--module", "nope", "--check", "dim"],
+        ["verify", "lemma22", "--p", "3", "--seed", "1", "--module", "jbar"],
+        ["verify", "corrpro", "--p", "3", "--depth", "2", "--random", "3"],
+        ["verify", "presentation", "--p", "3", "--depth", "2", "--check", "dim"],
     ],
 )
 def test_ignored_or_invalid_flags_are_usage_errors(argv):

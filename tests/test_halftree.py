@@ -297,3 +297,30 @@ def test_fixed_class_sampler_fixed_in_quotient():
         c = sample_fixed_class(cc, rng)
         moved = (cc.apply_g0(c) - c) % 3
         assert R.contains(moved)
+
+
+def leaf_first_variants(p):
+    yield from ((W, "w0", 1) for W in builtin_catalog(p, 1))
+    if p > 2:
+        yield get_module(p, 1, "jbar"), "twist:1", 2
+
+
+@pytest.mark.parametrize("p,D", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (3, 4)])
+def test_leaf_first_boundary_against_root_first_oracle(p, D):
+    from treelab.exactalg import howell_array
+
+    rng = np.random.default_rng(10 * p + D)
+    for W, rho, u in leaf_first_variants(p):
+        cc = build_complex(W, D, rho, u)
+        R = cc.boundary_span()
+        assert howell_array(cc.ring, R.mat) == howell_array(cc.ring, cc.dmat), (W.name, rho)
+        # reduced leaf first: a row's pivot is its last nonzero
+        assert all(np.flatnonzero(row)[-1] == c for row, (c, _) in zip(R.mat, R.pivots))
+        sec = R.section_cols()
+        assert set(range(cc.w)) <= set(sec)
+        assert len(sec) == cc.dim0 - cc.dim1
+        for _ in range(3):
+            x0 = rng.integers(0, p, size=cc.dim1)
+            b = (x0 @ cc.dmat) % p
+            x = cc.boundary_preimage(b)
+            assert x is not None and np.array_equal((x @ cc.dmat) % p, b)
