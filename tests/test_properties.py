@@ -45,41 +45,6 @@ def ring_and_matrix(draw, max_rows=6, max_cols=6):
     return ring, draw(matrices(ring, rows, cols))
 
 
-@SETTINGS
-@given(ring_and_matrix())
-def test_dense_howell_matches_sparse(case):
-    ring, A = case
-    assert howell_array(ring, A) == howell_array_sparse(ring, A)
-
-
-@SETTINGS
-@given(ring_and_matrix())
-def test_kernel_is_the_left_annihilator(case):
-    ring, A = case
-    K = kernel_array(ring, A)
-    assert not np.any((K.mat @ A) % ring.modulus)
-    # |ker| * |image| = |source| pins the kernel as the whole annihilator
-    assert K.span_log_size() + howell_array(ring, A).span_log_size() == ring.e * A.shape[0]
-
-
-@SETTINGS
-@given(ring_and_matrix(), st.data())
-def test_row_solver_solves_exactly_the_span(case, data):
-    ring, A = case
-    N = ring.modulus
-    solver = RowSolver(ring, A)
-    x0 = data.draw(matrices(ring, 1, A.shape[0]))[0]
-    b = (x0 @ A) % N
-    x = solver.solve(b)
-    assert x is not None and np.array_equal((x @ A) % N, b)
-    other = data.draw(matrices(ring, 1, A.shape[1]))[0]
-    y = solver.solve(other)
-    if howell_array(ring, A).contains(other):
-        assert y is not None and np.array_equal((y @ A) % N, other)
-    else:
-        assert y is None
-
-
 fields = st.sampled_from([2, 3, 5]).map(RingSpec)
 
 
@@ -111,37 +76,66 @@ def block_field_matrix(draw):
 sparse_cases = st.one_of(sparse_field_matrix(), block_field_matrix())
 
 
+def check_howell(ring, A):
+    assert howell_array(ring, A) == howell_array_sparse(ring, A)
+
+
+def check_kernel(ring, A):
+    K = kernel_array(ring, A)
+    assert not np.any((K.mat @ A) % ring.modulus)
+    # |ker| * |image| = |source| pins the kernel as the whole annihilator
+    assert K.span_log_size() + howell_array(ring, A).span_log_size() == ring.e * A.shape[0]
+
+
+def check_row_solver(ring, A, data):
+    N = ring.modulus
+    solver = RowSolver(ring, A)
+    x0 = data.draw(matrices(ring, 1, A.shape[0]))[0]
+    b = (x0 @ A) % N
+    x = solver.solve(b)
+    assert x is not None and np.array_equal((x @ A) % N, b)
+    other = data.draw(matrices(ring, 1, A.shape[1]))[0]
+    y = solver.solve(other)
+    if howell_array(ring, A).contains(other):
+        assert y is not None and np.array_equal((y @ A) % N, other)
+    else:
+        assert y is None
+
+
+@SETTINGS
+@given(ring_and_matrix())
+def test_dense_howell_matches_sparse(case):
+    check_howell(*case)
+
+
+@SETTINGS
+@given(ring_and_matrix())
+def test_kernel_is_the_left_annihilator(case):
+    check_kernel(*case)
+
+
+@SETTINGS
+@given(ring_and_matrix(), st.data())
+def test_row_solver_solves_exactly_the_span(case, data):
+    check_row_solver(*case, data)
+
+
 @SETTINGS
 @given(sparse_cases)
 def test_sparse_field_howell_matches_sparse_oracle(case):
-    ring, A = case
-    assert howell_array(ring, A) == howell_array_sparse(ring, A)
+    check_howell(*case)
 
 
 @SETTINGS
 @given(sparse_cases)
 def test_sparse_field_kernel_is_the_left_annihilator(case):
-    ring, A = case
-    K = kernel_array(ring, A)
-    assert not np.any((K.mat @ A) % ring.p)
-    assert K.nrows + howell_array_sparse(ring, A).nrows == A.shape[0]
+    check_kernel(*case)
 
 
 @SETTINGS
 @given(sparse_cases, st.data())
 def test_sparse_field_row_solver_solves_exactly_the_span(case, data):
-    ring, A = case
-    p = ring.p
-    solver = RowSolver(ring, A)
-    b = (data.draw(matrices(ring, 1, A.shape[0]))[0] @ A) % p
-    x = solver.solve(b)
-    assert x is not None and np.array_equal((x @ A) % p, b)
-    other = data.draw(matrices(ring, 1, A.shape[1]))[0]
-    y = solver.solve(other)
-    if howell_array_sparse(ring, A).contains(other):
-        assert y is not None and np.array_equal((y @ A) % p, other)
-    else:
-        assert y is None
+    check_row_solver(*case, data)
 
 
 def naive_closure(ring, seed, ops):
