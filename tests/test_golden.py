@@ -9,10 +9,22 @@ meant to alter an output updates the digest here and says why.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from treelab.cli import main
+from treelab.exactalg import RingSpec, howell_array
+from treelab.grouprep import build_group, jbar
+from treelab.halftree import check_cogtri_hypothesis, check_corrpro, check_presentation
 from treelab.hecke import check_flatness
+from treelab.lemmas import (
+    InjectionInstance,
+    SurjectionInstance,
+    check_comparison_map,
+    check_inherited_generation,
+    check_invariant_surjectivity,
+    check_minimal_generators,
+)
 
 
 def strip_elapsed(x):
@@ -57,6 +69,28 @@ FLATNESS = {
     (2, 2, "presentation"): "cffcb1bef8f49c8907f0fc70834d06436c3416bcb6d7c5b1f0fd2eee822de461",
 }
 
+# one hypothesis rejection from each check that can reject
+REJECTED_DIGEST = "bcf9764861e782b072f10ff430ac96f816e867605f2429d22a8287ff6a72aba6"
+
+
+def rejected_reports() -> list:
+    """jbar over Z/9 fails the e = 1 hypothesis; the instances over F_3 are
+    not a surjection and not a submodule."""
+    J9 = jbar(build_group("sl2", 3), RingSpec(3, 2))
+    ring = RingSpec(3, 1)
+    J = jbar(build_group("sl2", 3), ring)
+    zero = howell_array(ring, np.zeros((1, J.rank), dtype=np.int64))
+    full = howell_array(ring, np.eye(J.rank, dtype=np.int64))
+    return [
+        check_comparison_map(J9),
+        check_minimal_generators(J9),
+        check_corrpro(J9, 2),
+        check_presentation(J9, 2),
+        check_cogtri_hypothesis(J9),
+        check_invariant_surjectivity(SurjectionInstance("not-onto", J, full, zero)),
+        check_inherited_generation(InjectionInstance("not-sub", J, full, zero)),
+    ]
+
 
 @pytest.mark.parametrize("argv", sorted(VERIFY))
 def test_verify_reports_digest(tmp_path, argv):
@@ -74,3 +108,9 @@ def test_flatness_report_digest(p, e, method):
     rep = check_flatness(p, e, method)
     assert "section" in rep.details
     assert digest([rep.to_dict()]) == FLATNESS[(p, e, method)]
+
+
+def test_rejected_reports_digest():
+    reports = [r.to_dict() for r in rejected_reports()]
+    assert {r["status"] for r in reports} == {"rejected"}
+    assert digest(reports) == REJECTED_DIGEST
