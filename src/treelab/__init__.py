@@ -21,11 +21,10 @@ from .grouprep import (  # noqa: F401
     decompose_jbar,
     generated_submodule,
     h1_procyclic,
-    induce_cyclic,
     invariants,
     is_irreducible,
     jbar,
 )
 from .catalog import builtin_catalog, emit_catalog, get_module, load_catalog  # noqa: F401
-from .halftree import build_complex, check_corrpro, homology, reduce_chain  # noqa: F401
+from .halftree import build_complex, check_corrpro, reduce_chain  # noqa: F401
 from .hecke import build_hecke, check_flatness, check_vytastra, tensor_K  # noqa: F401

@@ -50,41 +50,40 @@ def steinberg(group: GroupData, ring: RingSpec) -> GModule:
     return st
 
 
-def builtin_catalog(p: int, e: int, kind: str = "sl2") -> list[GModule]:
-    """Named modules shipped with the tool.
+def builtin_catalog(p: int, e: int) -> list[GModule]:
+    """Named SL2(F_p) modules shipped with the tool.
 
     For e = 1: trivial, steinberg, jbar and the principal-series
     summands ps:i.  For e > 1 only trivial and jbar are available (the
     summand constructions use field coordinates).
     """
-    group = build_group(kind, p)
+    group = build_group("sl2", p)
     ring = RingSpec(p, e)
     mods = [trivial_module(group, ring), jbar(group, ring)]
-    if e == 1 and kind == "sl2":
+    if e == 1:
         mods.insert(1, steinberg(group, ring))
         mods.extend(decompose_jbar(group, ring))
     return mods
 
 
-def get_module(p: int, e: int, name: str, kind: str = "sl2") -> GModule:
-    mods = builtin_catalog(p, e, kind)
+def get_module(p: int, e: int, name: str) -> GModule:
+    mods = builtin_catalog(p, e)
     for m in mods:
         if m.name == name:
             return m
     raise ValueError(f"unknown module {name!r}; catalog has {[m.name for m in mods]}")
 
 
-def select_modules(p: int, e: int, name: str = "all", kind: str = "sl2") -> list[GModule]:
+def select_modules(p: int, e: int, name: str = "all") -> list[GModule]:
     """The whole catalog for name "all", else the one module of that name."""
     if name == "all":
-        return builtin_catalog(p, e, kind)
-    return [get_module(p, e, name, kind)]
+        return builtin_catalog(p, e)
+    return [get_module(p, e, name)]
 
 
-def catalog_document(p: int, e: int, kind: str = "sl2") -> dict:
-    ring = RingSpec(p, e)
+def catalog_document(p: int, e: int) -> dict:
     entries = []
-    for m in builtin_catalog(p, e, kind):
+    for m in builtin_catalog(p, e):
         gens = []
         for g in m.group.gens:
             gens.append(
@@ -93,12 +92,12 @@ def catalog_document(p: int, e: int, kind: str = "sl2") -> dict:
                     "matrix": [int(x) for x in m.action(g).reshape(-1)],
                 }
             )
-        entries.append({"name": m.name, "kind": kind, "rank": m.rank, "generators": gens})
+        entries.append({"name": m.name, "kind": m.group.kind, "rank": m.rank, "generators": gens})
     return {"schema": CATALOG_SCHEMA, "ring": {"p": p, "e": e}, "modules": entries}
 
 
-def emit_catalog(p: int, e: int, path: Optional[str] = None, kind: str = "sl2") -> dict:
-    doc = catalog_document(p, e, kind)
+def emit_catalog(p: int, e: int, path: Optional[str] = None) -> dict:
+    doc = catalog_document(p, e)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)

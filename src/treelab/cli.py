@@ -34,7 +34,7 @@ from .halftree import (
     reduce_chain,
     sample_fixed_class,
 )
-from .hecke import hecke_suite
+from .hecke import HECKE_PRIMES, hecke_suite
 from .lemmas import lemma21_suite, lemma22_suite
 from .report import FAIL, PASS, LemmaReport, aggregate_status
 
@@ -52,6 +52,7 @@ FLAGS = {
     "twist": "--twist",
     "n_random": "--random",
     "checks": "--check",
+    "jobs": "--jobs",
 }
 READS = {
     "lemma21": ("module", "n_random"),
@@ -60,7 +61,7 @@ READS = {
     "presentation": ("depth", "module", "rho", "twist"),
     "cogtri": ("module", "twist"),
     "hecke": ("n_random", "checks"),
-    "all": ("depth", "module", "rho", "twist", "n_random", "checks"),
+    "all": ("depth", "module", "rho", "twist", "n_random", "checks", "jobs"),
     "reduce": ("depth", "module"),
 }
 
@@ -86,9 +87,12 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in READS:
             raise ValueError(f"unknown command {self.command!r}")
+        reads = READS[self.command]
+        if self.command == "all" and self.p not in HECKE_PRIMES:
+            reads = tuple(f for f in reads if f != "checks")  # no Hecke suite runs
         for field, flag in FLAGS.items():
-            if field not in READS[self.command] and getattr(self, field) != getattr(RunConfig, field):
-                raise ValueError(f"{self.command} does not read {flag}")
+            if field not in reads and getattr(self, field) != getattr(RunConfig, field):
+                raise ValueError(f"{self.command} --p {self.p} does not read {flag}")
         if self.p not in SUPPORTED_P:
             raise ValueError(f"p must be one of {SUPPORTED_P}")
         if not 1 <= self.e <= MAX_E:
@@ -111,6 +115,8 @@ class RunConfig:
         )
         if randomized and self.seed is None:
             raise ValueError("a seed is mandatory for any randomized run")
+        if not randomized and self.seed is not None:
+            raise ValueError(f"{self.command} draws nothing at random here and does not read --seed")
 
     def echo(self) -> dict:
         return {
@@ -164,7 +170,7 @@ def run_suite(cfg: RunConfig) -> dict:
             lambda: _tree_reports(cfg, "presentation"),
             lambda: _tree_reports(cfg, "cogtri"),
         ]
-        if cfg.p <= 5:
+        if cfg.p in HECKE_PRIMES:
             tasks.append(lambda: hecke_suite(cfg.p, cfg.e, checks, seed, min(cfg.n_random, 5)))
         if cfg.jobs > 1:
             with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:

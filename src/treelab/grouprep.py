@@ -342,6 +342,18 @@ def generated_submodule(
     return span_closure(M.ring, vectors, [M.action(g) for g in gens])
 
 
+def generated_by_lower_invariants(W: GModule) -> CanonicalBasis:
+    """The lower-unipotent invariants of W, checked to generate W.
+
+    This is the hypothesis of the coefficient system and of the
+    comparison map; raises ValueError when it fails.
+    """
+    inv = invariants(W, [W.group.lower_gen])
+    if generated_submodule(W, inv.mat).nrows != W.rank:
+        raise ValueError("module not generated by lower-unipotent invariants")
+    return inv
+
+
 @dataclass(frozen=True, eq=False)
 class QuotientPresentation:
     """A quotient Lambda^n / span(rel) with canonical coset representatives."""
@@ -457,43 +469,6 @@ def h1_procyclic(ring: RingSpec, operator: np.ndarray, p: int) -> ProcyclicH1:
     eye = np.eye(op.shape[0], dtype=np.int64)
     rel = howell_array(ring, (op - eye) % ring.modulus)
     return ProcyclicH1(ring, op, QuotientPresentation(ring, op.shape[0], rel))
-
-
-@dataclass(frozen=True, eq=False)
-class CyclicModule:
-    """A module over the cyclic group Z/p^D, given by its generator matrix."""
-
-    ring: RingSpec
-    p: int
-    depth: int
-    gen: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.gen.shape[0]
-
-
-def induce_cyclic(ring: RingSpec, operator: np.ndarray, m: int, depth: int, p: int) -> CyclicModule:
-    """Induction from the index-p^m subgroup of Z/p^D.
-
-    Basis: (a, v) with a in Z/p^m and v in the source; the generator
-    shifts a by one and applies the designated operator c on wraparound,
-    so g^(p^m) acts as c on every fiber.
-    """
-    if m > depth:
-        raise ValueError("induction level m exceeds the truncation depth")
-    op = ring.reduce(operator)
-    _ppower_order(ring, op, p)
-    r = op.shape[0]
-    size = p**m * r
-    gen = np.zeros((size, size), dtype=np.int64)
-    top = p**m - 1
-    for a in range(p**m):
-        if a < top:
-            gen[a * r : (a + 1) * r, (a + 1) * r : (a + 2) * r] = np.eye(r, dtype=np.int64)
-        else:
-            gen[a * r : (a + 1) * r, 0:r] = op
-    return CyclicModule(ring, p, depth, gen)
 
 
 def left_torus_translation(J: GModule, t: Elem) -> np.ndarray:

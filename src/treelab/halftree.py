@@ -18,7 +18,6 @@ endpoints with opposite signs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,15 +35,14 @@ from .exactalg import (
 from .grouprep import (
     Elem,
     GModule,
-    QuotientPresentation,
     _matpow,
     block_shift,
-    generated_submodule,
+    generated_by_lower_invariants,
     invariants,
     primitive_root,
     translate_stack,
 )
-from .report import FAIL, PASS, REJECTED, LemmaReport
+from .report import LemmaReport, rejected, timed
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,12 +108,8 @@ def build_coeff_spec(W: GModule, rho_choice: str = "w0", twist_u: int = 1) -> Co
         raise ValueError("coefficient systems are built over e = 1")
     if twist_u % p == 0:
         raise ValueError("twist exponent must be a unit mod p")
-    inv_lower = invariants(W, [group.lower_gen])
+    inv_lower = generated_by_lower_invariants(W)
     inv_upper = invariants(W, [group.upper_gen])
-    if inv_lower.nrows and generated_submodule(W, inv_lower.mat).nrows != W.rank:
-        raise ValueError("module not generated by lower-unipotent invariants")
-    if not inv_lower.nrows and W.rank:
-        raise ValueError("module not generated by lower-unipotent invariants")
     rho = resolve_rho(W, rho_choice)
     image = howell_array(ring, rho)
     if image != inv_upper or image.nrows != inv_lower.nrows:
@@ -324,37 +318,6 @@ def build_complex(W: GModule, depth: int, rho_choice: str = "w0", twist_u: int =
     return ChainComplexData(build_coeff_spec(W, rho_choice, twist_u), depth)
 
 
-@dataclass(frozen=True, eq=False)
-class Chain:
-    """A 0- or 1-chain with per-level block access."""
-
-    cc: ChainComplexData
-    degree: int
-    vec: np.ndarray
-
-    def block(self, m: int) -> np.ndarray:
-        if self.degree == 0:
-            return self.cc.level0_block(self.vec, m)
-        return self.cc.level1_block(self.vec, m)
-
-    def top_level(self) -> int:
-        if self.degree == 0:
-            return self.cc.top_level(self.vec)
-        for m in range(self.cc.depth - 1, -1, -1):
-            if np.any(self.cc.level1_block(self.vec, m)):
-                return m
-        return 0
-
-
-def homology(cc: ChainComplexData) -> tuple[QuotientPresentation, np.ndarray, CanonicalBasis]:
-    """H0 as a quotient presentation with its generator matrix, H1 basis."""
-    R = cc.boundary_span()
-    h0 = QuotientPresentation(cc.ring, cc.dim0, R)
-    gq = cc.h0_generator_matrix()
-    h1 = kernel_array(cc.ring, cc.dmat)
-    return h0, gq, h1
-
-
 def iota_embed(cc: ChainComplexData) -> np.ndarray:
     """Upper-invariant basis of W placed in the level-0 vertex block."""
     out = np.zeros((cc.spec.inv_upper.nrows, cc.dim0), dtype=np.int64)
@@ -375,6 +338,7 @@ def fixed_classes(cc: ChainComplexData) -> tuple[np.ndarray, list[int]]:
     return cc._fixed
 
 
+@timed
 def check_corrpro(
     W: GModule,
     depth: int,
@@ -387,7 +351,6 @@ def check_corrpro(
     Verdicts: the level-0 embedding of the upper invariants is injective
     in H0, lands in the generator-fixed part, and spans it exactly.
     """
-    t0 = time.monotonic()
     desc = {
         "module": W.name or "anonymous",
         "p": W.group.p,
@@ -399,7 +362,7 @@ def check_corrpro(
     try:
         cc = cc or build_complex(W, depth, rho_choice, twist_u)
     except ValueError as err:
-        return LemmaReport("corrpro", desc, REJECTED, details={"reason": str(err)})
+        return rejected("corrpro", desc, str(err))
     ring = cc.ring
     R = cc.boundary_span()
     iota = iota_embed(cc)
@@ -426,21 +389,20 @@ def check_corrpro(
         "dim_inv_upper": cc.spec.inv_upper.nrows,
         "dim_h0": cc.dim0 - R.nrows,
     }
-    status = PASS if all(verdicts.values()) else FAIL
-    return LemmaReport("corrpro", desc, status, verdicts, dims, {}, time.monotonic() - t0)
+    return LemmaReport("corrpro", desc, verdicts=verdicts, dims=dims)
 
 
+@timed
 def check_presentation(
     W: GModule, depth: int, rho_choice: str = "w0", twist_u: int = 1,
     cc: Optional[ChainComplexData] = None,
 ) -> LemmaReport:
     """Exactness of 0 -> C1 -> C0 -> H0 -> 0 at finite depth (exact ranks)."""
-    t0 = time.monotonic()
     desc = {"module": W.name or "anonymous", "p": W.group.p, "depth": depth}
     try:
         cc = cc or build_complex(W, depth, rho_choice, twist_u)
     except ValueError as err:
-        return LemmaReport("presentation", desc, REJECTED, details={"reason": str(err)})
+        return rejected("presentation", desc, str(err))
     rank = cc.boundary_span().nrows
     injective = rank == cc.dim1
     verdicts = {
@@ -449,10 +411,10 @@ def check_presentation(
         "rank_nullity": (cc.dim0 - rank) + rank == cc.dim0,
     }
     dims = {"dim_c0": cc.dim0, "dim_c1": cc.dim1, "rank": rank, "dim_h0": cc.dim0 - rank}
-    status = PASS if all(verdicts.values()) else FAIL
-    return LemmaReport("presentation", desc, status, verdicts, dims, {}, time.monotonic() - t0)
+    return LemmaReport("presentation", desc, verdicts=verdicts, dims=dims)
 
 
+@timed
 def check_cogtri_hypothesis(W: GModule, twist_u: int = 1) -> LemmaReport:
     """Per-vertex injectivity of the local H^1 comparison map.
 
@@ -460,13 +422,12 @@ def check_cogtri_hypothesis(W: GModule, twist_u: int = 1) -> LemmaReport:
     on the fiber; injectivity (in fact bijectivity) is the local input
     for the fixed-part correspondence.
     """
-    t0 = time.monotonic()
     desc = {"module": W.name or "anonymous", "p": W.group.p, "twist_u": twist_u}
     ring = W.ring
     try:
         spec = build_coeff_spec(W, "w0", twist_u)
     except ValueError as err:
-        return LemmaReport("cogtri", desc, REJECTED, details={"reason": str(err)})
+        return rejected("cogtri", desc, str(err))
     p = W.group.p
     t = spec.inv_lower.nrows
     shift = block_shift(p, t)
@@ -481,8 +442,7 @@ def check_cogtri_hypothesis(W: GModule, twist_u: int = 1) -> LemmaReport:
         "target_coker": W.rank - tgt_rel.nrows,
     }
     verdicts = {"h1_injective": inj, "h1_bijective": inj and surj}
-    status = PASS if all(verdicts.values()) else FAIL
-    return LemmaReport("cogtri", desc, status, verdicts, dims, {}, time.monotonic() - t0)
+    return LemmaReport("cogtri", desc, verdicts=verdicts, dims=dims)
 
 
 class NotFixedClassError(ValueError):

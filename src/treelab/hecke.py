@@ -17,7 +17,6 @@ an Artinian algebra.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -37,7 +36,7 @@ from .exactalg import (
     split_test,
 )
 from .grouprep import GModule, build_group, elem_mul, invariants, jbar
-from .report import FAIL, PASS, RECORDED, LemmaReport
+from .report import RECORDED, LemmaReport, timed
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +110,13 @@ class HeckeAlgebra:
         return gens
 
 
+HECKE_PRIMES = (2, 3, 5)
+
+
 @lru_cache(maxsize=None)
 def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     """Double-coset basis, structure constants, exhaustive associativity."""
-    if p not in (2, 3, 5):
+    if p not in HECKE_PRIMES:
         raise ValueError("supported primes for the Hecke algebra: 2, 3, 5")
     ring = RingSpec(p, e)
     group = build_group("gl2", p)
@@ -425,9 +427,9 @@ def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
     return TensorModule(alg, s * n, rel, action, base_pairing, "generators")
 
 
+@timed
 def check_vytastra(M: HeckeModule, presentation: str = "auto") -> LemmaReport:
     """Bijectivity of m -> m (x) indicator onto the unipotent invariants of K(M)."""
-    t0 = time.monotonic()
     alg = M.alg
     ring = alg.ring
     desc = {"module": M.name or "anonymous", "p": alg.p, "e": ring.e, "rank": M.rank}
@@ -449,12 +451,10 @@ def check_vytastra(M: HeckeModule, presentation: str = "auto") -> LemmaReport:
         "invariants_log": inv_pre.span_log_size() - K.rel.span_log_size(),
         "tensor_log": K.log_size(),
     }
-    status = PASS if all(verdicts.values()) else FAIL
-    return LemmaReport(
-        "vytastra", desc, status, verdicts, dims, {"presentation": K.presentation}, time.monotonic() - t0
-    )
+    return LemmaReport("vytastra", desc, verdicts=verdicts, dims=dims, details={"presentation": K.presentation})
 
 
+@timed
 def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     """Split-test for the permutation module over the algebra.
 
@@ -466,7 +466,6 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     and intertwining identities.  `method` forces one route ("split_test"
     or "presentation"); the two must agree wherever both run.
     """
-    t0 = time.monotonic()
     alg = build_hecke(p, e)
     ring = alg.ring
     n = alg.basis_mats[0].shape[0]
@@ -492,7 +491,6 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    verdict = section is not None
     if section is not None:
         N = ring.modulus
         if not np.array_equal((section @ P) % N, np.eye(n, dtype=np.int64)):
@@ -506,15 +504,7 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     details: dict = {"method": method}
     if section is not None:
         details["section"] = [int(x) for x in section.reshape(-1)]
-    return LemmaReport(
-        "flatness",
-        desc,
-        PASS if verdict else FAIL,
-        {"flat": verdict},
-        dims,
-        details,
-        time.monotonic() - t0,
-    )
+    return LemmaReport("flatness", desc, verdicts={"flat": section is not None}, dims=dims, details=details)
 
 
 def _section_via_presentation(
@@ -578,56 +568,38 @@ def _section_via_presentation(
     return S
 
 
+@timed
 def invariants_jbar_star(p: int, e: int = 1) -> LemmaReport:
     """dim of the unipotent invariants of J equals the algebra dimension."""
-    t0 = time.monotonic()
     alg = build_hecke(p, e)
-    ring = alg.ring
-    inv = invariants(alg.J, [alg.J.group.upper_gen])
-    lhs = inv.span_log_size()
-    rhs = ring.e * alg.dim
-    verdict = lhs == rhs
+    lhs = invariants(alg.J, [alg.J.group.upper_gen]).span_log_size()
     return LemmaReport(
         "jbar_star_invariants",
         {"p": p, "e": e},
-        PASS if verdict else FAIL,
-        {"invariants_match_algebra_dim": verdict},
-        {"invariants_log": lhs, "dim_algebra": alg.dim},
-        {},
-        time.monotonic() - t0,
+        verdicts={"invariants_match_algebra_dim": lhs == alg.ring.e * alg.dim},
+        dims={"invariants_log": lhs, "dim_algebra": alg.dim},
     )
 
 
+@timed
 def check_dim(p: int, e: int = 1) -> LemmaReport:
-    t0 = time.monotonic()
     alg = build_hecke(p, e)
     expect = 2 * (p - 1) ** 2
-    verdict = alg.dim == expect
     return LemmaReport(
         "hecke_dim",
         {"p": p, "e": e},
-        PASS if verdict else FAIL,
-        {"dim_matches": verdict},
-        {"dim": alg.dim, "expected": expect},
-        {},
-        time.monotonic() - t0,
+        verdicts={"dim_matches": alg.dim == expect},
+        dims={"dim": alg.dim, "expected": expect},
     )
 
 
+@timed
 def check_assoc(p: int, e: int = 1) -> LemmaReport:
     """Exhaustive associativity and unit laws on the structure tensor."""
-    t0 = time.monotonic()
     alg = build_hecke(p, e)
     d = alg.dim
-    verdicts = _algebra_laws(alg)
     return LemmaReport(
-        "hecke_assoc",
-        {"p": p, "e": e},
-        PASS if all(verdicts.values()) else FAIL,
-        verdicts,
-        {"dim": d, "triples": d**3},
-        {},
-        time.monotonic() - t0,
+        "hecke_assoc", {"p": p, "e": e}, verdicts=_algebra_laws(alg), dims={"dim": d, "triples": d**3}
     )
 
 

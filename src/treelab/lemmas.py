@@ -18,7 +18,6 @@ Hypothesis violations are reported as a third verdict state
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -39,7 +38,9 @@ from .grouprep import (
     _matpow,
     block_shift,
     build_group,
+    coinvariants,
     direct_sum,
+    generated_by_lower_invariants,
     generated_submodule,
     h1_procyclic,
     invariants,
@@ -47,7 +48,7 @@ from .grouprep import (
     quotient_gmodule,
     translate_stack,
 )
-from .report import FAIL, PASS, REJECTED, LemmaReport
+from .report import LemmaReport, rejected, timed
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,41 +90,36 @@ def build_comparison(W: GModule) -> ComparisonPair:
     return ComparisonPair(W, inv, mult, aug)
 
 
-def _generated_by_lower_invariants(W: GModule) -> bool:
-    inv = invariants(W, [W.group.lower_gen])
-    if inv.nrows == 0:
-        return W.rank == 0
-    return generated_submodule(W, inv.mat).nrows == W.rank
-
-
-def _instance_desc(W: GModule, extra: Optional[dict] = None) -> dict:
-    desc = {
+def _instance_desc(W: GModule) -> dict:
+    return {
         "module": W.name or "anonymous",
         "kind": W.group.kind,
         "p": W.group.p,
         "e": W.ring.e,
         "rank": W.rank,
     }
-    if extra:
-        desc.update(extra)
-    return desc
 
 
-def check_comparison_map(W: GModule, instance: Optional[dict] = None) -> LemmaReport:
+def _lemma21_rejection(W: GModule) -> Optional[str]:
+    """Why W fails the comparison-map hypotheses, or None when it meets them."""
+    if not W.ring.is_field:
+        return "requires e = 1"
+    try:
+        generated_by_lower_invariants(W)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@timed
+def check_comparison_map(W: GModule) -> LemmaReport:
     """All four sub-claims of the comparison-map statement, over k."""
-    t0 = time.monotonic()
     ring = W.ring
     group = W.group
-    desc = instance or _instance_desc(W)
-    if not ring.is_field:
-        return LemmaReport("lemma21", desc, REJECTED, details={"reason": "requires e = 1"})
-    if not _generated_by_lower_invariants(W):
-        return LemmaReport(
-            "lemma21",
-            desc,
-            REJECTED,
-            details={"reason": "module not generated by lower-unipotent invariants"},
-        )
+    desc = _instance_desc(W)
+    reason = _lemma21_rejection(W)
+    if reason:
+        return rejected("lemma21", desc, reason)
     em = build_comparison(W)
     verdicts: dict[str, bool] = {}
     dims = {
@@ -160,51 +156,36 @@ def check_comparison_map(W: GModule, instance: Optional[dict] = None) -> LemmaRe
             break
     verdicts["h1_bijective_all_twists"] = ok_h1
 
-    coin_rel = howell_array(ring, (W.action(group.upper_gen) - np.eye(W.rank, dtype=np.int64)) % p)
-    img = span_sum(ring, [em.inv.mat, coin_rel.mat])
+    coin = coinvariants(W, [group.upper_gen])
+    img = span_sum(ring, [em.inv.mat, coin.rel.mat])
     surj = img.nrows == W.rank
-    pre = preimage_kernel(ring, [em.inv.mat], coin_rel)
+    pre = preimage_kernel(ring, [em.inv.mat], coin.rel)
     inj = pre.nrows == 0
     verdicts["inv_to_coinv_bijective"] = surj and inj
-    dims["coinvariants"] = W.rank - coin_rel.nrows
-
-    status = PASS if all(verdicts.values()) else FAIL
-    return LemmaReport("lemma21", desc, status, verdicts, dims, details, time.monotonic() - t0)
+    dims["coinvariants"] = coin.dim
+    return LemmaReport("lemma21", desc, verdicts=verdicts, dims=dims, details=details)
 
 
-def check_minimal_generators(W: GModule, instance: Optional[dict] = None) -> LemmaReport:
+@timed
+def check_minimal_generators(W: GModule) -> LemmaReport:
     """The minimal generator count over the unipotent group ring equals
     the dimension of the lower invariants.
 
     The count is computed as the dimension of the upper coinvariants,
     mirroring the structure-theorem argument rather than a search.
     """
-    t0 = time.monotonic()
-    ring = W.ring
     group = W.group
-    desc = instance or _instance_desc(W)
-    if not ring.is_field:
-        return LemmaReport("lemma21.min_generators", desc, REJECTED, details={"reason": "requires e = 1"})
-    if not _generated_by_lower_invariants(W):
-        return LemmaReport(
-            "lemma21.min_generators",
-            desc,
-            REJECTED,
-            details={"reason": "module not generated by lower-unipotent invariants"},
-        )
-    coin = W.rank - howell_array(
-        ring, (W.action(group.upper_gen) - np.eye(W.rank, dtype=np.int64)) % ring.modulus
-    ).nrows
+    desc = _instance_desc(W)
+    reason = _lemma21_rejection(W)
+    if reason:
+        return rejected("lemma21.min_generators", desc, reason)
+    coin = coinvariants(W, [group.upper_gen]).dim
     lower = invariants(W, [group.lower_gen]).nrows
-    verdict = coin == lower
     return LemmaReport(
         "lemma21.min_generators",
         desc,
-        PASS if verdict else FAIL,
-        {"min_generators_equal_lower_invariants": verdict},
-        {"min_generators": coin, "inv_lower": lower},
-        {},
-        time.monotonic() - t0,
+        verdicts={"min_generators_equal_lower_invariants": coin == lower},
+        dims={"min_generators": coin, "inv_lower": lower},
     )
 
 
@@ -238,63 +219,46 @@ class InjectionInstance:
     sub_pre: CanonicalBasis  # ambient preimage span of V; contains rel
 
 
+def _lemma22_desc(name: str, base: GModule) -> dict:
+    return {"instance": name, "p": base.group.p, "e": base.ring.e, "ambient": base.rank}
+
+
+@timed
 def check_invariant_surjectivity(inst: SurjectionInstance) -> LemmaReport:
     """Surjectivity descends to upper-unipotent invariants."""
-    t0 = time.monotonic()
     base = inst.base
     ring = base.ring
     upper_gen = [base.group.upper_gen]
-    desc = {
-        "instance": inst.name,
-        "p": base.group.p,
-        "e": ring.e,
-        "ambient": base.rank,
-    }
+    desc = _lemma22_desc(inst.name, base)
     if not inst.rel_source.is_subspace_of(inst.rel_target):
-        return LemmaReport("lemma22.i", desc, REJECTED, details={"reason": "map is not surjective"})
+        return rejected("lemma22.i", desc, "map is not surjective")
     src, tgt = inst.source(), inst.target()
     if not (src.is_generated_by_invariants(upper_gen) and tgt.is_generated_by_invariants(upper_gen)):
-        return LemmaReport(
-            "lemma22.i", desc, REJECTED, details={"reason": "generation hypothesis fails"}
-        )
+        return rejected("lemma22.i", desc, "generation hypothesis fails")
     k_src = src.invariants_preimage(upper_gen)
     k_tgt = tgt.invariants_preimage(upper_gen)
     image = span_sum(ring, [k_src.mat, inst.rel_target.mat])
-    verdict = k_tgt.is_subspace_of(image)
     dims = {
         "inv_source_log": k_src.span_log_size() - inst.rel_source.span_log_size(),
         "inv_target_log": k_tgt.span_log_size() - inst.rel_target.span_log_size(),
     }
     return LemmaReport(
-        "lemma22.i",
-        desc,
-        PASS if verdict else FAIL,
-        {"invariants_surjective": verdict},
-        dims,
-        {},
-        time.monotonic() - t0,
+        "lemma22.i", desc, verdicts={"invariants_surjective": k_tgt.is_subspace_of(image)}, dims=dims
     )
 
 
+@timed
 def check_inherited_generation(inst: InjectionInstance) -> LemmaReport:
     """Generation by invariants passes to action-stable submodules."""
-    t0 = time.monotonic()
     base = inst.base
     ring = base.ring
     upper_gen = [base.group.upper_gen]
-    desc = {
-        "instance": inst.name,
-        "p": base.group.p,
-        "e": ring.e,
-        "ambient": base.rank,
-    }
+    desc = _lemma22_desc(inst.name, base)
     if not inst.rel.is_subspace_of(inst.sub_pre):
-        return LemmaReport("lemma22.ii", desc, REJECTED, details={"reason": "not a submodule"})
+        return rejected("lemma22.ii", desc, "not a submodule")
     W = PresentedModule(base, inst.rel, inst.name + ":W")
     if not W.is_generated_by_invariants(upper_gen):
-        return LemmaReport(
-            "lemma22.ii", desc, REJECTED, details={"reason": "ambient generation hypothesis fails"}
-        )
+        return rejected("lemma22.ii", desc, "ambient generation hypothesis fails")
     eye = np.eye(base.rank, dtype=np.int64)
     blocks = [(base.action(h) - eye) % ring.modulus for h in upper_gen]
     # classes of V fixed by the subgroup: {x in sub_pre : x (a - 1) in rel}
@@ -303,15 +267,11 @@ def check_inherited_generation(inst: InjectionInstance) -> LemmaReport:
     inv_pre = span_sum(ring, [(cond.mat @ B) % ring.modulus, inst.rel.mat])
     gen = generated_submodule(base, inv_pre.mat)
     closed = span_sum(ring, [gen.mat, inst.rel.mat])
-    verdict = closed == span_sum(ring, [inst.sub_pre.mat])
     return LemmaReport(
         "lemma22.ii",
         desc,
-        PASS if verdict else FAIL,
-        {"submodule_generated_by_invariants": verdict},
-        {"sub_log": inst.sub_pre.span_log_size(), "rel_log": inst.rel.span_log_size()},
-        {},
-        time.monotonic() - t0,
+        verdicts={"submodule_generated_by_invariants": closed == span_sum(ring, [inst.sub_pre.mat])},
+        dims={"sub_log": inst.sub_pre.span_log_size(), "rel_log": inst.rel.span_log_size()},
     )
 
 
@@ -341,8 +301,12 @@ def _random_stable_span(base: GModule, rng: np.random.Generator) -> CanonicalBas
     return howell_array(ring, np.zeros((1, base.rank), dtype=np.int64))
 
 
-def _free_carrier(p: int, e: int, r: int, kind: str = "sl2") -> GModule:
-    group = build_group(kind, p)
+# random instances are built on jbar^r for r up to this rank
+R_MAX = 2
+
+
+def _free_carrier(p: int, e: int, r: int) -> GModule:
+    group = build_group("sl2", p)
     ring = RingSpec(p, e)
     J = jbar(group, ring)
     if r == 1:
@@ -350,39 +314,32 @@ def _free_carrier(p: int, e: int, r: int, kind: str = "sl2") -> GModule:
     return direct_sum([J] * r, name=f"jbar^{r}")
 
 
-def random_modules(
-    seed: int, p: int, count: int, r_max: int = 2, kind: str = "sl2"
-) -> Iterator[GModule]:
-    """Seeded quotients of jbar^r over k; hypotheses hold by construction."""
+def random_modules(seed: int, p: int, count: int) -> Iterator[GModule]:
+    """Seeded quotients of jbar^r over k, r in {1, 2}; hypotheses hold by construction."""
     rng = np.random.default_rng(seed)
-    ring = RingSpec(p, 1)
     for i in range(count):
-        r = int(rng.integers(1, r_max + 1))
-        base = _free_carrier(p, 1, r, kind)
+        r = int(rng.integers(1, R_MAX + 1))
+        base = _free_carrier(p, 1, r)
         span = _random_stable_span(base, rng)
         yield quotient_gmodule(base, span, name=f"rnd:p{p}:s{seed}:{i}")
 
 
-def random_surjections(
-    seed: int, p: int, e: int, count: int, r_max: int = 2, kind: str = "sl2"
-) -> Iterator[SurjectionInstance]:
+def random_surjections(seed: int, p: int, e: int, count: int) -> Iterator[SurjectionInstance]:
     rng = np.random.default_rng(seed)
     for i in range(count):
-        r = int(rng.integers(1, r_max + 1))
-        base = _free_carrier(p, e, r, kind)
+        r = int(rng.integers(1, R_MAX + 1))
+        base = _free_carrier(p, e, r)
         small = _random_stable_span(base, rng)
         extra = _random_stable_span(base, rng)
         big = span_sum(base.ring, [small.mat, extra.mat])
         yield SurjectionInstance(f"surj:p{p}:e{e}:s{seed}:{i}", base, small, big)
 
 
-def random_injections(
-    seed: int, p: int, e: int, count: int, r_max: int = 2, kind: str = "sl2"
-) -> Iterator[InjectionInstance]:
+def random_injections(seed: int, p: int, e: int, count: int) -> Iterator[InjectionInstance]:
     rng = np.random.default_rng(seed)
     for i in range(count):
-        r = int(rng.integers(1, r_max + 1))
-        base = _free_carrier(p, e, r, kind)
+        r = int(rng.integers(1, R_MAX + 1))
+        base = _free_carrier(p, e, r)
         rel = _random_stable_span(base, rng)
         inside = _random_stable_span(base, rng)
         sub = span_sum(base.ring, [rel.mat, inside.mat])
@@ -390,29 +347,22 @@ def random_injections(
 
 
 def lemma21_suite(
-    p: int,
-    e: int = 1,
-    module: str = "all",
-    seed: int = 0,
-    n_random: int = 0,
-    kind: str = "sl2",
+    p: int, e: int = 1, module: str = "all", seed: int = 0, n_random: int = 0
 ) -> list[LemmaReport]:
     """The comparison-map suite over the selected catalog modules plus random ones."""
     reports: list[LemmaReport] = []
-    mods = select_modules(p, e, module, kind)
-    mods.extend(random_modules(seed, p, n_random, kind=kind))
+    mods = select_modules(p, e, module)
+    mods.extend(random_modules(seed, p, n_random))
     for W in mods:
         reports.append(check_comparison_map(W))
         reports.append(check_minimal_generators(W))
     return reports
 
 
-def lemma22_suite(
-    p: int, e: int, seed: int = 0, n_random: int = 0, kind: str = "sl2"
-) -> list[LemmaReport]:
+def lemma22_suite(p: int, e: int, seed: int = 0, n_random: int = 0) -> list[LemmaReport]:
     """Surjection and injection suites over Z/p^e, plus the fixed cases."""
     reports: list[LemmaReport] = []
-    group = build_group(kind, p)
+    group = build_group("sl2", p)
     ring = RingSpec(p, e)
     J = jbar(group, ring)
     zero = howell_array(ring, np.zeros((1, J.rank), dtype=np.int64))

@@ -146,6 +146,9 @@ def test_parser_rejects_unknown_suite():
         ["verify", "lemma22", "--p", "3", "--seed", "1", "--module", "jbar"],
         ["verify", "corrpro", "--p", "3", "--depth", "2", "--random", "3"],
         ["verify", "presentation", "--p", "3", "--depth", "2", "--check", "dim"],
+        ["verify", "corrpro", "--p", "3", "--depth", "2", "--module", "jbar", "--seed", "5"],
+        ["verify", "lemma21", "--p", "3", "--seed", "1", "--jobs", "2"],
+        ["verify", "all", "--p", "7", "--depth", "1", "--seed", "1", "--check", "dim"],
     ],
 )
 def test_ignored_or_invalid_flags_are_usage_errors(argv):

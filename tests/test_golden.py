@@ -114,3 +114,7 @@ def test_rejected_reports_digest():
     reports = [r.to_dict() for r in rejected_reports()]
     assert {r["status"] for r in reports} == {"rejected"}
     assert digest(reports) == REJECTED_DIGEST
+
+
+def test_rejected_reports_are_timed():
+    assert all(r.elapsed_s > 0 for r in rejected_reports())

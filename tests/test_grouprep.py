@@ -17,7 +17,6 @@ from treelab.grouprep import (
     elem_mul,
     generated_submodule,
     h1_procyclic,
-    induce_cyclic,
     invariants,
     is_irreducible,
     jbar,
@@ -193,50 +192,6 @@ def test_h1_kernel_cokernel_balance_field_case():
         h1 = h1_procyclic(ring, op, 3)
         ker = 8 - howell_array(ring, (op - np.eye(8, dtype=np.int64)) % 3).nrows
         assert h1.dim == ker
-
-
-def test_h1_shapiro_for_induced_modules():
-    grp = build_group("sl2", 3)
-    ring = RingSpec(3, 1)
-    J = jbar(grp, ring)
-    c = J.action(grp.upper_gen)
-    direct = h1_procyclic(ring, c, 3)
-    for m, depth in [(0, 2), (1, 3), (2, 4)]:
-        ind = induce_cyclic(ring, c, m, depth, 3)
-        assert ind.rank == 3**m * J.rank
-        assert h1_procyclic(ring, ind.gen, 3).dim == direct.dim
-
-
-def test_induce_cyclic_level_zero_is_module_itself():
-    ring = RingSpec(3, 1)
-    op = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.int64)
-    ind = induce_cyclic(ring, op, 0, 3, 3)
-    assert np.array_equal(ind.gen, op)
-
-
-def test_induce_cyclic_trivial_module_gives_regular_representation():
-    ring = RingSpec(3, 1)
-    ind = induce_cyclic(ring, np.eye(1, dtype=np.int64), 1, 2, 3)
-    expect = np.zeros((3, 3), dtype=np.int64)
-    for i in range(3):
-        expect[i, (i + 1) % 3] = 1
-    assert np.array_equal(ind.gen, expect)
-
-
-def test_induce_cyclic_rejects_level_above_depth():
-    ring = RingSpec(3, 1)
-    with pytest.raises(ValueError):
-        induce_cyclic(ring, np.eye(1, dtype=np.int64), 3, 2, 3)
-
-
-def test_induced_power_acts_as_designated_operator():
-    grp = build_group("sl2", 5)
-    ring = RingSpec(5, 1)
-    J = jbar(grp, ring)
-    c = J.action(grp.upper_gen)
-    ind = induce_cyclic(ring, c, 1, 2, 5)
-    power = np.linalg.matrix_power(ind.gen, 5) % 5
-    assert np.array_equal(power[: J.rank, : J.rank], c)
 
 
 @pytest.mark.parametrize(

@@ -176,7 +176,7 @@ def test_random_modules_satisfy_hypotheses():
 
 
 def test_random_module_rank_bound():
-    first = next(iter(random_modules(0, 3, 1, r_max=2)))
+    first = next(iter(random_modules(0, 3, 1)))
     assert first.rank <= 16
 
 
