@@ -451,7 +451,8 @@ def check_vytastra(M: HeckeModule, presentation: str = "auto") -> LemmaReport:
         "invariants_log": inv_pre.span_log_size() - K.rel.span_log_size(),
         "tensor_log": K.log_size(),
     }
-    return LemmaReport("vytastra", desc, verdicts=verdicts, dims=dims, details={"presentation": K.presentation})
+    details = {"presentation": K.presentation}
+    return LemmaReport("vytastra", desc, verdicts=verdicts, dims=dims, details=details)
 
 
 @timed
