@@ -70,14 +70,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _pivot_normalize(v: np.ndarray, j: int, N: int) -> np.ndarray:
-    """Scale row v by a unit so that v[j] becomes gcd(v[j], N), a p-power."""
-    a = int(v[j])
-    g = gcd(a, N)
-    u = pow(a // g, -1, N)  # a//g is prime to p since N is a prime power
-    return (v * u) % N
-
-
 @dataclass(frozen=True, eq=False)
 class CanonicalBasis:
     """Howell-form basis of a row space in (Z/p^e)^ncols.
@@ -94,13 +86,6 @@ class CanonicalBasis:
     @property
     def nrows(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def dim(self) -> int:
-        """Rank of the span; only meaningful over a field (e = 1)."""
-        if not self.ring.is_field:
-            raise ValueError("dim is defined over the field case e = 1 only")
-        return self.nrows
 
     def span_log_size(self) -> int:
         """log_p of the number of elements of the span."""
@@ -191,111 +176,70 @@ def _empty_basis(ring: RingSpec, ncols: int) -> CanonicalBasis:
     return CanonicalBasis(ring, ncols, np.zeros((0, ncols), dtype=np.int64), ())
 
 
-def _rref_field(p: int, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Vectorized reduced row echelon form over F_p (dense fast path).
+def _howell(ring: RingSpec, A: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Howell form of the row space of A by one column elimination (any e).
 
-    Each elimination step updates only the pivot row's support: the other
-    columns would subtract zero, so the result is the same array a
-    full-width update gives, at the cost of the nonzeros instead of the
-    width.
+    Over the local ring Z/p^e the entry of least valuation in a column
+    divides every other entry of it, so no gcd merges are needed.  The
+    pivot is that entry (the first nonzero one, which is a unit, when
+    e = 1), scaled by a unit to g = p^k; every other row subtracts
+    (entry // g) times the pivot row, which clears the column below the
+    pivot and reduces it modulo g above.  A non-unit pivot appends its
+    annihilator row (N // g) * row, zero up to its column, to a tail of n
+    spare rows (e > 1 only: there are at most n pivots).  Each step
+    updates only the pivot row's support, since the other columns would
+    subtract zero.  Later pivot rows are zero at earlier pivot columns, so
+    no back-reduction pass is needed.
     """
-    A = np.asarray(A, dtype=np.int64) % p
+    N = ring.modulus
+    A = np.asarray(A, dtype=np.int64)
     m, n = A.shape
-    pivcols: list[int] = []
+    if ring.is_field:
+        W = A % N
+    else:
+        W = np.zeros((m + n, n), dtype=np.int64)
+        np.remainder(A, N, out=W[:m])
+    end = m  # rows from end on are zero
+    pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(n):
-        if r == m:
+        if r == end:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = np.flatnonzero(W[r:end, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
+        if W[i, c] % ring.p == 0:  # not a unit: the first entry of least valuation
+            i = r + int(nz[np.argmin(np.gcd(W[r + nz, c], N))])
         if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r] = (A[r] * pow(int(A[r, c]), -1, p)) % p
-        rows = np.flatnonzero(A[:, c])
+            W[[r, i]] = W[[i, r]]
+        a = int(W[r, c])
+        g = gcd(a, N)
+        nzc = np.flatnonzero(W[r])
+        if a != g:
+            W[r, nzc] = W[r, nzc] * pow(a // g, -1, N) % N
+        rows = np.flatnonzero(W[:end, c])
         rows = rows[rows != r]
         if rows.size:
-            nzc = np.flatnonzero(A[r])
             block = np.ix_(rows, nzc)
-            A[block] = (A[block] - np.outer(A[rows, c], A[r, nzc])) % p
-        pivcols.append(c)
+            W[block] = (W[block] - np.outer(W[rows, c] // g, W[r, nzc])) % N
+        if g > 1:
+            ann = W[r, nzc] * (N // g) % N
+            if ann.any():
+                W[end, nzc] = ann
+                end += 1
+        pivots.append((c, g))
         r += 1
-    return A[: len(pivcols)], pivcols
-
-
-class _HowellBuilder:
-    """Incremental Howell-form accumulator (any e)."""
-
-    def __init__(self, ring: RingSpec, ncols: int):
-        self.ring = ring
-        self.N = ring.modulus
-        self.ncols = ncols
-        self.piv: dict[int, np.ndarray] = {}
-
-    def add_row(self, v: np.ndarray) -> None:
-        N = self.N
-        queue = [np.asarray(v, dtype=np.int64) % N]
-        while queue:
-            v = queue.pop()
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                continue
-            j = int(nz[0])
-            if j not in self.piv:
-                v = _pivot_normalize(v, j, N)
-                self.piv[j] = v
-                g = int(v[j])
-                if g > 1:
-                    queue.append((N // g) * v % N)
-                continue
-            r = self.piv[j]
-            a = int(r[j])
-            b = int(v[j])
-            if b % a == 0:
-                queue.append((v - (b // a) * r) % N)
-                continue
-            d, s, t = _xgcd(a, b)
-            new = (s * r + t * v) % N
-            self.piv[j] = new
-            queue.append((r - (a // d) * new) % N)
-            queue.append((v - (b // d) * new) % N)
-            if d > 1:
-                queue.append((N // d) * new % N)
-
-    def add_rows(self, X: np.ndarray) -> None:
-        for row in np.atleast_2d(np.asarray(X, dtype=np.int64)):
-            self.add_row(row)
-
-    def finish(self) -> CanonicalBasis:
-        N = self.N
-        cols = sorted(self.piv)
-        if not cols:
-            return _empty_basis(self.ring, self.ncols)
-        M = np.stack([self.piv[c] for c in cols]).astype(np.int64)
-        for i, c in enumerate(cols):
-            g = int(M[i, c])
-            if i > 0:
-                q = M[:i, c] // g
-                if np.any(q):
-                    M[:i] = (M[:i] - np.outer(q, M[i])) % N
-        pivots = tuple((c, int(M[i, c])) for i, c in enumerate(cols))
-        return CanonicalBasis(self.ring, self.ncols, M, pivots)
+    return W[:r], pivots
 
 
 def howell_array(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
     """Canonical (Howell) basis of the row space of A."""
-    A = np.atleast_2d(ring.reduce(A))
-    ncols = A.shape[1]
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     if A.shape[0] == 0:
-        return _empty_basis(ring, ncols)
-    if ring.is_field:
-        R, pivcols = _rref_field(ring.p, A)
-        pivots = tuple((c, 1) for c in pivcols)
-        return CanonicalBasis(ring, ncols, R.astype(np.int64), pivots)
-    builder = _HowellBuilder(ring, ncols)
-    builder.add_rows(A)
-    return builder.finish()
+        return _empty_basis(ring, A.shape[1])
+    rows, pivots = _howell(ring, A)
+    return CanonicalBasis(ring, A.shape[1], rows, tuple(pivots))
 
 
 def howell_array_sparse(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
@@ -406,8 +350,9 @@ def kernel_array(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
     if m == 0:
         return _empty_basis(ring, 0)
     if ring.is_field:
-        # right kernel of A^T, extracted from its RREF
-        R, pivcols = _rref_field(ring.p, A.T)
+        # right kernel of A^T, extracted from its reduced echelon form
+        R, pivots = _howell(ring, A.T)
+        pivcols = [c for c, _ in pivots]
         pivset = set(pivcols)
         free = [j for j in range(m) if j not in pivset]
         if not free:

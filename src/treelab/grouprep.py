@@ -77,7 +77,6 @@ class GroupData:
     upper_unipotent: tuple[Elem, ...]
     lower_unipotent: tuple[Elem, ...]
     torus: tuple[Elem, ...]
-    borel: tuple[Elem, ...]
     opp_radicals: tuple[frozenset[Elem], ...]
 
     @property
@@ -146,7 +145,6 @@ def build_group(kind: str, p: int) -> GroupData:
         torus = tuple(sorted((t % p, 0, 0, pow(t, -1, p)) for t in range(1, p)))
     else:
         torus = tuple(sorted((s, 0, 0, t) for s in range(1, p) for t in range(1, p)))
-    borel = tuple(sorted({elem_mul(t, n, p) for t in torus for n in upper}))
     radicals = []
     for n2 in upper:
         conj = frozenset(elem_mul(elem_mul(n2, x, p), elem_inv(n2, p), p) for x in lower)
@@ -167,7 +165,6 @@ def build_group(kind: str, p: int) -> GroupData:
         upper_unipotent=upper,
         lower_unipotent=lower,
         torus=torus,
-        borel=borel,
         opp_radicals=opp,
     )
     _spot_verify(grp)
@@ -441,8 +438,8 @@ class ProcyclicH1:
     def log_size(self) -> int:
         return self.quotient.log_size()
 
-    def induced_map_bijective(self, f: np.ndarray, target: "ProcyclicH1") -> bool:
-        """Exact bijectivity of the map induced by f on the two quotients.
+    def induced_map(self, f: np.ndarray, target: "ProcyclicH1") -> tuple[bool, bool]:
+        """(injective, surjective) for the map induced by f on the two quotients.
 
         f must intertwine the operators.  Works for any e via span sizes:
         surjective iff image + target relations fill the target, injective
@@ -459,7 +456,7 @@ class ProcyclicH1:
         surj = img.span_log_size() == ring.e * target.quotient.ambient
         pre = preimage_kernel(ring, [f], target.quotient.rel)
         inj = pre.is_subspace_of(self.quotient.rel)
-        return surj and inj
+        return inj, surj
 
 
 def h1_procyclic(ring: RingSpec, operator: np.ndarray, p: int) -> ProcyclicH1:
@@ -618,9 +615,6 @@ class PresentedModule:
     @property
     def ring(self) -> RingSpec:
         return self.base.ring
-
-    def log_size(self) -> int:
-        return self.ring.e * self.base.rank - self.rel.span_log_size()
 
     def invariants_preimage(self, subgroup: Sequence[Elem]) -> CanonicalBasis:
         """Ambient span of {v : class of v is fixed}; contains the relations."""

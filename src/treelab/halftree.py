@@ -29,8 +29,6 @@ from .exactalg import (
     VerificationBug,
     howell_array,
     kernel_array,
-    preimage_kernel,
-    span_sum,
 )
 from .grouprep import (
     Elem,
@@ -38,6 +36,7 @@ from .grouprep import (
     _matpow,
     block_shift,
     generated_by_lower_invariants,
+    h1_procyclic,
     invariants,
     primitive_root,
     translate_stack,
@@ -430,17 +429,11 @@ def check_cogtri_hypothesis(W: GModule, twist_u: int = 1) -> LemmaReport:
         return rejected("cogtri", desc, str(err))
     p = W.group.p
     t = spec.inv_lower.nrows
-    shift = block_shift(p, t)
     mult = translate_stack(ring, spec.inv_lower.mat, spec.twist, p)
-    src_rel = howell_array(ring, (shift - np.eye(p * t, dtype=np.int64)) % ring.modulus)
-    tgt_rel = howell_array(ring, (spec.twist - np.eye(W.rank, dtype=np.int64)) % ring.modulus)
-    pre = preimage_kernel(ring, [mult], tgt_rel)
-    inj = pre.is_subspace_of(src_rel)
-    surj = span_sum(ring, [mult, tgt_rel.mat]).nrows == W.rank
-    dims = {
-        "source_coker": p * t - src_rel.nrows,
-        "target_coker": W.rank - tgt_rel.nrows,
-    }
+    src = h1_procyclic(ring, block_shift(p, t), p)
+    tgt = h1_procyclic(ring, spec.twist, p)
+    inj, surj = src.induced_map(mult, tgt)
+    dims = {"source_coker": src.dim, "target_coker": tgt.dim}
     verdicts = {"h1_injective": inj, "h1_bijective": inj and surj}
     return LemmaReport("cogtri", desc, verdicts=verdicts, dims=dims)
 

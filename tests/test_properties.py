@@ -4,7 +4,9 @@ Random matrices for p in {2, 3, 5} and e in {1, 2, 3}: the dense Howell
 form against the independent sparse one, the kernel and the row solver
 against their defining equations, and the shared span closure against a
 naive fixpoint loop kept here as the oracle.  Sparse and tree-shaped block
-matrices over F_p exercise the elimination's pivot-support update, which
+matrices up to 20 x 30, with a random share of their entries multiplied by
+p, exercise the elimination's pivot-support update and, for e > 1, its
+non-unit pivots, least-valuation pivot choice and annihilator rows, which
 the small dense cases rarely reach.
 """
 
@@ -45,35 +47,37 @@ def ring_and_matrix(draw, max_rows=6, max_cols=6):
     return ring, draw(matrices(ring, rows, cols))
 
 
-fields = st.sampled_from([2, 3, 5]).map(RingSpec)
+def p_multiples(rng, ring, A):
+    """Multiply a random share of the entries of A by p."""
+    return A * np.where(rng.random(A.shape) < rng.random(), ring.p, 1) % ring.modulus
 
 
 @st.composite
-def sparse_field_matrix(draw):
-    """An F_p matrix of up to 20 x 30 with about 85% zeros."""
-    ring = draw(fields)
+def sparse_ring_matrix(draw):
+    """A Z/p^e matrix of up to 20 x 30 with about 85% zeros."""
+    ring = draw(rings)
     rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A = rng.integers(1, ring.p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.15)
-    return ring, A.astype(np.int64)
+    A = rng.integers(1, ring.modulus, size=(rows, cols)) * (rng.random((rows, cols)) < 0.15)
+    return ring, p_multiples(rng, ring, A)
 
 
 @st.composite
-def block_field_matrix(draw):
+def block_ring_matrix(draw):
     """Block row i meets its own column block and one earlier one, as an edge meets its endpoints."""
-    ring = draw(fields)
+    ring = draw(rings)
     k, r, c = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = np.zeros((k * r, k * c), dtype=np.int64)
     for i in range(k):
-        A[i * r : (i + 1) * r, i * c : (i + 1) * c] = rng.integers(0, ring.p, size=(r, c))
+        A[i * r : (i + 1) * r, i * c : (i + 1) * c] = rng.integers(0, ring.modulus, size=(r, c))
         if i:
             j = int(rng.integers(0, i))
-            A[i * r : (i + 1) * r, j * c : (j + 1) * c] = rng.integers(0, ring.p, size=(r, c))
-    return ring, A
+            A[i * r : (i + 1) * r, j * c : (j + 1) * c] = rng.integers(0, ring.modulus, size=(r, c))
+    return ring, p_multiples(rng, ring, A)
 
 
-sparse_cases = st.one_of(sparse_field_matrix(), block_field_matrix())
+sparse_cases = st.one_of(sparse_ring_matrix(), block_ring_matrix())
 
 
 def check_howell(ring, A):
