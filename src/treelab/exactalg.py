@@ -393,25 +393,33 @@ class RowSolver:
         self._pivcols = [c for c, _ in self.pivots]
 
     def solve(self, b) -> Optional[np.ndarray]:
+        X, ok = self.solve_rows(np.asarray(b).reshape(1, -1))
+        return X[0] if ok[0] else None
+
+    def solve_rows(self, B) -> tuple[np.ndarray, np.ndarray]:
+        """Solve x @ A = b for every row b of B in one pass.
+
+        Returns (X, ok): where ok[i], X[i] is the solution `solve` gives
+        for row i; where row i is outside the row space, X[i] is zero.
+        """
         N = self.ring.modulus
-        b = np.asarray(b, dtype=np.int64).reshape(-1) % N
-        if b.shape[0] != self.n:
+        B = np.atleast_2d(np.asarray(B, dtype=np.int64)) % N
+        if B.shape[1] != self.n:
             raise ValueError("dimension mismatch")
         if self._unit and self.ring.is_field:
-            q = b[self._pivcols]
-            rem = (b - q @ self.hmat) % N
-            if np.any(rem):
-                return None
-            return (q @ self.umat) % N
-        x = np.zeros(self.m, dtype=np.int64)
-        for i, (c, g) in enumerate(self.pivots):
-            q = int(b[c]) // g
-            if q:
-                b = (b - q * self.hmat[i]) % N
-                x = (x + q * self.umat[i]) % N
-        if np.any(b):
-            return None
-        return x
+            Q = B[:, self._pivcols]
+            ok = ~((B - Q @ self.hmat) % N).any(axis=1)
+            X = (Q @ self.umat) % N
+        else:
+            X = np.zeros((B.shape[0], self.m), dtype=np.int64)
+            for i, (c, g) in enumerate(self.pivots):
+                q = B[:, c] // g
+                if q.any():
+                    B = (B - np.outer(q, self.hmat[i])) % N
+                    X = (X + np.outer(q, self.umat[i])) % N
+            ok = ~B.any(axis=1)
+        X[~ok] = 0
+        return X, ok
 
 
 def preimage_kernel(

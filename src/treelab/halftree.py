@@ -120,9 +120,11 @@ def build_coeff_spec(W: GModule, rho_choice: str = "w0", twist_u: int = 1) -> Co
 class ChainComplexData:
     """Explicit matrices of the depth-D truncated complex for one W.
 
-    The boundary matrix maps 1-chains (rows) to 0-chains; the cyclic
-    generator acts by the index shifts `apply_g0` / `apply_g1`, with the
-    vertex-fiber twist applied on index wraparound.
+    The boundary matrix maps 1-chains (rows) to 0-chains; `boundary_rows`
+    and `boundary_preimage` apply it and invert it level by level.  The
+    cyclic generator acts on 0-chains by the index shift `apply_g0`, with
+    the vertex-fiber twist applied on index wraparound, and on 1-chains by
+    the edge-index shift `_g1_image_index`, which carries no twist.
     """
 
     def __init__(self, spec: CoeffSystemSpec, depth: int):
@@ -194,20 +196,6 @@ class ChainComplexData:
     def apply_g0(self, v: np.ndarray) -> np.ndarray:
         return self.apply_g0_rows(v.reshape(1, -1))[0]
 
-    def apply_g1_rows(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        out = np.empty_like(X)
-        for m in range(self.depth):
-            pm1 = self.p ** (m + 1)
-            blk = X[:, self.off1[m] : self.off1[m + 1]].reshape(X.shape[0], pm1, self.t)
-            out[:, self.off1[m] : self.off1[m + 1]] = np.roll(blk, 1, axis=1).reshape(
-                X.shape[0], pm1 * self.t
-            )
-        return out
-
-    def apply_g1(self, b: np.ndarray) -> np.ndarray:
-        return self.apply_g1_rows(b.reshape(1, -1))[0]
-
     def _g1_image_index(self) -> np.ndarray:
         idx = np.arange(self.dim1)
         out = np.empty(self.dim1, dtype=np.int64)
@@ -256,14 +244,60 @@ class ChainComplexData:
         return self._rspan
 
     def boundary_solver(self) -> RowSolver:
-        """Solver for the leaf-first boundary; `boundary_preimage` takes public coordinates."""
+        """Dense solver for the leaf-first boundary, the oracle of `boundary_preimage`.
+
+        It takes C0 coordinates reversed: `boundary_solver().solve(b[::-1])`.
+        """
         if self._solver is None:
             self._solver = RowSolver(self.ring, self.dmat[:, ::-1])
         return self._solver
 
+    def _edge_images(self, Xm: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Boundaries of rows of level-m edge values, in the level-m and level-(m+1) vertex blocks.
+
+        Edge a + j·p^m carries the j-th block of `down_stack` into parent
+        vertex a and rho into its own child vertex, each with its level's sign.
+        """
+        N = self.ring.modulus
+        p, t, w = self.p, self.t, self.w
+        k, pm = Xm.shape[0], p**m
+        par = Xm.reshape(k, p, pm, t).transpose(0, 2, 1, 3).reshape(k * pm, p * t) @ self.down_stack
+        child = Xm.reshape(k * p * pm, t) @ self.spec.rho
+        return (
+            (self.signs[m] * par).reshape(k, pm * w) % N,
+            (self.signs[m + 1] * child).reshape(k, p * pm * w) % N,
+        )
+
+    def boundary_rows(self, X: np.ndarray) -> np.ndarray:
+        """X @ dmat mod N for rows of 1-chains, one edge level at a time."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.int64))
+        out = np.zeros((X.shape[0], self.dim0), dtype=np.int64)
+        for m in range(self.depth):
+            par, child = self._edge_images(X[:, self.off1[m] : self.off1[m + 1]], m)
+            out[:, self.off0[m] : self.off0[m + 1]] += par
+            out[:, self.off0[m + 1] : self.off0[m + 2]] += child
+        return out % self.ring.modulus
+
     def boundary_preimage(self, b: np.ndarray) -> Optional[np.ndarray]:
-        """The 1-chain x with x @ dmat = b, or None when b is not a boundary."""
-        return self.boundary_solver().solve(np.asarray(b).reshape(-1)[::-1])
+        """The 1-chain x with x @ dmat = b, or None when b is not a boundary.
+
+        Leaf-first back-substitution: the level-(m+1) vertex block, less
+        the parent images of the level-(m+1) edges, is the child image of
+        the level-m edges, which rho (injective) determines.  The preimage
+        is therefore unique and equals the dense `boundary_solver`'s.
+        """
+        N = self.ring.modulus
+        b = np.asarray(b, dtype=np.int64).reshape(-1) % N
+        x = np.zeros(self.dim1, dtype=np.int64)
+        rest = self.level0_block(b, self.depth)
+        for m in range(self.depth - 1, -1, -1):
+            xm, ok = self.rho_solver().solve_rows((self.signs[m + 1] * rest).reshape(-1, self.w) % N)
+            if not ok.all():
+                return None
+            x[self.off1[m] : self.off1[m + 1]] = xm.reshape(-1)
+            par, _ = self._edge_images(xm.reshape(1, -1), m)
+            rest = (self.level0_block(b, m) - par[0]) % N
+        return None if rest.any() else x
 
     def down_solver(self) -> RowSolver:
         if self._down_solver is None:
@@ -463,36 +497,29 @@ def reduce_chain(cc: ChainComplexData, c: np.ndarray) -> tuple[np.ndarray, np.nd
     c = c.copy()
     p, w, t = cc.p, cc.w, cc.t
 
-    def subtract_boundary(xi: np.ndarray) -> None:
+    def subtract_boundary(m: int, xm: np.ndarray) -> None:
+        """Subtract the boundary of the 1-chain with level-m edge values xm."""
         nonlocal c, B
-        c = (c - xi @ cc.dmat) % N
+        xi = np.zeros(cc.dim1, dtype=np.int64)
+        xi[cc.off1[m] : cc.off1[m + 1]] = xm.reshape(-1)
+        c = (c - cc.boundary_rows(xi)[0]) % N
         B = (B + xi) % N
 
     while True:
         n = cc.top_level(c)
         if n == 0:
             break
-        # push every value below the top down through the child edges
-        down_solver = cc.down_solver()
+        # push every value below the top down through the child edges, one
+        # level at a time: edge a + j p^m takes block j of vertex a's solution
         for m in range(n):
-            sm = cc.signs[m]
             blk = cc.level0_block(c, m)
             if not np.any(blk):
                 continue
             pm = p**m
-            xi = np.zeros(cc.dim1, dtype=np.int64)
-            for a in range(pm):
-                val = blk[a * w : (a + 1) * w]
-                if not np.any(val):
-                    continue
-                u = down_solver.solve(val)
-                if u is None:
-                    raise VerificationBug("child edges fail to span a vertex fiber")
-                u = (sm * u) % N
-                for j in range(p):
-                    b = a + j * pm
-                    xi[cc.off1[m] + b * t : cc.off1[m] + (b + 1) * t] = u[j * t : (j + 1) * t]
-            subtract_boundary(xi)
+            u, ok = cc.down_solver().solve_rows(blk.reshape(pm, w))
+            if not ok.all():
+                raise VerificationBug("child edges fail to span a vertex fiber")
+            subtract_boundary(m, (cc.signs[m] * u).reshape(pm, p, t).transpose(1, 0, 2) % N)
         n = cc.top_level(c)
         if n == 0:
             break
@@ -500,38 +527,22 @@ def reduce_chain(cc: ChainComplexData, c: np.ndarray) -> tuple[np.ndarray, np.nd
         b = cc.boundary_preimage((cc.apply_g0(c) - c) % N)
         if b is None:
             raise VerificationBug("fixedness certificate disappeared during reduction")
-        for m in range(n, cc.depth):
-            if np.any(cc.level1_block(b, m)):
-                raise VerificationBug("certificate chain has support above the top level")
-        # telescoping sums vanish levelwise below the top
-        acc = b.copy()
-        cur = b
-        for i in range(1, p**n):
-            cur = cc.apply_g1(cur)
-            acc = (acc + cur) % N
-            m = 0
-            step = i + 1
-            while m < n and step == p ** (m + 1):
-                if np.any(cc.level1_block(acc, m)):
-                    raise VerificationBug("telescoping identity fails")
-                m += 1
+        if np.any(b[cc.off1[n] :]):
+            raise VerificationBug("certificate chain has support above the top level")
+        # telescoping: the g-orbit sum of b over p^(m+1) steps, whose level-m
+        # block is that block's sum over its edges, vanishes at every m < n
+        for m in range(n):
+            if np.any(cc.level1_block(b, m).reshape(p ** (m + 1), t).sum(axis=0) % N):
+                raise VerificationBug("telescoping identity fails")
         # the top level is fixed by the stabilizer generator
         top = cc.level0_block(c, n).reshape(p**n, w)
         if not np.array_equal((top @ cc.spec.twist) % N, top):
             raise VerificationBug("top level is not stabilizer-fixed")
         # peel the top level through the parent edges
-        rho_solver = cc.rho_solver()
-        sn = cc.signs[n]
-        xi = np.zeros(cc.dim1, dtype=np.int64)
-        for a in range(p**n):
-            val = top[a]
-            if not np.any(val):
-                continue
-            u = rho_solver.solve((sn * val) % N)
-            if u is None:
-                raise VerificationBug("top value escapes the parent edge image")
-            xi[cc.off1[n - 1] + a * t : cc.off1[n - 1] + (a + 1) * t] = u
-        subtract_boundary(xi)
+        u, ok = cc.rho_solver().solve_rows((cc.signs[n] * top) % N)
+        if not ok.all():
+            raise VerificationBug("top value escapes the parent edge image")
+        subtract_boundary(n - 1, u)
         if cc.top_level(c) >= n and np.any(cc.level0_block(c, n)):
             raise VerificationBug("peeling did not clear the top level")
     wvec = cc.level0_block(c, 0).copy()
@@ -557,5 +568,5 @@ def sample_fixed_class(cc: ChainComplexData, rng: np.random.Generator) -> np.nda
     out[np.array(sec, dtype=np.int64)] = combo
     # add a random boundary so the representative is not already reduced
     noise = rng.integers(0, cc.ring.modulus, size=cc.dim1)
-    out = (out + noise @ cc.dmat) % cc.ring.modulus
+    out = (out + cc.boundary_rows(noise)[0]) % cc.ring.modulus
     return out

@@ -169,7 +169,7 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     struct = np.zeros((d, d, d), dtype=np.int64)
     for u in range(d):
         for v in range(d):
-            img = (mats[v] @ mats[u])[base_coset_idx] % N  # apply T_v first, then T_u
+            img = (mats[v][base_coset_idx] @ mats[u]) % N  # apply T_v first, then T_u
             coeffs = np.zeros(d, dtype=np.int64)
             for w, orbit in enumerate(double_cosets):
                 coeffs[w] = img[orbit[0]]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from treelab.catalog import builtin_catalog, get_module
-from treelab.exactalg import RingSpec, kernel_array
+from treelab.exactalg import RingSpec, VerificationBug, kernel_array
 from treelab.grouprep import build_group, invariants, jbar, trivial_module
 from treelab.halftree import (
+    ChainComplexData,
     NotFixedClassError,
     build_complex,
     check_cogtri_hypothesis,
@@ -92,9 +93,10 @@ def test_generator_orders():
     assert np.array_equal(cur, v)  # full order p^(D+1)
     # edge blocks carry no twist: order divides p^D on 1-chains
     w1 = rng.integers(0, p, size=cc.dim1)
+    shift = cc._g1_image_index()
     cur = w1.copy()
     for _ in range(p**D):
-        cur = cc.apply_g1(cur)
+        cur = cur[shift]
     assert np.array_equal(cur, w1)
 
 
@@ -255,6 +257,28 @@ def test_reduce_rejects_unfixed_class():
     assert probe is not None
 
 
+def test_reduce_checks_telescoping_at_every_level(monkeypatch):
+    # a first-peel certificate whose level-1 block no longer sums to zero
+    # (level 0 untouched) must fail the telescoping identity
+    cc = build_complex(get_module(3, 1, "jbar"), 3)
+    c = sample_fixed_class(cc, np.random.default_rng(3))
+    assert cc.top_level(c) == 3
+    calls = []
+    preimage = ChainComplexData.boundary_preimage
+
+    def tampered(self, b):
+        x = preimage(self, b)
+        calls.append(x)
+        if len(calls) == 2:  # the first peel's certificate
+            x = x.copy()
+            x[self.off1[1]] = (x[self.off1[1]] + 1) % self.ring.modulus
+        return x
+
+    monkeypatch.setattr(ChainComplexData, "boundary_preimage", tampered)
+    with pytest.raises(VerificationBug, match="telescoping"):
+        reduce_chain(cc, c)
+
+
 @pytest.mark.parametrize("p,D", [(2, 1), (2, 3), (3, 2), (5, 1)])
 def test_root_fiber_injects_into_h0(p, D):
     # the full vertex fiber at the base vertex, not only the edge image,
@@ -301,8 +325,15 @@ def test_leaf_first_boundary_against_root_first_oracle(p, D):
         sec = R.section_cols()
         assert set(range(cc.w)) <= set(sec)
         assert len(sec) == cc.dim0 - cc.dim1
-        for _ in range(3):
-            x0 = rng.integers(0, p, size=cc.dim1)
-            b = (x0 @ cc.dmat) % p
+        X = rng.integers(0, p, size=(3, cc.dim1))
+        assert np.array_equal(cc.boundary_rows(X), (X @ cc.dmat) % p)
+        # the tree back-substitution against the dense solver: the same
+        # preimage of every boundary, None on every non-boundary
+        targets = np.concatenate([(X @ cc.dmat) % p, rng.integers(0, p, size=(3, cc.dim0))])
+        for b in targets:
             x = cc.boundary_preimage(b)
-            assert x is not None and np.array_equal((x @ cc.dmat) % p, b)
+            oracle = cc.boundary_solver().solve(b[::-1])
+            assert (x is None) == (oracle is None) and (x is None or np.array_equal(x, oracle))
+        for x0, b in zip(X, targets):
+            x = cc.boundary_preimage(b)
+            assert x is not None and np.array_equal(x, x0)

@@ -2,12 +2,13 @@
 
 Random matrices for p in {2, 3, 5} and e in {1, 2, 3}: the dense Howell
 form against the independent sparse one, the kernel and the row solver
-against their defining equations, and the shared span closure against a
-naive fixpoint loop kept here as the oracle.  Sparse and tree-shaped block
-matrices up to 20 x 30, with a random share of their entries multiplied by
-p, exercise the elimination's pivot-support update and, for e > 1, its
-non-unit pivots, least-valuation pivot choice and annihilator rows, which
-the small dense cases rarely reach.
+against their defining equations, the batched row solve against the
+one-row solve, and the shared span closure against a naive fixpoint loop
+kept here as the oracle.  Sparse and tree-shaped block matrices up to
+20 x 30, with a random share of their entries multiplied by p, exercise
+the elimination's pivot-support update and, for e > 1, its non-unit
+pivots, least-valuation pivot choice and annihilator rows, which the
+small dense cases rarely reach.
 """
 
 import numpy as np
@@ -104,6 +105,13 @@ def check_row_solver(ring, A, data):
         assert y is not None and np.array_equal((y @ A) % N, other)
     else:
         assert y is None
+    # the batched solve is the one-row solve on every row, unsolvable rows included
+    rows = np.stack([b, other, (b + other) % N])
+    X, ok = solver.solve_rows(rows)
+    for row, xr, okr in zip(rows, X, ok):
+        y = solver.solve(row)
+        assert okr == (y is not None)
+        assert np.array_equal(xr, y if okr else np.zeros(A.shape[0], dtype=np.int64))
 
 
 @SETTINGS
