@@ -26,5 +26,5 @@ from .grouprep import (  # noqa: F401
     jbar,
 )
 from .catalog import builtin_catalog, emit_catalog, get_module, load_catalog  # noqa: F401
-from .halftree import build_complex, check_corrpro, reduce_chain  # noqa: F401
+from .halftree import build_complex, check_corrpro, reduce_chain, tree_reports  # noqa: F401
 from .hecke import build_hecke, check_flatness, check_vytastra, tensor_K  # noqa: F401

@@ -106,9 +106,12 @@ def emit_catalog(p: int, e: int, path: Optional[str] = None) -> dict:
 
 
 def _as_int(x) -> int:
-    if isinstance(x, str):
-        return int(x, 10)
-    return int(x)
+    """An integer entry: a JSON integer or a decimal string, nothing else."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and x.isdecimal():
+        return int(x)
+    raise ValueError(f"catalog entry {x!r} is not an integer")
 
 
 def load_catalog(doc_or_path) -> list[GModule]:

@@ -25,21 +25,20 @@ import numpy as np
 
 from . import __version__
 from .catalog import builtin_catalog, emit_catalog, select_modules
+from .exactalg import MAX_E
 from .halftree import (
     build_complex,
     check_cogtri_hypothesis,
-    check_corrpro,
-    check_presentation,
     parse_rho,
     reduce_chain,
     sample_fixed_class,
+    tree_reports,
 )
-from .hecke import HECKE_PRIMES, hecke_suite
+from .hecke import HECKE_CHECKS, HECKE_PRIMES, hecke_suite
 from .lemmas import lemma21_suite, lemma22_suite
 from .report import FAIL, PASS, LemmaReport, aggregate_status
 
 SUPPORTED_P = (2, 3, 5, 7)
-MAX_E = 3
 MAX_DEPTH = 6
 # suites that work over the field F_p only; lemma22 and hecke take any e
 FIELD_ONLY = ("lemma21", "corrpro", "presentation", "cogtri", "reduce")
@@ -79,7 +78,7 @@ class RunConfig:
     rho: str = "w0"
     twist: int = 1
     n_random: int = 0
-    checks: str = "dim,assoc,vytastra,flatness"
+    checks: str = ",".join(HECKE_CHECKS)
     out: Optional[str] = None
     jobs: int = 1
     count: int = 1
@@ -103,6 +102,15 @@ class RunConfig:
             raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.n_random < 0:
+            raise ValueError("random must be >= 0")
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
+        checks = self.checks.split(",")
+        if "checks" in reads and not set(checks) <= set(HECKE_CHECKS):
+            raise ValueError(f"--check takes names from {','.join(HECKE_CHECKS)}")
+        if self.command == "hecke" and self.n_random and (self.e != 1 or "vytastra" not in checks):
+            raise ValueError("hecke draws random modules only for vytastra at e = 1")
         if not self.module:
             raise ValueError("empty module selection")
         if self.command == "reduce" and self.module == "all":
@@ -135,40 +143,35 @@ class RunConfig:
         }
 
 
-def _tree_reports(cfg: RunConfig, which: str) -> list[LemmaReport]:
-    reports = []
-    for W in select_modules(cfg.p, 1, cfg.module):
-        if which == "corrpro":
-            reports.append(check_corrpro(W, cfg.depth, cfg.rho, cfg.twist))
-        elif which == "presentation":
-            reports.append(check_presentation(W, cfg.depth, cfg.rho, cfg.twist))
-        elif which == "cogtri":
-            reports.append(check_cogtri_hypothesis(W, cfg.twist))
-    return reports
+def _tree_reports(cfg: RunConfig, lemmas: tuple[str, ...]) -> list[LemmaReport]:
+    """Every selected module's report of the first lemma, then of the next."""
+    mods = select_modules(cfg.p, 1, cfg.module)
+    if lemmas == ("cogtri",):
+        return [check_cogtri_hypothesis(W, cfg.twist) for W in mods]
+    per_module = [tree_reports(W, cfg.depth, cfg.rho, cfg.twist, lemmas) for W in mods]
+    return [reps[i] for i in range(len(lemmas)) for reps in per_module]
 
 
 def run_suite(cfg: RunConfig) -> dict:
     """Execute one verification command and assemble the report envelope."""
     cfg.validate()
     t0 = time.monotonic()
-    reports: list[LemmaReport] = []
     seed = cfg.seed if cfg.seed is not None else 0
-    checks = tuple(x for x in cfg.checks.split(",") if x)
+    checks = tuple(cfg.checks.split(","))
     if cfg.command == "lemma21":
         reports = lemma21_suite(cfg.p, 1, cfg.module, seed, cfg.n_random)
     elif cfg.command == "lemma22":
         reports = lemma22_suite(cfg.p, cfg.e, seed, cfg.n_random)
     elif cfg.command in ("corrpro", "presentation", "cogtri"):
-        reports = _tree_reports(cfg, cfg.command)
+        reports = _tree_reports(cfg, (cfg.command,))
     elif cfg.command == "hecke":
         reports = hecke_suite(cfg.p, cfg.e, checks, seed, cfg.n_random)
     elif cfg.command == "all":
         tasks = [
             lambda: lemma21_suite(cfg.p, 1, cfg.module, seed, cfg.n_random),
             lambda: lemma22_suite(cfg.p, cfg.e, seed, cfg.n_random),
-            lambda: _tree_reports(cfg, "corrpro"),
-            lambda: _tree_reports(cfg, "presentation"),
-            lambda: _tree_reports(cfg, "cogtri"),
+            lambda: _tree_reports(cfg, ("corrpro", "presentation")),
+            lambda: _tree_reports(cfg, ("cogtri",)),
         ]
         if cfg.p in HECKE_PRIMES:
             tasks.append(lambda: hecke_suite(cfg.p, cfg.e, checks, seed, min(cfg.n_random, 5)))
@@ -301,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--rho", default="w0", help="gluing choice: w0 | twist:K | scalar:K")
     ver.add_argument("--twist", type=int, default=1, help="unit twist of the cyclic generator")
     ver.add_argument("--random", type=int, default=0, help="number of seeded random instances")
-    ver.add_argument("--check", default="dim,assoc,vytastra,flatness", help="hecke checks (csv)")
+    ver.add_argument("--check", default=RunConfig.checks, help="hecke checks (csv)")
     ver.add_argument("--json", default=None, help="write the report to this path")
     ver.add_argument("--jobs", type=int, default=1)
     ver.set_defaults(func=_cmd_verify)

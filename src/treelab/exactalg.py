@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
+MAX_E = 3  # the advertised bound; int64 products of residues mod 7^12 overflow
 
 
 class VerificationBug(AssertionError):
@@ -42,8 +43,8 @@ class RingSpec:
     def __post_init__(self) -> None:
         if self.p not in SUPPORTED_PRIMES:
             raise ValueError(f"unsupported prime {self.p}; supported: {SUPPORTED_PRIMES}")
-        if self.e < 1:
-            raise ValueError("exponent e must be >= 1")
+        if not 1 <= self.e <= MAX_E:
+            raise ValueError(f"exponent e must lie in 1..{MAX_E}")
 
     @property
     def modulus(self) -> int:

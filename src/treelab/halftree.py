@@ -53,7 +53,7 @@ class CoeffSystemSpec:
     inv_upper: CanonicalBasis  # image of the gluing isomorphism
     rho: np.ndarray  # (t x w): edge space -> W, image = upper invariants
     twist: np.ndarray  # (w x w): order-p operator of the vertex stabilizer
-    twist_u: int
+    twist_u: int  # as given; twist is its power mod p
     rho_choice: str
 
 
@@ -114,7 +114,7 @@ def build_coeff_spec(W: GModule, rho_choice: str = "w0", twist_u: int = 1) -> Co
     if image != inv_upper or image.nrows != inv_lower.nrows:
         raise ValueError("rho is not an isomorphism onto the upper invariants")
     twist = _matpow(W.action(group.upper_gen), twist_u % p, ring.modulus)
-    return CoeffSystemSpec(W, inv_lower, inv_upper, rho, twist, twist_u % p, rho_choice)
+    return CoeffSystemSpec(W, inv_lower, inv_upper, rho, twist, twist_u, rho_choice)
 
 
 class ChainComplexData:
@@ -371,31 +371,21 @@ def fixed_classes(cc: ChainComplexData) -> tuple[np.ndarray, list[int]]:
     return cc._fixed
 
 
+def _tree_desc(lemma: str, W: GModule, depth: int, rho_choice: str, twist_u: int) -> dict:
+    desc = {"module": W.name or "anonymous", "p": W.group.p, "depth": depth}
+    if lemma == "corrpro":
+        desc.update(rho=rho_choice, twist_u=twist_u, rank=W.rank)
+    return desc
+
+
 @timed
-def check_corrpro(
-    W: GModule,
-    depth: int,
-    rho_choice: str = "w0",
-    twist_u: int = 1,
-    cc: Optional[ChainComplexData] = None,
-) -> LemmaReport:
+def check_corrpro(cc: ChainComplexData) -> LemmaReport:
     """The edge space maps bijectively onto the fixed part of H0.
 
     Verdicts: the level-0 embedding of the upper invariants is injective
     in H0, lands in the generator-fixed part, and spans it exactly.
     """
-    desc = {
-        "module": W.name or "anonymous",
-        "p": W.group.p,
-        "depth": depth,
-        "rho": rho_choice,
-        "twist_u": twist_u,
-        "rank": W.rank,
-    }
-    try:
-        cc = cc or build_complex(W, depth, rho_choice, twist_u)
-    except ValueError as err:
-        return rejected("corrpro", desc, str(err))
+    desc = _tree_desc("corrpro", cc.spec.W, cc.depth, cc.spec.rho_choice, cc.spec.twist_u)
     ring = cc.ring
     R = cc.boundary_span()
     iota = iota_embed(cc)
@@ -426,16 +416,9 @@ def check_corrpro(
 
 
 @timed
-def check_presentation(
-    W: GModule, depth: int, rho_choice: str = "w0", twist_u: int = 1,
-    cc: Optional[ChainComplexData] = None,
-) -> LemmaReport:
+def check_presentation(cc: ChainComplexData) -> LemmaReport:
     """Exactness of 0 -> C1 -> C0 -> H0 -> 0 at finite depth (exact ranks)."""
-    desc = {"module": W.name or "anonymous", "p": W.group.p, "depth": depth}
-    try:
-        cc = cc or build_complex(W, depth, rho_choice, twist_u)
-    except ValueError as err:
-        return rejected("presentation", desc, str(err))
+    desc = _tree_desc("presentation", cc.spec.W, cc.depth, cc.spec.rho_choice, cc.spec.twist_u)
     rank = cc.boundary_span().nrows
     injective = rank == cc.dim1
     verdicts = {
@@ -445,6 +428,20 @@ def check_presentation(
     }
     dims = {"dim_c0": cc.dim0, "dim_c1": cc.dim1, "rank": rank, "dim_h0": cc.dim0 - rank}
     return LemmaReport("presentation", desc, verdicts=verdicts, dims=dims)
+
+
+def tree_reports(
+    W: GModule, depth: int, rho_choice: str, twist_u: int, lemmas: tuple[str, ...]
+) -> list[LemmaReport]:
+    """The named checks ("corrpro", "presentation") on one shared build of the
+    complex, or one rejection per check when W fails the hypotheses."""
+    if not set(lemmas) <= {"corrpro", "presentation"}:
+        raise ValueError(f"unknown tree checks {lemmas}")
+    try:
+        cc = build_complex(W, depth, rho_choice, twist_u)
+    except ValueError as err:
+        return [rejected(lem, _tree_desc(lem, W, depth, rho_choice, twist_u), str(err)) for lem in lemmas]
+    return [check_corrpro(cc) if lemma == "corrpro" else check_presentation(cc) for lemma in lemmas]
 
 
 @timed

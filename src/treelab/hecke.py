@@ -111,6 +111,7 @@ class HeckeAlgebra:
 
 
 HECKE_PRIMES = (2, 3, 5)
+HECKE_CHECKS = ("dim", "assoc", "vytastra", "flatness")
 
 
 @lru_cache(maxsize=None)
@@ -613,7 +614,7 @@ def _as_recorded(report: LemmaReport) -> LemmaReport:
 def hecke_suite(
     p: int,
     e: int = 1,
-    checks: tuple[str, ...] = ("dim", "assoc", "vytastra", "flatness"),
+    checks: tuple[str, ...] = HECKE_CHECKS,
     seed: int = 0,
     n_random: int = 0,
 ) -> list[LemmaReport]:

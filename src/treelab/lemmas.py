@@ -19,7 +19,7 @@ Hypothesis violations are reported as a third verdict state
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -82,9 +82,13 @@ class ComparisonPair:
 
 
 def build_comparison(W: GModule) -> ComparisonPair:
+    """The comparison pair of W; raises ValueError when W fails the hypotheses:
+    e = 1, and W generated by its lower-unipotent invariants."""
+    if not W.ring.is_field:
+        raise ValueError("requires e = 1")
     group = W.group
     p = group.p
-    inv = invariants(W, [group.lower_gen])
+    inv = generated_by_lower_invariants(W)
     mult = translate_stack(W.ring, inv.mat, W.action(group.upper_gen), p)
     aug = np.tile(np.eye(inv.nrows, dtype=np.int64), (p, 1))
     return ComparisonPair(W, inv, mult, aug)
@@ -100,27 +104,12 @@ def _instance_desc(W: GModule) -> dict:
     }
 
 
-def _lemma21_rejection(W: GModule) -> Optional[str]:
-    """Why W fails the comparison-map hypotheses, or None when it meets them."""
-    if not W.ring.is_field:
-        return "requires e = 1"
-    try:
-        generated_by_lower_invariants(W)
-    except ValueError as err:
-        return str(err)
-    return None
-
-
 @timed
-def check_comparison_map(W: GModule) -> LemmaReport:
+def check_comparison_map(em: ComparisonPair) -> LemmaReport:
     """All four sub-claims of the comparison-map statement, over k."""
+    W = em.W
     ring = W.ring
     group = W.group
-    desc = _instance_desc(W)
-    reason = _lemma21_rejection(W)
-    if reason:
-        return rejected("lemma21", desc, reason)
-    em = build_comparison(W)
     verdicts: dict[str, bool] = {}
     dims = {
         "rank": W.rank,
@@ -163,30 +152,34 @@ def check_comparison_map(W: GModule) -> LemmaReport:
     inj = pre.nrows == 0
     verdicts["inv_to_coinv_bijective"] = surj and inj
     dims["coinvariants"] = coin.dim
-    return LemmaReport("lemma21", desc, verdicts=verdicts, dims=dims, details=details)
+    return LemmaReport("lemma21", _instance_desc(W), verdicts=verdicts, dims=dims, details=details)
 
 
 @timed
-def check_minimal_generators(W: GModule) -> LemmaReport:
+def check_minimal_generators(em: ComparisonPair) -> LemmaReport:
     """The minimal generator count over the unipotent group ring equals
     the dimension of the lower invariants.
 
     The count is computed as the dimension of the upper coinvariants,
     mirroring the structure-theorem argument rather than a search.
     """
-    group = W.group
-    desc = _instance_desc(W)
-    reason = _lemma21_rejection(W)
-    if reason:
-        return rejected("lemma21.min_generators", desc, reason)
-    coin = coinvariants(W, [group.upper_gen]).dim
-    lower = invariants(W, [group.lower_gen]).nrows
+    coin = coinvariants(em.W, [em.W.group.upper_gen]).dim
     return LemmaReport(
         "lemma21.min_generators",
-        desc,
-        verdicts={"min_generators_equal_lower_invariants": coin == lower},
-        dims={"min_generators": coin, "inv_lower": lower},
+        _instance_desc(em.W),
+        verdicts={"min_generators_equal_lower_invariants": coin == em.t},
+        dims={"min_generators": coin, "inv_lower": em.t},
     )
+
+
+def lemma21_reports(W: GModule) -> list[LemmaReport]:
+    """Both comparison-map reports on one shared pair, or two rejections
+    when W fails the hypotheses."""
+    try:
+        em = build_comparison(W)
+    except ValueError as err:
+        return [rejected(lem, _instance_desc(W), str(err)) for lem in ("lemma21", "lemma21.min_generators")]
+    return [check_comparison_map(em), check_minimal_generators(em)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,13 +343,9 @@ def lemma21_suite(
     p: int, e: int = 1, module: str = "all", seed: int = 0, n_random: int = 0
 ) -> list[LemmaReport]:
     """The comparison-map suite over the selected catalog modules plus random ones."""
-    reports: list[LemmaReport] = []
     mods = select_modules(p, e, module)
     mods.extend(random_modules(seed, p, n_random))
-    for W in mods:
-        reports.append(check_comparison_map(W))
-        reports.append(check_minimal_generators(W))
-    return reports
+    return [r for W in mods for r in lemma21_reports(W)]
 
 
 def lemma22_suite(p: int, e: int, seed: int = 0, n_random: int = 0) -> list[LemmaReport]:

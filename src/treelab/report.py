@@ -49,11 +49,6 @@ class LemmaReport:
         }
 
 
-def rejected(lemma: str, instance: dict[str, Any], reason: str) -> LemmaReport:
-    """The report of an instance that fails the statement's hypotheses."""
-    return LemmaReport(lemma, instance, REJECTED, details={"reason": reason})
-
-
 def timed(check: Callable[..., LemmaReport]) -> Callable[..., LemmaReport]:
     """Stamp the wall time of the whole check on the report it returns."""
 
@@ -65,6 +60,12 @@ def timed(check: Callable[..., LemmaReport]) -> Callable[..., LemmaReport]:
         return report
 
     return run
+
+
+@timed
+def rejected(lemma: str, instance: dict[str, Any], reason: str) -> LemmaReport:
+    """The report of an instance that fails the statement's hypotheses."""
+    return LemmaReport(lemma, instance, REJECTED, details={"reason": reason})
 
 
 def aggregate_status(reports: list[LemmaReport]) -> str:

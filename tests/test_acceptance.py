@@ -14,7 +14,7 @@ import numpy as np
 from treelab.catalog import builtin_catalog
 from treelab.exactalg import RingSpec, howell_array, howell_array_sparse
 from treelab.grouprep import build_group, composition_length, decompose_jbar, invariants, jbar
-from treelab.halftree import build_complex, check_corrpro, check_presentation, reduce_chain, sample_fixed_class
+from treelab.halftree import build_complex, reduce_chain, sample_fixed_class, tree_reports
 from treelab.hecke import hecke_suite
 from treelab.lemmas import lemma21_suite, lemma22_suite
 from treelab.report import PASS, RECORDED
@@ -36,12 +36,8 @@ def grid_results():
         for W in builtin_catalog(p, 1):
             for D in depths:
                 t0 = time.monotonic()
-                cc = build_complex(W, D)
-                _grid_cache[(p, W.name, D)] = (
-                    check_corrpro(W, D, cc=cc),
-                    check_presentation(W, D, cc=cc),
-                    time.monotonic() - t0,
-                )
+                corr, pres = tree_reports(W, D, "w0", 1, ("corrpro", "presentation"))
+                _grid_cache[(p, W.name, D)] = (corr, pres, time.monotonic() - t0)
     return _grid_cache
 
 
@@ -192,7 +188,7 @@ def test_criterion_8_robustness():
                 base, _, _t = grid_results()[(p, W.name, D)]
                 for rho in ("twist:1", "scalar:1"):
                     for u in units:
-                        rep = check_corrpro(W, D, rho_choice=rho, twist_u=u)
+                        (rep,) = tree_reports(W, D, rho, u, ("corrpro",))
                         assert rep.status == PASS
                         assert rep.verdicts == base.verdicts, (p, W.name, D, rho, u)
                         assert rep.dims["dim_h0_fixed"] == base.dims["dim_h0_fixed"]

@@ -59,6 +59,17 @@ def test_loader_accepts_decimal_strings():
     assert mods[0].name == "trivial"
 
 
+@pytest.mark.parametrize("field,bad", [("matrix", 1.7), ("matrix", True), ("matrix", "1.7"), ("p", 3.2)])
+def test_loader_rejects_non_integers(field, bad):
+    doc = catalog_document(3, 1)
+    if field == "p":
+        doc["ring"]["p"] = bad
+    else:
+        doc["modules"][0]["generators"][0]["matrix"][0] = bad
+    with pytest.raises(ValueError, match="not an integer"):
+        load_catalog(doc)
+
+
 def test_loader_rejects_unknown_schema():
     doc = catalog_document(2, 1)
     doc["schema"] = "bogus"

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from treelab import halftree
+from treelab.catalog import builtin_catalog
 from treelab.cli import RunConfig, build_parser, main, run_suite
 
 
@@ -149,6 +151,16 @@ def test_parser_rejects_unknown_suite():
         ["verify", "corrpro", "--p", "3", "--depth", "2", "--module", "jbar", "--seed", "5"],
         ["verify", "lemma21", "--p", "3", "--seed", "1", "--jobs", "2"],
         ["verify", "all", "--p", "7", "--depth", "1", "--seed", "1", "--check", "dim"],
+        ["verify", "hecke", "--p", "3", "--check", "nope"],
+        ["verify", "hecke", "--p", "3", "--check", "dim,dimm"],
+        ["verify", "all", "--p", "2", "--depth", "1", "--seed", "1", "--check", ","],
+        ["verify", "hecke", "--p", "2", "--e", "2", "--seed", "1", "--random", "3"],
+        ["verify", "hecke", "--p", "3", "--check", "dim", "--seed", "1", "--random", "3"],
+        ["verify", "lemma21", "--p", "3", "--seed", "1", "--random", "-3"],
+        ["reduce", "--p", "3", "--depth", "2", "--seed", "1", "--count", "0"],
+        ["reduce", "--p", "3", "--depth", "2", "--seed", "1", "--count", "-5"],
+        ["catalog", "list", "--p", "7", "--e", "4"],
+        ["catalog", "emit", "--p", "7", "--e", "30"],
     ],
 )
 def test_ignored_or_invalid_flags_are_usage_errors(argv):
@@ -175,3 +187,17 @@ def test_lemma21_unknown_module_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "lemma21", "--p", "3", "--seed", "1", "--module", "nope"])
     assert exc.value.code == 2
+
+
+def test_verify_all_builds_each_complex_once(monkeypatch):
+    calls = []
+    original = halftree.build_complex
+
+    def counted(W, *args):
+        calls.append(W.name)
+        return original(W, *args)
+
+    monkeypatch.setattr(halftree, "build_complex", counted)
+    doc = run_suite(RunConfig(command="all", p=3, depth=3, seed=1))
+    assert doc["aggregate"] == "pass"
+    assert calls == [W.name for W in builtin_catalog(3, 1)]

@@ -35,6 +35,8 @@ def test_ringspec_validation():
         RingSpec(4, 1)
     with pytest.raises(ValueError):
         RingSpec(3, 0)
+    with pytest.raises(ValueError):
+        RingSpec(7, 4)  # e above MAX_E
     assert RingSpec(3, 1).is_field
     assert not RingSpec(3, 2).is_field
     assert RingSpec(2, 3).modulus == 8

@@ -15,15 +15,14 @@ import pytest
 from treelab.cli import main
 from treelab.exactalg import RingSpec, howell_array
 from treelab.grouprep import build_group, jbar
-from treelab.halftree import check_cogtri_hypothesis, check_corrpro, check_presentation
+from treelab.halftree import check_cogtri_hypothesis, tree_reports
 from treelab.hecke import check_flatness
 from treelab.lemmas import (
     InjectionInstance,
     SurjectionInstance,
-    check_comparison_map,
     check_inherited_generation,
     check_invariant_surjectivity,
-    check_minimal_generators,
+    lemma21_reports,
 )
 
 
@@ -82,10 +81,8 @@ def rejected_reports() -> list:
     zero = howell_array(ring, np.zeros((1, J.rank), dtype=np.int64))
     full = howell_array(ring, np.eye(J.rank, dtype=np.int64))
     return [
-        check_comparison_map(J9),
-        check_minimal_generators(J9),
-        check_corrpro(J9, 2),
-        check_presentation(J9, 2),
+        *lemma21_reports(J9),
+        *tree_reports(J9, 2, "w0", 1, ("corrpro", "presentation")),
         check_cogtri_hypothesis(J9),
         check_invariant_surjectivity(SurjectionInstance("not-onto", J, full, zero)),
         check_inherited_generation(InjectionInstance("not-sub", J, full, zero)),

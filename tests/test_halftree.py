@@ -15,6 +15,7 @@ from treelab.halftree import (
     check_presentation,
     reduce_chain,
     sample_fixed_class,
+    tree_reports,
 )
 from treelab.report import PASS
 
@@ -128,7 +129,7 @@ def test_rank_nullity_on_h0():
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_corrpro_jbar_p3_value_four(D):
     J = get_module(3, 1, "jbar")
-    rep = check_corrpro(J, D)
+    rep = check_corrpro(build_complex(J, D))
     assert rep.status == PASS
     assert rep.dims["dim_h0_fixed"] == 4
 
@@ -136,7 +137,7 @@ def test_corrpro_jbar_p3_value_four(D):
 @pytest.mark.parametrize("D", [1, 2, 3])
 def test_corrpro_trivial_value_one(D):
     W = get_module(3, 1, "trivial")
-    rep = check_corrpro(W, D)
+    rep = check_corrpro(build_complex(W, D))
     assert rep.status == PASS
     assert rep.dims["dim_h0_fixed"] == 1
 
@@ -144,7 +145,7 @@ def test_corrpro_trivial_value_one(D):
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_corrpro_steinberg_value_one(D):
     W = get_module(3, 1, "steinberg")
-    rep = check_corrpro(W, D)
+    rep = check_corrpro(build_complex(W, D))
     assert rep.status == PASS
     assert rep.dims["dim_h0_fixed"] == 1
 
@@ -155,23 +156,23 @@ def test_corrpro_depth_stability_matches_invariants():
         for W in builtin_catalog(p, 1):
             expect = invariants(W, [grp.upper_gen]).nrows
             for D in depths:
-                rep = check_corrpro(W, D)
+                rep = check_corrpro(build_complex(W, D))
                 assert rep.status == PASS
                 assert rep.dims["dim_h0_fixed"] == expect, (W.name, D)
 
 
 def test_corrpro_rejects_e2_module():
     J2 = jbar(build_group("sl2", 3), RingSpec(3, 2))
-    rep = check_corrpro(J2, 2)
+    (rep,) = tree_reports(J2, 2, "w0", 1, ("corrpro",))
     assert rep.status == "rejected"
 
 
 def test_rho_robustness_variants():
     J = get_module(3, 1, "jbar")
-    base = check_corrpro(J, 2)
+    base = check_corrpro(build_complex(J, 2))
     for rho in ("w0", "twist:1", "scalar:1"):
         for u in (1, 2):
-            rep = check_corrpro(J, 2, rho_choice=rho, twist_u=u)
+            rep = check_corrpro(build_complex(J, 2, rho, u))
             assert rep.status == PASS
             assert rep.dims["dim_h0_fixed"] == base.dims["dim_h0_fixed"]
 
@@ -185,7 +186,7 @@ def test_bad_rho_rejected():
 @pytest.mark.parametrize("p,D", [(2, 4), (2, 6), (3, 3)])
 def test_presentation_exactness(p, D):
     for W in builtin_catalog(p, 1):
-        rep = check_presentation(W, D)
+        rep = check_presentation(build_complex(W, D))
         assert rep.status == PASS, (W.name, rep.to_dict())
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treelab.catalog import builtin_catalog, get_module
+from treelab import lemmas
 from treelab.exactalg import RingSpec, howell_array
 from treelab.grouprep import build_group, generated_submodule, invariants, jbar, trivial_module
 from treelab.lemmas import (
@@ -14,6 +15,7 @@ from treelab.lemmas import (
     check_minimal_generators,
     check_invariant_surjectivity,
     check_inherited_generation,
+    lemma21_reports,
     lemma21_suite,
     lemma22_suite,
     random_injections,
@@ -28,7 +30,7 @@ def test_eta_on_trivial_module_equals_augmentation():
     triv = trivial_module(grp, RingSpec(3, 1))
     em = build_comparison(triv)
     assert np.array_equal(em.mult, em.aug)
-    rep = check_comparison_map(triv)
+    rep = check_comparison_map(em)
     assert rep.status == PASS
     assert all(rep.verdicts.values())
 
@@ -48,7 +50,7 @@ def test_eta_equivariance_exact():
 def test_comparison_map_jbar_dimensions():
     grp = build_group("sl2", 3)
     J = jbar(grp, RingSpec(3, 1))
-    rep = check_comparison_map(J)
+    rep = check_comparison_map(build_comparison(J))
     assert rep.status == PASS
     assert rep.dims["source"] == 12  # p * dim of the lower invariants
     assert rep.dims["rank"] == 8
@@ -58,7 +60,7 @@ def test_comparison_map_jbar_dimensions():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_comparison_map_on_catalog(p):
     for W in builtin_catalog(p, 1):
-        rep = check_comparison_map(W)
+        rep = check_comparison_map(build_comparison(W))
         assert rep.status == PASS, (W.name, rep.to_dict())
 
 
@@ -66,7 +68,7 @@ def test_comparison_map_on_catalog(p):
 def test_comparison_map_principal_series_summands(p):
     for name in [f"ps:{i}" for i in range(p - 1)]:
         W = get_module(p, 1, name)
-        rep = check_comparison_map(W)
+        rep = check_comparison_map(build_comparison(W))
         assert rep.status == PASS
         assert rep.dims["inv_upper"] == 2
 
@@ -76,7 +78,7 @@ def test_rejection_is_a_distinct_state():
     grp = build_group("sl2", 3)
     ring1 = RingSpec(3, 1)
     J2 = jbar(grp, RingSpec(3, 2))
-    assert check_comparison_map(J2).status == REJECTED  # wrong ring
+    assert lemma21_reports(J2)[0].status == REJECTED  # wrong ring
     J = jbar(grp, ring1)
     zero = howell_array(ring1, np.zeros((1, J.rank), dtype=np.int64))
     sub = generated_submodule(J, J.marked["base_coset"])
@@ -91,15 +93,15 @@ def test_rejection_is_a_distinct_state():
 def test_minimal_generators_catalog():
     for p in (2, 3):
         for W in builtin_catalog(p, 1):
-            rep = check_minimal_generators(W)
+            rep = check_minimal_generators(build_comparison(W))
             assert rep.status == PASS
             assert rep.dims["min_generators"] == rep.dims["inv_lower"]
 
 
 def test_minimal_generators_values():
-    assert check_minimal_generators(get_module(3, 1, "trivial")).dims["min_generators"] == 1
-    assert check_minimal_generators(get_module(3, 1, "jbar")).dims["min_generators"] == 4
-    assert check_minimal_generators(get_module(3, 1, "steinberg")).dims["min_generators"] == 1
+    for name, count in (("trivial", 1), ("jbar", 4), ("steinberg", 1)):
+        em = build_comparison(get_module(3, 1, name))
+        assert check_minimal_generators(em).dims["min_generators"] == count
 
 
 def test_lemma22_identity_map():
@@ -187,3 +189,17 @@ def test_suites_pass_and_are_seed_stable():
     assert all(x.status != FAIL for x in r1)
     q = lemma22_suite(2, 2, seed=11, n_random=5)
     assert all(x.status != FAIL for x in q)
+
+
+def test_lemma21_suite_decides_the_hypothesis_once_per_module(monkeypatch):
+    calls = []
+    original = lemmas.generated_by_lower_invariants
+
+    def counted(W):
+        calls.append(W.name)
+        return original(W)
+
+    monkeypatch.setattr(lemmas, "generated_by_lower_invariants", counted)
+    reports = lemma21_suite(3, seed=1, n_random=3)
+    assert len(calls) == len(reports) // 2 == len(builtin_catalog(3, 1)) + 3
+    assert len(set(calls)) == len(calls)
