@@ -458,51 +458,23 @@ def split_test(
     ring: RingSpec,
     P: np.ndarray,
     constraints: Sequence[tuple[np.ndarray, np.ndarray]] = (),
-    target_relations: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
     """Search for a section S of the surjection P, as an exact linear system.
 
     P is an (a x b) matrix, a map Lambda^a -> Lambda^b (rows act on the
-    right); target_relations R presents the target as Lambda^b / span(R).
-    A section is S (b x a) with S @ P = I modulo the relations, killing
-    the relations, and intertwining every constraint pair (L_i, R_i):
-    L_i @ S = S @ R_i.  Returns the section or None; raises ValueError
-    when P is not surjective onto the presented target.
+    right).  A section is S (b x a) with S @ P = I, intertwining every
+    constraint pair (L_i, R_i): L_i @ S = S @ R_i.  Returns the section
+    or None; raises ValueError when P is not surjective.
     """
     N = ring.modulus
     P = np.atleast_2d(ring.reduce(P))
     a, b = P.shape
-    relmat = (
-        np.zeros((0, b), dtype=np.int64)
-        if target_relations is None
-        else np.atleast_2d(ring.reduce(target_relations))
-    )
-    onto = howell_array(ring, np.concatenate([P, relmat], axis=0))
-    if onto.span_log_size() != ring.e * b:
+    if howell_array(ring, P).span_log_size() != ring.e * b:
         raise ValueError("not a surjection")
-    nun = b * a
     Ia = np.eye(a, dtype=np.int64)
     Ib = np.eye(b, dtype=np.int64)
-    eq_blocks = []
-    rhs_blocks = []
-    # S @ P + Y @ relmat = I_b   (Y are auxiliary unknowns when relations exist)
-    eq_blocks.append(np.kron(Ib, P))
-    rhs_blocks.append(np.eye(b, dtype=np.int64).reshape(-1))
-    for L, R in constraints:
-        eq_blocks.append((np.kron(L.T, Ia) - np.kron(Ib, R)) % N)
-        rhs_blocks.append(np.zeros(b * a, dtype=np.int64))
-    r = relmat.shape[0]
-    if r:
-        eq_blocks.append(np.kron(relmat.T, Ia) % N)  # relmat @ S = 0
-        rhs_blocks.append(np.zeros(r * a, dtype=np.int64))
-    E = np.concatenate(eq_blocks, axis=1) % N
-    rhs = np.concatenate(rhs_blocks)
-    if r:
-        # widen with the Y unknowns, touching only the first equation block
-        Ey = np.zeros((r * b, E.shape[1]), dtype=np.int64)
-        Ey[:, : b * b] = np.kron(Ib, relmat)
-        E = np.concatenate([E, Ey], axis=0)
-    x = RowSolver(ring, E).solve(rhs)
-    if x is None:
-        return None
-    return x[:nun].reshape(b, a) % N
+    # unknowns: S row-major; S @ P = I_b, then L_i @ S - S @ R_i = 0
+    eq_blocks = [np.kron(Ib, P)] + [np.kron(L.T, Ia) - np.kron(Ib, R) for L, R in constraints]
+    rhs = np.concatenate([Ib.reshape(-1), np.zeros(len(constraints) * b * a, dtype=np.int64)])
+    x = RowSolver(ring, np.concatenate(eq_blocks, axis=1) % N).solve(rhs)
+    return None if x is None else x.reshape(b, a)

@@ -35,13 +35,18 @@ from .exactalg import (
     span_sum,
     split_test,
 )
-from .grouprep import GModule, build_group, elem_mul, invariants, jbar
+from .grouprep import IDENT, GModule, build_group, elem_mul, invariants, jbar, primitive_root
 from .report import RECORDED, LemmaReport, timed
 
 
 @dataclass(frozen=True, eq=False)
 class HeckeAlgebra:
-    """Basis by double cosets, structure constants, and the J-realization."""
+    """Basis by double cosets, structure constants, and the J-realization.
+
+    gens are the double cosets of T_s and of the torus generators
+    diag(z, 1), diag(1, z).  They generate the algebra: the torus
+    operators multiply as the torus does, and T_{st} = T_s * T_t.
+    """
 
     ring: RingSpec
     p: int
@@ -51,6 +56,7 @@ class HeckeAlgebra:
     struct: np.ndarray  # struct[u, v, w]: coefficient of w in T_u * T_v
     unit: int
     base_coset_idx: int
+    gens: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -77,37 +83,12 @@ class HeckeAlgebra:
         N = self.ring.modulus
         return (np.tensordot(np.asarray(coeffs, dtype=np.int64) % N, self.struct, axes=(0, 0))) % N
 
-    def _generated_subalgebra_full(self, gens: list[int]) -> bool:
+    def _generated_subalgebra_full(self, gens: tuple[int, ...]) -> bool:
         unit_vec = np.zeros((1, self.dim), dtype=np.int64)
         unit_vec[0, self.unit] = 1
         ops = [m for g in gens for m in (self.left_regular(g), self.right_regular(g))]
         span = span_closure(self.ring, unit_vec, ops)
         return span.span_log_size() == self.ring.e * self.dim
-
-    def algebra_generators(self) -> list[int]:
-        """A small basis subset generating the unital algebra.
-
-        Greedy growth followed by greedy pruning; the result is cached on
-        the (immutable) instance.
-        """
-        cached = getattr(self, "_gen_cache", None)
-        if cached is not None:
-            return cached
-        gens: list[int] = []
-        for u in range(self.dim):
-            if u == self.unit:
-                continue
-            gens.append(u)
-            if self._generated_subalgebra_full(gens):
-                break
-        if not self._generated_subalgebra_full(gens):
-            raise VerificationBug("generator search failed to fill the algebra")
-        for u in list(gens):
-            trial = [g for g in gens if g != u]
-            if trial and self._generated_subalgebra_full(trial):
-                gens = trial
-        object.__setattr__(self, "_gen_cache", gens)
-        return gens
 
 
 HECKE_PRIMES = (2, 3, 5)
@@ -125,28 +106,16 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     reps = J.coset_reps  # type: ignore[attr-defined]
     of = J.coset_of  # type: ignore[attr-defined]
     n = len(reps)
-    upper = group.upper_unipotent
-    # orbits of right unipotent translation on cosets = double cosets
-    seen = [False] * n
+    # U is a group, so one right translation of a coset gives its double
+    # coset; scanning in index order lists them by least coset
+    dc_of = [-1] * n
     double_cosets: list[list[int]] = []
     for i in range(n):
-        if seen[i]:
-            continue
-        orbit = set()
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            if j in orbit:
-                continue
-            orbit.add(j)
-            for u in upper:
-                k = of[elem_mul(reps[j], u, p)]
-                if k not in orbit:
-                    stack.append(k)
-        for j in orbit:
-            seen[j] = True
-        double_cosets.append(sorted(orbit))
-    double_cosets.sort(key=lambda o: o[0])
+        if dc_of[i] < 0:
+            orbit = sorted({of[elem_mul(reps[i], u, p)] for u in group.upper_unipotent})
+            for j in orbit:
+                dc_of[j] = len(double_cosets)
+            double_cosets.append(orbit)
     d = len(double_cosets)
     if d != 2 * (p - 1) ** 2:
         raise VerificationBug(f"double coset count {d} != 2(p-1)^2")
@@ -159,28 +128,22 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
             for x in orbit:
                 m[i, of[elem_mul(reps[x], reps[i], p)]] += 1
         mats.append(m % N)
-    base_coset_idx = of[(1, 0, 0, 1)]
-    unit = next(i for i, o in enumerate(double_cosets) if o == [base_coset_idx])
+    base_coset_idx = of[IDENT]
+    unit = dc_of[base_coset_idx]
+    z = primitive_root(p)
+    gens = tuple(sorted({dc_of[of[g]] for g in ((z, 0, 0, 1), (1, 0, 0, z), group.weyl)} - {unit}))
 
     # structure constants from the marked-vector image of each composite
-    coset_to_dc = np.zeros(n, dtype=np.int64)
-    for w, orbit in enumerate(double_cosets):
-        for x in orbit:
-            coset_to_dc[x] = w
+    least = [orbit[0] for orbit in double_cosets]
     struct = np.zeros((d, d, d), dtype=np.int64)
     for u in range(d):
         for v in range(d):
             img = (mats[v][base_coset_idx] @ mats[u]) % N  # apply T_v first, then T_u
-            coeffs = np.zeros(d, dtype=np.int64)
-            for w, orbit in enumerate(double_cosets):
-                coeffs[w] = img[orbit[0]]
-            recon = np.zeros(n, dtype=np.int64)
-            for w, orbit in enumerate(double_cosets):
-                recon[orbit] = coeffs[w]
-            if not np.array_equal(recon % N, img):
+            coeffs = img[least]
+            if not np.array_equal(coeffs[dc_of], img):
                 raise VerificationBug("composite image is not double-coset invariant")
             struct[u, v] = coeffs
-    alg = HeckeAlgebra(ring, p, J, mats, double_cosets, struct, unit, base_coset_idx)
+    alg = HeckeAlgebra(ring, p, J, mats, double_cosets, struct, unit, base_coset_idx, gens)
     _verify_algebra(alg)
     return alg
 
@@ -208,6 +171,8 @@ def _verify_algebra(alg: HeckeAlgebra) -> None:
         raise VerificationBug("unit laws fail")
     if not laws["associative"]:
         raise VerificationBug("associativity fails on a basis triple")
+    if not alg._generated_subalgebra_full(alg.gens):
+        raise VerificationBug("T_s and the torus do not generate the algebra")
     # operators commute with the group action and compose per the tensor
     for g in alg.J.group.gens:
         A = alg.J.action(g)
@@ -227,15 +192,15 @@ def _verify_algebra(alg: HeckeAlgebra) -> None:
 class HeckeModule:
     """A right module over the algebra, by its basis action matrices.
 
-    marked may carry a "cyclic" vector known to generate the module; the
-    tensor machinery tries it before searching for generators.
+    cyclic may carry a vector known to generate the module; the tensor
+    machinery tries it before searching for generators.
     """
 
     alg: HeckeAlgebra
     rank: int
     action: list[np.ndarray]  # action[w]: m -> m @ action[w]
     name: str = ""
-    marked: Optional[dict] = None
+    cyclic: Optional[np.ndarray] = None
 
     def verify_axioms(self, exhaustive: bool = True, seed: int = 0) -> None:
         alg = self.alg
@@ -260,16 +225,11 @@ class HeckeModule:
 
 def free_module(alg: HeckeAlgebra, s: int = 1, name: str = "") -> HeckeModule:
     mats = [np.kron(np.eye(s, dtype=np.int64), alg.right_regular(w)) for w in range(alg.dim)]
-    marked = None
+    cyclic = None
     if s == 1:
-        one = np.zeros(alg.dim, dtype=np.int64)
-        one[alg.unit] = 1
-        marked = {"cyclic": one}
-    return HeckeModule(alg, s * alg.dim, mats, name or f"free^{s}", marked)
-
-
-def right_stable_span(M: HeckeModule, vectors: np.ndarray) -> CanonicalBasis:
-    return span_closure(M.alg.ring, vectors, M.action)
+        cyclic = np.zeros(alg.dim, dtype=np.int64)
+        cyclic[alg.unit] = 1
+    return HeckeModule(alg, s * alg.dim, mats, name or f"free^{s}", cyclic)
 
 
 def quotient_module(M: HeckeModule, rel: CanonicalBasis, name: str = "") -> HeckeModule:
@@ -282,10 +242,8 @@ def quotient_module(M: HeckeModule, rel: CanonicalBasis, name: str = "") -> Heck
     for w in range(M.alg.dim):
         rows = rel.reduce_rows(M.action[w][sec, :])
         mats.append(rows[:, sec])
-    marked = None
-    if M.marked and "cyclic" in M.marked:
-        marked = {"cyclic": rel.reduce(M.marked["cyclic"])[sec]}
-    return HeckeModule(M.alg, len(sec), mats, name=name, marked=marked)
+    cyclic = None if M.cyclic is None else rel.reduce(M.cyclic)[sec]
+    return HeckeModule(M.alg, len(sec), mats, name=name, cyclic=cyclic)
 
 
 def random_modules_hecke(alg: HeckeAlgebra, seed: int, count: int):
@@ -297,7 +255,7 @@ def random_modules_hecke(alg: HeckeAlgebra, seed: int, count: int):
     while made < count:
         k = int(rng.integers(1, 3))
         vecs = rng.integers(0, alg.ring.modulus, size=(k, alg.dim))
-        span = right_stable_span(free, np.asarray(vecs, dtype=np.int64))
+        span = span_closure(alg.ring, np.asarray(vecs, dtype=np.int64), free.action)
         if not 0 < span.span_log_size() < full:
             continue
         yield quotient_module(free, span, name=f"hq:s{seed}:{made}")
@@ -329,28 +287,41 @@ def _module_generators(
 ) -> tuple[list[int], np.ndarray]:
     """Greedy module generators among the candidate rows, and the presentation.
 
-    A module is spanned by the images v @ op of its elements, so each
-    candidate outside the span reached so far is kept together with its
-    orbit, until the orbits fill the ambient space.  Returns (indices of
-    the kept candidates, P), where P maps the free module onto the
-    ambient space: row (k, w) is candidate k @ ops[w].
+    The candidates span a module, and a module is spanned by the images
+    v @ op of its elements, so each candidate outside the span reached so
+    far is kept together with its orbit, until the orbits fill the
+    candidates' span.  Returns (indices of the kept candidates, P), where
+    P maps the free module onto that span: row (k, w) is candidate k @ ops[w].
     """
     N = ring.modulus
-    full = ring.e * candidates.shape[1]
+    target = howell_array(ring, candidates).span_log_size()
     chosen: list[int] = []
     orbits = [np.zeros((0, candidates.shape[1]), dtype=np.int64)]
     span = span_sum(ring, orbits)
     for i, v in enumerate(candidates):
-        if span.span_log_size() == full:
+        if span.span_log_size() == target:
             break
         if not np.any(v) or span.contains(v):
             continue
         chosen.append(i)
         orbits.append(np.stack([v @ op for op in ops]) % N)
         span = span_sum(ring, [orbits[-1], span.mat])
-    if span.span_log_size() != full:
+    if span.span_log_size() != target:
         raise VerificationBug("module generator search failed")
     return chosen, np.concatenate(orbits)
+
+
+def _preimages(ring: RingSpec, P: np.ndarray) -> np.ndarray:
+    """The deterministic preimage under P of every unit vector, one row each."""
+    Z, ok = RowSolver(ring, P).solve_rows(np.eye(P.shape[1], dtype=np.int64))
+    if not ok.all():
+        raise VerificationBug("presentation does not reach a basis vector")
+    return Z
+
+
+def _carrier_action(alg: HeckeAlgebra, s: int) -> dict:
+    """The group action on J^s, one block per copy of J."""
+    return {g: np.kron(np.eye(s, dtype=np.int64), alg.J.action(g)) for g in alg.J.group.gens}
 
 
 def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
@@ -361,71 +332,51 @@ def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
     in the module and vector slots, and generators reach every element).
     "generators": present M as a quotient of a free module and tensor
     the presentation; canonically the same module, far smaller to
-    compute when rank(M) * rank(J) is large.
+    compute when rank(M) * rank(J) is large.  The relations q (x) x for
+    q in ker P are spanned by those for module generators q of ker P,
+    since (q a) (x) x = q (x) (a x).
     """
     alg = M.alg
     ring = alg.ring
     n = alg.basis_mats[0].shape[0]
     if presentation == "auto":
         presentation = "balancing" if M.rank * n <= 256 else "generators"
-    gens = alg.algebra_generators()
     if presentation == "balancing":
         r = M.rank
         eye_r = np.eye(r, dtype=np.int64)
         eye_n = np.eye(n, dtype=np.int64)
         rel_rows = []
-        for u in gens:
+        for u in alg.gens:
             Ra = M.action[u]
             La = alg.basis_mats[u]
             rel_rows.append((np.kron(Ra, eye_n) - np.kron(eye_r, La)) % ring.modulus)
         rel = howell_array(ring, np.concatenate(rel_rows, axis=0))
-        action = {}
-        for g in alg.J.group.gens:
-            action[g] = np.kron(eye_r, alg.J.action(g))
         base_pairing = np.zeros((r, r * n), dtype=np.int64)
         for i in range(r):
             base_pairing[i, i * n + alg.base_coset_idx] = 1
-        return TensorModule(alg, r * n, rel, action, base_pairing, "balancing")
+        return TensorModule(alg, r * n, rel, _carrier_action(alg, r), base_pairing, "balancing")
     if presentation != "generators":
         raise ValueError(f"unknown presentation {presentation!r}")
     if M.rank == 0:
-        rel = howell_array(ring, np.zeros((0, 0), dtype=np.int64))
-        return TensorModule(alg, 0, rel, {}, np.zeros((0, 0), dtype=np.int64), "generators")
+        empty = np.zeros((0, 0), dtype=np.int64)
+        return TensorModule(alg, 0, howell_array(ring, empty), _carrier_action(alg, 0), empty, "generators")
     candidates = np.eye(M.rank, dtype=np.int64)
-    if M.marked and "cyclic" in M.marked:
-        candidates = np.concatenate([np.atleast_2d(M.marked["cyclic"]) % ring.modulus, candidates])
+    if M.cyclic is not None:
+        candidates = np.concatenate([np.atleast_2d(M.cyclic) % ring.modulus, candidates])
     chosen, P = _module_generators(ring, candidates, M.action)
     s = len(chosen)
     d = alg.dim
-    Q = kernel_array(ring, P)
-    rel_rows = []
-    for q in Q.mat:
-        block = np.zeros((n, s * n), dtype=np.int64)
-        for k in range(s):
-            coeffs = q[k * d : (k + 1) * d]
-            if np.any(coeffs):
-                block[:, k * n : (k + 1) * n] = alg.left_action(coeffs)
-        rel_rows.append(block)
-    rel = (
-        howell_array(ring, np.concatenate(rel_rows, axis=0))
-        if rel_rows
-        else howell_array(ring, np.zeros((1, s * n), dtype=np.int64))
-    )
-    eye_s = np.eye(s, dtype=np.int64)
-    action = {g: np.kron(eye_s, alg.J.action(g)) for g in alg.J.group.gens}
-    solver = RowSolver(ring, P)
-    base_pairing = np.zeros((M.rank, s * n), dtype=np.int64)
-    for i in range(M.rank):
-        v = np.zeros(M.rank, dtype=np.int64)
-        v[i] = 1
-        z = solver.solve(v)
-        if z is None:
-            raise VerificationBug("presentation does not reach a basis vector")
-        for k in range(s):
-            coeffs = z[k * d : (k + 1) * d]
-            if np.any(coeffs):
-                base_pairing[i, k * n : (k + 1) * n] = alg.left_action(coeffs)[alg.base_coset_idx]
-    return TensorModule(alg, s * n, rel, action, base_pairing, "generators")
+
+    def pairing(q: np.ndarray) -> np.ndarray:
+        """Row x is sum_k e_k (x) (q_k x), for q in the free module H^s."""
+        return np.concatenate([alg.left_action(c) for c in q.reshape(s, d)], axis=1)
+
+    Q = kernel_array(ring, P).mat
+    free_ops = [np.kron(np.eye(s, dtype=np.int64), alg.right_regular(u)) for u in range(d)]
+    rel_gens, _ = _module_generators(ring, Q, free_ops)
+    rel = span_sum(ring, [np.zeros((0, s * n), dtype=np.int64)] + [pairing(q) for q in Q[rel_gens]])
+    base_pairing = np.stack([pairing(z)[alg.base_coset_idx] for z in _preimages(ring, P)])
+    return TensorModule(alg, s * n, rel, _carrier_action(alg, s), base_pairing, "generators")
 
 
 @timed
@@ -435,10 +386,7 @@ def check_vytastra(M: HeckeModule, presentation: str = "auto") -> LemmaReport:
     ring = alg.ring
     desc = {"module": M.name or "anonymous", "p": alg.p, "e": ring.e, "rank": M.rank}
     K = tensor_K(M, presentation)
-    upper_gen = alg.J.group.upper_gen
-    A = K.action_gens[upper_gen] if upper_gen in K.action_gens else None
-    if A is None:
-        A = np.kron(np.eye(K.ambient // alg.basis_mats[0].shape[0], dtype=np.int64), alg.J.action(upper_gen))
+    A = K.action_gens[alg.J.group.upper_gen]
     eye = np.eye(K.ambient, dtype=np.int64)
     inv_pre = preimage_kernel(ring, [(A - eye) % ring.modulus], K.rel)
     inv_pre = span_sum(ring, [inv_pre.mat, K.rel.mat])
@@ -473,7 +421,6 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     n = alg.basis_mats[0].shape[0]
     d = alg.dim
     desc = {"p": p, "e": e, "dim_algebra": d, "dim_j": n}
-    gens = alg.algebra_generators()
 
     # left-module generators of J over the algebra
     chosen, P = _module_generators(ring, np.eye(n, dtype=np.int64), alg.basis_mats)
@@ -486,10 +433,10 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
         method = "split_test" if n * r * d <= 4096 else "presentation"
     section: Optional[np.ndarray] = None
     if method == "split_test":
-        constraints = [(alg.basis_mats[u], blockdiag(alg.left_regular(u))) for u in gens]
+        constraints = [(alg.basis_mats[u], blockdiag(alg.left_regular(u))) for u in alg.gens]
         section = split_test(ring, P, constraints)
     elif method == "presentation":
-        section = _section_via_presentation(alg, chosen, P, gens)
+        section = _section_via_presentation(alg, chosen, P)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -497,7 +444,7 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
         N = ring.modulus
         if not np.array_equal((section @ P) % N, np.eye(n, dtype=np.int64)):
             raise VerificationBug("section identity fails")
-        for u in gens:
+        for u in alg.gens:
             lhs = (alg.basis_mats[u] @ section) % N
             rhs = (section @ blockdiag(alg.left_regular(u))) % N
             if not np.array_equal(lhs, rhs):
@@ -509,15 +456,15 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     return LemmaReport("flatness", desc, verdicts={"flat": section is not None}, dims=dims, details=details)
 
 
-def _section_via_presentation(
-    alg: HeckeAlgebra, chosen: list[int], P: np.ndarray, gens: list[int]
-) -> Optional[np.ndarray]:
+def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarray) -> Optional[np.ndarray]:
     """Solve for a module-map section through the presentation of J.
 
     A module map out of J is pinned by its values y_k on the module
     generators, subject to killing every relation among them; adding the
     section equations y_k @ P = x_k turns existence into one small exact
     linear solve.  Unknowns: r vectors in the free module's coordinates.
+    The relation for a q is a q times the relation for q, so module
+    generators of ker P give the same solutions as all of ker P.
     """
     ring = alg.ring
     N = ring.modulus
@@ -525,49 +472,33 @@ def _section_via_presentation(
     d = alg.dim
     r = len(chosen)
     m = r * d  # free module coordinate count
-    K = kernel_array(ring, P)
 
-    def blockdiag_combo(coeffs: np.ndarray) -> np.ndarray:
-        return np.kron(np.eye(r, dtype=np.int64), alg.left_regular_combo(coeffs))
+    def blockdiag(mat: np.ndarray) -> np.ndarray:
+        return np.kron(np.eye(r, dtype=np.int64), mat)
 
+    left_ops = [blockdiag(alg.left_regular(u)) for u in range(d)]
+    K = kernel_array(ring, P).mat
+    rel_gens, _ = _module_generators(ring, K, left_ops)
     # unknown vector Y = [y_1 | ... | y_r], each y_k of length m
-    blocks = []
-    # relation compatibility: sum_k kappa_k . y_k = 0 for every kernel row
-    for q in K.mat:
-        E = np.zeros((r * m, m), dtype=np.int64)
-        for k in range(r):
-            coeffs = q[k * d : (k + 1) * d]
-            if np.any(coeffs):
-                E[k * m : (k + 1) * m] = blockdiag_combo(coeffs)
-        blocks.append(E)
+    # relation compatibility: sum_k q_k . y_k = 0 for every generator q
+    blocks = [
+        np.concatenate([blockdiag(alg.left_regular_combo(c)) for c in q.reshape(r, d)]) for q in K[rel_gens]
+    ]
     # section equations: y_k @ P = x_k
     sect = np.zeros((r * m, r * n), dtype=np.int64)
     rhs_sect = np.zeros(r * n, dtype=np.int64)
     for k, i in enumerate(chosen):
         sect[k * m : (k + 1) * m, k * n : (k + 1) * n] = P
         rhs_sect[k * n + i] = 1
-    wide = np.concatenate(blocks + [sect], axis=1) if blocks else sect
-    rhs = np.concatenate([np.zeros(sum(b.shape[1] for b in blocks), dtype=np.int64), rhs_sect])
+    wide = np.concatenate(blocks + [sect], axis=1)
+    rhs = np.concatenate([np.zeros(len(blocks) * m, dtype=np.int64), rhs_sect])
     y = RowSolver(ring, wide).solve(rhs)
     if y is None:
         return None
-    ys = [y[k * m : (k + 1) * m] for k in range(r)]
-    # assemble the full section matrix on J via deterministic preimages
-    solver = RowSolver(ring, P)
-    S = np.zeros((n, m), dtype=np.int64)
-    for j in range(n):
-        v = np.zeros(n, dtype=np.int64)
-        v[j] = 1
-        z = solver.solve(v)
-        if z is None:
-            raise VerificationBug("presentation does not reach a basis vector")
-        row = np.zeros(m, dtype=np.int64)
-        for k in range(r):
-            coeffs = z[k * d : (k + 1) * d]
-            if np.any(coeffs):
-                row = (row + ys[k] @ blockdiag_combo(coeffs)) % N
-        S[j] = row
-    return S
+    # the section on J through deterministic preimages: row j is
+    # sum_k z_jk . y_k, and (T_w . y_k) is y_k @ left_ops[w]
+    acted = np.stack([y[k * m : (k + 1) * m] @ op for k in range(r) for op in left_ops]) % N
+    return (_preimages(ring, P) @ acted) % N
 
 
 @timed

@@ -35,6 +35,7 @@ from .exactalg import (
 from .grouprep import (
     GModule,
     PresentedModule,
+    QuotientPresentation,
     _matpow,
     block_shift,
     build_group,
@@ -60,11 +61,13 @@ class ComparisonPair:
     j-major, with j < p and i indexing the invariant basis inv.  mult
     sends (j, i) to inv[i] translated j times; aug collapses to the
     invariant coordinates.  mult intertwines translation on the group
-    coordinate with the module action, exactly.
+    coordinate with the module action, exactly.  coin is the quotient of
+    W by its upper-unipotent coinvariant relations.
     """
 
     W: GModule
     inv: CanonicalBasis
+    coin: QuotientPresentation
     mult: np.ndarray
     aug: np.ndarray
 
@@ -91,7 +94,7 @@ def build_comparison(W: GModule) -> ComparisonPair:
     inv = generated_by_lower_invariants(W)
     mult = translate_stack(W.ring, inv.mat, W.action(group.upper_gen), p)
     aug = np.tile(np.eye(inv.nrows, dtype=np.int64), (p, 1))
-    return ComparisonPair(W, inv, mult, aug)
+    return ComparisonPair(W, inv, coinvariants(W, [group.upper_gen]), mult, aug)
 
 
 def _instance_desc(W: GModule) -> dict:
@@ -145,13 +148,12 @@ def check_comparison_map(em: ComparisonPair) -> LemmaReport:
             break
     verdicts["h1_bijective_all_twists"] = ok_h1
 
-    coin = coinvariants(W, [group.upper_gen])
-    img = span_sum(ring, [em.inv.mat, coin.rel.mat])
+    img = span_sum(ring, [em.inv.mat, em.coin.rel.mat])
     surj = img.nrows == W.rank
-    pre = preimage_kernel(ring, [em.inv.mat], coin.rel)
+    pre = preimage_kernel(ring, [em.inv.mat], em.coin.rel)
     inj = pre.nrows == 0
     verdicts["inv_to_coinv_bijective"] = surj and inj
-    dims["coinvariants"] = coin.dim
+    dims["coinvariants"] = em.coin.dim
     return LemmaReport("lemma21", _instance_desc(W), verdicts=verdicts, dims=dims, details=details)
 
 
@@ -163,7 +165,7 @@ def check_minimal_generators(em: ComparisonPair) -> LemmaReport:
     The count is computed as the dimension of the upper coinvariants,
     mirroring the structure-theorem argument rather than a search.
     """
-    coin = coinvariants(em.W, [em.W.group.upper_gen]).dim
+    coin = em.coin.dim
     return LemmaReport(
         "lemma21.min_generators",
         _instance_desc(em.W),

@@ -257,18 +257,6 @@ def test_split_projection_gives_coordinate_section():
     assert np.array_equal((s @ np.array([[1], [0]])) % 9, np.eye(1, dtype=np.int64))
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_split_no_section_of_residue_quotient(p):
-    # oracle: exhaust all candidate 1x1 maps s; none satisfies both
-    # well-definedness (p*s = 0 mod p^2) and the section identity (s = 1 mod p)
-    ring = RingSpec(p, 2)
-    N = p * p
-    candidates = [s for s in range(N) if (p * s) % N == 0 and s % p == 1]
-    assert not candidates
-    got = split_test(ring, [[1]], target_relations=[[p]])
-    assert got is None
-
-
 def test_split_rejects_non_surjection():
     ring = RingSpec(3, 2)
     with pytest.raises(ValueError, match="not a surjection"):

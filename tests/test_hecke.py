@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from treelab.exactalg import howell_array
+from treelab import hecke
+from treelab.exactalg import howell_array, span_closure
 from treelab.grouprep import build_group
 from treelab.hecke import (
     build_hecke,
@@ -16,7 +17,6 @@ from treelab.hecke import (
     invariants_jbar_star,
     quotient_module,
     random_modules_hecke,
-    right_stable_span,
     tensor_K,
 )
 from treelab.report import FAIL, PASS, RECORDED
@@ -44,6 +44,32 @@ def test_dimension_by_double_coset_enumeration(p, expected):
     alg = build_hecke(p, 1)
     assert alg.dim == expected
     assert check_dim(p).status == PASS
+
+
+@pytest.mark.parametrize("p,gens", [(2, (0,)), (3, (1, 5, 6)), (5, (3, 17, 20))])
+def test_closed_form_generators_fill_the_algebra(p, gens):
+    # T_s and the torus operators, without the unit
+    alg = build_hecke(p, 1)
+    grp = alg.J.group
+    assert alg.gens == gens
+    assert alg.unit not in alg.gens
+    weyl_dc = next(w for w, o in enumerate(alg.double_cosets) if alg.J.coset_of[grp.weyl] in o)
+    assert weyl_dc in alg.gens
+    assert alg._generated_subalgebra_full(alg.gens)
+
+
+def test_suite_checks_the_generators_once(monkeypatch):
+    calls = []
+    original = hecke.HeckeAlgebra._generated_subalgebra_full
+
+    def counted(self, gens):
+        calls.append(gens)
+        return original(self, gens)
+
+    monkeypatch.setattr(hecke.HeckeAlgebra, "_generated_subalgebra_full", counted)
+    build_hecke.cache_clear()
+    hecke_suite(5, seed=7, n_random=5)
+    assert len(calls) == 1
 
 
 def test_unsupported_prime():
@@ -96,7 +122,7 @@ def test_tensor_unit_is_permutation_module():
 def test_tensor_zero_module():
     alg = build_hecke(2, 1)
     free = free_module(alg, 1)
-    full = right_stable_span(free, np.eye(alg.dim, dtype=np.int64))
+    full = span_closure(alg.ring, np.eye(alg.dim, dtype=np.int64), free.action)
     zero = quotient_module(free, full, name="zero")
     assert zero.rank == 0
     K = tensor_K(zero, "balancing")
@@ -206,6 +232,24 @@ def test_flatness_methods_agree(p, e):
     a = check_flatness(p, e, "split_test")
     b = check_flatness(p, e, "presentation")
     assert a.verdicts == b.verdicts
+
+
+def test_flatness_presentation_relations_by_module_generators(monkeypatch):
+    # one relation block per module generator of ker P: every one of the
+    # 64 kernel rows would make the system 800 x (64 * 160 + 480) = 800 x 10720
+    shapes = []
+    original = hecke.RowSolver
+
+    def recorded(ring, A):
+        shapes.append(np.shape(A))
+        return original(ring, A)
+
+    monkeypatch.setattr(hecke, "RowSolver", recorded)
+    rep = check_flatness(5, 1, "presentation")
+    assert rep.verdicts["flat"] is True
+    rows, cols = max(shapes, key=lambda shape: shape[1])
+    assert rows == 800
+    assert cols < 10720
 
 
 def test_flatness_e2_recorded():

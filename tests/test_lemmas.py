@@ -203,3 +203,17 @@ def test_lemma21_suite_decides_the_hypothesis_once_per_module(monkeypatch):
     reports = lemma21_suite(3, seed=1, n_random=3)
     assert len(calls) == len(reports) // 2 == len(builtin_catalog(3, 1)) + 3
     assert len(set(calls)) == len(calls)
+
+
+def test_lemma21_suite_takes_the_coinvariants_once_per_module(monkeypatch):
+    calls = []
+    original = lemmas.coinvariants
+
+    def counted(W, subgroup):
+        calls.append(W.name)
+        return original(W, subgroup)
+
+    monkeypatch.setattr(lemmas, "coinvariants", counted)
+    reports = lemma21_suite(3, seed=1, n_random=3)
+    assert len(calls) == len(reports) // 2 == len(builtin_catalog(3, 1)) + 3
+    assert len(set(calls)) == len(calls)
