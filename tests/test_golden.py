@@ -52,7 +52,7 @@ VERIFY = {
     "hecke --p 2 --e 2": "eebb1d8c426323fe78193d389100f1864a1cf73e8f3530ccc7779d7a02039912",
     "lemma22 --p 3 --e 3 --seed 7 --random 5": "25dd4fafbfa55c45435b5dc5bcae2517d25b7af1b8e0155be9261246f80afe25",
     "corrpro --p 3 --depth 4 --rho twist:1 --twist 2": "fbc2999d3e11c9f500736c5988749e7570f12fb9534201685d8b13459cda1aae",
-    # the largest boundary (1240 x 3744) and flatness system (800 x 11520) in tier-1
+    # the largest boundary (1240 x 3744) and flatness system (800 x 1440) in tier-1
     "corrpro --p 5 --depth 3": "feca2083912737f7f9cfd9c285e0f804271248e8301a55e3207cfee4247dab17",
     "hecke --p 5": "8d456c67e683050bad6fc01be7fc9c925c2c10ae06d1dde23fd28b8007bee489",
 }
