@@ -116,8 +116,10 @@ class CanonicalBasis:
         if self.nrows == 0 or X.size == 0:
             return X
         if self.ring.is_field:
-            pivcols = [c for c, _ in self.pivots]
-            return (X - (X[:, pivcols] @ self.mat)) % N
+            # only the pivot rows X touches contribute to X[:, pivcols] @ mat
+            Q = X[:, [c for c, _ in self.pivots]]
+            hit = np.flatnonzero(Q.any(axis=0))
+            return (X - Q[:, hit] @ self.mat[hit]) % N
         X = X.copy()
         for i, (c, g) in enumerate(self.pivots):
             q = X[:, c] // g
@@ -359,10 +361,8 @@ def kernel_array(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
         if not free:
             return _empty_basis(ring, m)
         K = np.zeros((len(free), m), dtype=np.int64)
-        for idx, f in enumerate(free):
-            K[idx, f] = 1
-            for i, c in enumerate(pivcols):
-                K[idx, c] = (-int(R[i, f])) % ring.p
+        K[np.arange(len(free)), free] = 1
+        K[:, pivcols] = (-R[:, free].T) % ring.p
         return howell_array(ring, K)
     aug = np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1)
     H = howell_array(ring, aug)

@@ -316,6 +316,7 @@ class ChainComplexData:
         Rows of the generator on unit vectors are single shifts (or a
         twist combination on wraparound), so the reduction against the
         boundary span touches only a handful of pivot rows per vertex.
+        The tests use it as the dense oracle of `fixed_classes`.
         """
         ring = self.ring
         N = ring.modulus
@@ -361,13 +362,47 @@ def iota_embed(cc: ChainComplexData) -> np.ndarray:
 def fixed_classes(cc: ChainComplexData) -> tuple[np.ndarray, list[int]]:
     """Basis (section coordinates) of the generator-fixed part of H0.
 
+    The leaf-first boundary span leaves every root column as a section
+    column and, at each level m >= 1, the same local set S_m at every
+    vertex; any other layout raises VerificationBug.  The generator moves
+    the section unit vector at vertex a < p^m - 1 to the one at vertex
+    a + 1, so a fixed class is constant on each level's shift orbit, with
+    one unknown per orbit.  Only the wrap rows (vertex p^m - 1 to vertex 0
+    through the twist) constrain the unknowns; reduced, they must meet the
+    section columns at vertex 0 only.  The kernel of that small system,
+    expanded over the orbits and put in Howell form, is the basis
+    `kernel_array` gives for the dense gq - I of `h0_generator_matrix`.
+
     Computed once per complex and kept on it, as the boundary span is.
     """
     if cc._fixed is None:
-        gq = cc.h0_generator_matrix()
-        gq[np.diag_indices_from(gq)] -= 1
-        gq %= cc.ring.modulus
-        cc._fixed = (kernel_array(cc.ring, gq).mat, cc.boundary_span().section_cols())
+        p, w = cc.p, cc.w
+        R = cc.boundary_span()
+        sec = R.section_cols()
+        is_sec = np.zeros(cc.dim0, dtype=bool)
+        is_sec[sec] = True
+        owner = np.full(cc.dim0, -1)  # the unknown of each section column's orbit
+        ends: list[int] = []  # the orbit's column at vertex p^m - 1, per unknown
+        for m in range(cc.depth + 1):
+            level = slice(cc.off0[m], cc.off0[m + 1])
+            mask = is_sec[level].reshape(p**m, w)
+            local = np.flatnonzero(mask[0])
+            if (m == 0 and local.size != w) or not (mask == mask[0]).all():
+                raise VerificationBug(f"section columns at level {m} break the shift-orbit layout")
+            owner[level].reshape(p**m, w)[:, local] = len(ends) + np.arange(local.size)
+            ends.extend(cc.off0[m + 1] - w + local)
+        owner = owner[sec]
+        _, first = np.unique(owner, return_index=True)  # each orbit starts at vertex 0
+        unit = np.zeros((len(ends), cc.dim0), dtype=np.int64)
+        unit[np.arange(len(ends)), ends] = 1
+        red = R.reduce_rows(cc.apply_g0_rows(unit))[:, sec]
+        M = red[:, first]
+        red[:, first] = 0
+        if red.any():
+            raise VerificationBug("a wrap row meets a section column off vertex 0")
+        M[np.diag_indices_from(M)] -= 1
+        Y = kernel_array(cc.ring, M).mat
+        cc._fixed = (howell_array(cc.ring, Y[:, owner]).mat, sec)
     return cc._fixed
 
 

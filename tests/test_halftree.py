@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treelab.catalog import builtin_catalog, get_module
-from treelab.exactalg import RingSpec, VerificationBug, kernel_array
+from treelab.exactalg import RingSpec, VerificationBug, howell_array, kernel_array
 from treelab.grouprep import build_group, invariants, jbar, trivial_module
 from treelab.halftree import (
     ChainComplexData,
@@ -13,6 +13,7 @@ from treelab.halftree import (
     check_cogtri_hypothesis,
     check_corrpro,
     check_presentation,
+    fixed_classes,
     reduce_chain,
     sample_fixed_class,
     tree_reports,
@@ -338,3 +339,49 @@ def test_leaf_first_boundary_against_root_first_oracle(p, D):
         for x0, b in zip(X, targets):
             x = cc.boundary_preimage(b)
             assert x is not None and np.array_equal(x, x0)
+
+
+def dense_fixed_oracle(cc):
+    """The kernel of the dense gq - I, gq the generator on the section coordinates of H0."""
+    gq = cc.h0_generator_matrix()
+    gq[np.diag_indices_from(gq)] -= 1
+    return kernel_array(cc.ring, gq).mat
+
+
+def fixed_oracle_cases():
+    """Every gluing and twist on the catalog at D <= 2 and on jbar at p=3 D=4;
+    two of them on jbar at p=5 D=3, whose dense oracle takes 0.5 s each."""
+    variants = [(rho, u) for rho in ("w0", "twist:1", "scalar:1") for u in (1, 2)]
+    for p in (2, 3, 5):
+        for W in builtin_catalog(p, 1):
+            for D in (1, 2):
+                yield from ((W, D, rho, u) for rho, u in variants if u % p)
+    yield from ((get_module(3, 1, "jbar"), 4, rho, u) for rho, u in variants)
+    yield from ((get_module(5, 1, "jbar"), 3, rho, u) for rho, u in (("w0", 1), ("twist:1", 2)))
+
+
+def test_fixed_classes_against_dense_generator_oracle():
+    for W, D, rho, u in fixed_oracle_cases():
+        cc = build_complex(W, D, rho, u)
+        fix, sec = fixed_classes(cc)
+        oracle = dense_fixed_oracle(cc)
+        assert sec == cc.boundary_span().section_cols()
+        assert fix.shape == oracle.shape and np.array_equal(fix, oracle), (W.name, D, rho, u)
+
+
+def test_corrpro_never_builds_the_dense_generator(monkeypatch):
+    def dense(self):
+        raise AssertionError("dense H0 generator built")
+
+    monkeypatch.setattr(ChainComplexData, "h0_generator_matrix", dense)
+    rep = check_corrpro(build_complex(get_module(3, 1, "jbar"), 3))
+    assert rep.status == PASS and rep.dims["dim_h0_fixed"] == 4
+
+
+def test_fixed_classes_refuse_a_root_first_basis():
+    # the root-first Howell form pivots in the root block, so its section
+    # columns break the shift-orbit layout the fixed part is read from
+    cc = build_complex(get_module(3, 1, "jbar"), 2)
+    cc._rspan = howell_array(cc.ring, cc.dmat)
+    with pytest.raises(VerificationBug):
+        fixed_classes(cc)

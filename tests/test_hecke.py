@@ -72,6 +72,23 @@ def test_suite_checks_the_generators_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_suite_evaluates_the_algebra_laws_once(monkeypatch):
+    # the exhaustive d^4 associativity tensor is taken at build; check_assoc reports it
+    calls = []
+    original = hecke._algebra_laws
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hecke, "_algebra_laws", counted)
+    build_hecke.cache_clear()
+    reports = hecke_suite(5, seed=7, n_random=5)
+    assert len(calls) == 1
+    (assoc,) = [r for r in reports if r.lemma == "hecke_assoc"]
+    assert assoc.status == PASS and assoc.verdicts == {"associative": True, "unit_laws": True}
+
+
 def test_unsupported_prime():
     with pytest.raises(ValueError):
         build_hecke(7, 1)

@@ -3,12 +3,14 @@
 Random matrices for p in {2, 3, 5} and e in {1, 2, 3}: the dense Howell
 form against the independent sparse one, the kernel and the row solver
 against their defining equations, the batched row solve against the
-one-row solve, and the shared span closure against a naive fixpoint loop
-kept here as the oracle.  Sparse and tree-shaped block matrices up to
-20 x 30, with a random share of their entries multiplied by p, exercise
-the elimination's pivot-support update and, for e > 1, its non-unit
-pivots, least-valuation pivot choice and annihilator rows, which the
-small dense cases rarely reach.
+one-row solve, the batched reduction modulo a span against the full
+pivot product (e = 1) and a pivot-by-pivot reduction, and the shared
+span closure against a naive fixpoint loop kept here as the oracle.
+Sparse and tree-shaped block matrices up to 20 x 30, with a random share
+of their entries multiplied by p, exercise the elimination's
+pivot-support update and, for e > 1, its non-unit pivots,
+least-valuation pivot choice and annihilator rows, which the small dense
+cases rarely reach.
 """
 
 import numpy as np
@@ -148,6 +150,39 @@ def test_sparse_field_kernel_is_the_left_annihilator(case):
 @given(sparse_cases, st.data())
 def test_sparse_field_row_solver_solves_exactly_the_span(case, data):
     check_row_solver(*case, data)
+
+
+def sequential_residue(H, x):
+    """One row reduced pivot by pivot in Python integers, as the Howell order prescribes."""
+    N = H.ring.modulus
+    x = [int(v) % N for v in x]
+    for row, (c, g) in zip(H.mat, H.pivots):
+        q = x[c] // g
+        x = [(v - q * int(r)) % N for v, r in zip(x, row)]
+    return x
+
+
+@SETTINGS
+@given(sparse_cases, st.integers(0, 2**32 - 1))
+def test_reduce_rows_matches_the_full_pivot_product(case, seed):
+    ring, A = case
+    N = ring.modulus
+    H = howell_array(ring, A)
+    rng = np.random.default_rng(seed)
+    m, n = A.shape
+    dense = rng.integers(0, N, size=(3, n))
+    few = np.zeros_like(dense)  # rows on a few columns meet only a few pivot rows
+    cols = rng.choice(n, size=min(n, 2), replace=False)
+    few[:, cols] = dense[:, cols]
+    spanned = (rng.integers(0, N, size=(2, m)) @ A) % N
+    for X in (dense, few, spanned, np.concatenate([dense, few, spanned])):
+        got = H.reduce_rows(X)
+        if ring.is_field:
+            piv = [c for c, _ in H.pivots]
+            assert np.array_equal(got, (X - X[:, piv] @ H.mat) % N)
+        assert [list(r) for r in got] == [sequential_residue(H, x) for x in X]
+        assert H.contains_rows((X - got) % N)
+    assert not H.reduce_rows(spanned).any()
 
 
 def naive_closure(ring, seed, ops):
