@@ -192,7 +192,8 @@ def _howell(ring: RingSpec, A: np.ndarray) -> tuple[np.ndarray, list[tuple[int, 
     spare rows (e > 1 only: there are at most n pivots).  Each step
     updates only the pivot row's support, since the other columns would
     subtract zero.  Later pivot rows are zero at earlier pivot columns, so
-    no back-reduction pass is needed.
+    no back-reduction pass is needed.  Columns that are zero in A stay
+    zero under row operations and annihilator rows, so they are skipped.
     """
     N = ring.modulus
     A = np.asarray(A, dtype=np.int64)
@@ -205,29 +206,33 @@ def _howell(ring: RingSpec, A: np.ndarray) -> tuple[np.ndarray, list[tuple[int, 
     end = m  # rows from end on are zero
     pivots: list[tuple[int, int]] = []
     r = 0
-    for c in range(n):
+    for c in W[:m].any(axis=0).nonzero()[0].tolist():
         if r == end:
             break
-        nz = np.flatnonzero(W[r:end, c])
+        col = W[:end, c]  # a view: it follows the swap below
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
-        if W[i, c] % ring.p == 0:  # not a unit: the first entry of least valuation
-            i = r + int(nz[np.argmin(np.gcd(W[r + nz, c], N))])
+        if col[i] % ring.p == 0:  # not a unit: the first entry of least valuation
+            i = r + int(nz[np.gcd(col[r + nz], N).argmin()])
         if i != r:
             W[[r, i]] = W[[i, r]]
-        a = int(W[r, c])
+        a = int(col[r])
         g = gcd(a, N)
-        nzc = np.flatnonzero(W[r])
+        nzc = W[r].nonzero()[0]
+        prow = W[r, nzc]
         if a != g:
-            W[r, nzc] = W[r, nzc] * pow(a // g, -1, N) % N
-        rows = np.flatnonzero(W[:end, c])
+            prow = prow * pow(a // g, -1, N) % N
+            W[r, nzc] = prow
+        rows = col.nonzero()[0]
         rows = rows[rows != r]
         if rows.size:
-            block = np.ix_(rows, nzc)
-            W[block] = (W[block] - np.outer(W[rows, c] // g, W[r, nzc])) % N
+            q = col[rows] // g
+            rows = rows[:, None]
+            W[rows, nzc] = (W[rows, nzc] - q[:, None] * prow) % N
         if g > 1:
-            ann = W[r, nzc] * (N // g) % N
+            ann = prow * (N // g) % N
             if ann.any():
                 W[end, nzc] = ann
                 end += 1
@@ -364,12 +369,11 @@ def kernel_array(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
         K[np.arange(len(free)), free] = 1
         K[:, pivcols] = (-R[:, free].T) % ring.p
         return howell_array(ring, K)
-    aug = np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1)
-    H = howell_array(ring, aug)
-    keep = [i for i in range(H.nrows) if not np.any(H.mat[i, :n])]
-    if not keep:
-        return _empty_basis(ring, m)
-    return howell_array(ring, H.mat[keep, n:])
+    # by the Howell property, the rows of the Howell form of [A | I] that
+    # pivot in the I part are themselves the Howell form of the kernel
+    H = howell_array(ring, np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1))
+    k = sum(c < n for c, _ in H.pivots)
+    return CanonicalBasis(ring, m, H.mat[k:, n:], tuple((c - n, g) for c, g in H.pivots[k:]))
 
 
 class RowSolver:

@@ -181,16 +181,18 @@ class ChainComplexData:
         return 0
 
     # -- group action -------------------------------------------------
+    def _g0_level(self, X: np.ndarray, m: int) -> np.ndarray:
+        """The generator on rows of level-m vertex values: shift, twist on wraparound."""
+        k, pm = X.shape[0], self.p**m
+        rolled = np.roll(X.reshape(k, pm, self.w), 1, axis=1)
+        rolled[:, 0, :] = (rolled[:, 0, :] @ self.spec.twist) % self.ring.modulus
+        return rolled.reshape(k, pm * self.w)
+
     def apply_g0_rows(self, X: np.ndarray) -> np.ndarray:
-        N = self.ring.modulus
         X = np.atleast_2d(X)
         out = np.empty_like(X)
         for m in range(self.depth + 1):
-            pm = self.p**m
-            blk = X[:, self.off0[m] : self.off0[m + 1]].reshape(X.shape[0], pm, self.w)
-            rolled = np.roll(blk, 1, axis=1).copy()
-            rolled[:, 0, :] = (rolled[:, 0, :] @ self.spec.twist) % N
-            out[:, self.off0[m] : self.off0[m + 1]] = rolled.reshape(X.shape[0], pm * self.w)
+            out[:, self.off0[m] : self.off0[m + 1]] = self._g0_level(X[:, self.off0[m] : self.off0[m + 1]], m)
         return out
 
     def apply_g0(self, v: np.ndarray) -> np.ndarray:
@@ -216,11 +218,19 @@ class ChainComplexData:
         # at a non-leaf vertex the child images must span the whole fiber
         if self.w and howell_array(ring, self.down_stack).nrows != self.w:
             raise VerificationBug("child edge images do not span the vertex fiber")
-        # exact equivariance of the boundary map
-        lhs = self.dmat[self._g1_image_index(), :]
-        rhs = self.apply_g0_rows(self.dmat)
-        if not np.array_equal(lhs, rhs):
-            raise VerificationBug("boundary map is not equivariant")
+        # exact equivariance of the boundary map per edge level m: its rows meet vertex
+        # levels m and m + 1 only, and the generator maps each vertex level to itself
+        g1 = self._g1_image_index()
+        for m in range(self.depth):
+            rows = slice(self.off1[m], self.off1[m + 1])
+            band = self.dmat[rows]
+            lo, mid, hi = self.off0[m : m + 3]
+            shift = g1[rows] - self.off1[m]
+            if band[:, :lo].any() or band[:, hi:].any() or any(
+                not np.array_equal(band[shift, a:b], self._g0_level(band[:, a:b], k))
+                for a, b, k in ((lo, mid, m), (mid, hi, m + 1))
+            ):
+                raise VerificationBug("boundary map is not equivariant")
 
     # -- cached solvers ------------------------------------------------
     # The boundary is eliminated leaf first: with the C0 columns reversed,
@@ -530,12 +540,13 @@ def reduce_chain(cc: ChainComplexData, c: np.ndarray) -> tuple[np.ndarray, np.nd
     p, w, t = cc.p, cc.w, cc.t
 
     def subtract_boundary(m: int, xm: np.ndarray) -> None:
-        """Subtract the boundary of the 1-chain with level-m edge values xm."""
-        nonlocal c, B
-        xi = np.zeros(cc.dim1, dtype=np.int64)
-        xi[cc.off1[m] : cc.off1[m + 1]] = xm.reshape(-1)
-        c = (c - cc.boundary_rows(xi)[0]) % N
-        B = (B + xi) % N
+        """Subtract the boundary of level-m edge values xm from the two vertex levels it meets."""
+        xm = xm.reshape(1, -1)
+        par, child = cc._edge_images(xm, m)
+        lo, mid, hi = cc.off0[m : m + 3]
+        c[lo:mid] = (c[lo:mid] - par[0]) % N
+        c[mid:hi] = (c[mid:hi] - child[0]) % N
+        B[cc.off1[m] : cc.off1[m + 1]] = (B[cc.off1[m] : cc.off1[m + 1]] + xm[0]) % N
 
     while True:
         n = cc.top_level(c)

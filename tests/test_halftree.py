@@ -72,6 +72,20 @@ def test_equivariance_checked_at_build():
     assert np.array_equal(lhs, rhs)
 
 
+@pytest.mark.parametrize("vertex_level", [0, 2, 3])
+def test_tampered_boundary_fails_the_equivariance_check(vertex_level):
+    # one corrupted entry in the level-2 edge band, inside its vertex levels
+    # 2 and 3 or outside them, breaks equivariance, and the per-level check
+    # at build must see it
+    J = jbar(build_group("sl2", 3), RingSpec(3, 1))
+    cc = build_complex(J, 3)
+    row, col = cc.off1[2] + 5 * cc.t + 1, cc.off0[vertex_level] + 2
+    cc.dmat[row, col] = (cc.dmat[row, col] + 1) % 3
+    assert not np.array_equal(cc.dmat[cc._g1_image_index(), :], cc.apply_g0_rows(cc.dmat))
+    with pytest.raises(VerificationBug, match="not equivariant"):
+        cc._check_invariants()
+
+
 def test_generator_orders():
     # the procyclic group acts on the depth-D truncation through its
     # quotient of order p^(D+1): leaf stabilizers still twist leaf fibers,

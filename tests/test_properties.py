@@ -10,7 +10,9 @@ Sparse and tree-shaped block matrices up to 20 x 30, with a random share
 of their entries multiplied by p, exercise the elimination's
 pivot-support update and, for e > 1, its non-unit pivots,
 least-valuation pivot choice and annihilator rows, which the small dense
-cases rarely reach.
+cases rarely reach.  Matrices with zero columns, and with columns that
+are multiples of earlier ones and so become zero during elimination,
+exercise its skipping of zero columns.
 """
 
 import numpy as np
@@ -83,12 +85,41 @@ def block_ring_matrix(draw):
 sparse_cases = st.one_of(sparse_ring_matrix(), block_ring_matrix())
 
 
+@st.composite
+def zero_column_matrix(draw):
+    """A Z/p^e matrix of up to 12 x 20 with about half its columns zero, between nonzero ones."""
+    ring = draw(rings)
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = p_multiples(rng, ring, rng.integers(0, ring.modulus, size=(rows, cols)))
+    A[:, rng.random(cols) < 0.5] = 0
+    return ring, A
+
+
+@st.composite
+def cleared_column_matrix(draw):
+    """Columns that elimination clears: about half are multiples of an earlier column,
+    taken after a random share of the entries is multiplied by p."""
+    ring = draw(rings)
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = p_multiples(rng, ring, rng.integers(0, ring.modulus, size=(rows, cols)))
+    for j in range(1, cols):
+        if rng.random() < 0.5:
+            A[:, j] = A[:, rng.integers(0, j)] * rng.integers(0, ring.modulus) % ring.modulus
+    return ring, A
+
+
+zero_column_cases = st.one_of(zero_column_matrix(), cleared_column_matrix())
+
+
 def check_howell(ring, A):
     assert howell_array(ring, A) == howell_array_sparse(ring, A)
 
 
 def check_kernel(ring, A):
     K = kernel_array(ring, A)
+    assert howell_array(ring, K.mat) == K
     assert not np.any((K.mat @ A) % ring.modulus)
     # |ker| * |image| = |source| pins the kernel as the whole annihilator
     assert K.span_log_size() + howell_array(ring, A).span_log_size() == ring.e * A.shape[0]
@@ -149,6 +180,24 @@ def test_sparse_field_kernel_is_the_left_annihilator(case):
 @SETTINGS
 @given(sparse_cases, st.data())
 def test_sparse_field_row_solver_solves_exactly_the_span(case, data):
+    check_row_solver(*case, data)
+
+
+@SETTINGS
+@given(zero_column_cases)
+def test_zero_column_howell_matches_sparse_oracle(case):
+    check_howell(*case)
+
+
+@SETTINGS
+@given(zero_column_cases)
+def test_zero_column_kernel_is_the_left_annihilator(case):
+    check_kernel(*case)
+
+
+@SETTINGS
+@given(zero_column_cases, st.data())
+def test_zero_column_row_solver_solves_exactly_the_span(case, data):
     check_row_solver(*case, data)
 
 
