@@ -251,7 +251,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         w, B = reduce_chain(cc, c)
         lifted = np.zeros(cc.dim0, dtype=np.int64)
         lifted[: cc.w] = w
-        exact = bool(np.array_equal((lifted + B @ cc.dmat) % cc.ring.modulus, c))
+        exact = bool(np.array_equal((lifted + cc.boundary_rows(B)[0]) % cc.ring.modulus, c))
         runs.append(
             {
                 "index": i,

@@ -19,6 +19,7 @@ endpoints with opposite signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -55,6 +56,7 @@ class CoeffSystemSpec:
     twist: np.ndarray  # (w x w): order-p operator of the vertex stabilizer
     twist_u: int  # as given; twist is its power mod p
     rho_choice: str
+    down_stack: np.ndarray  # (p*t x w): block j = inv_lower @ twist^j, the child j embedding
 
 
 def parse_rho(rho_choice: str) -> tuple[str, int]:
@@ -113,18 +115,37 @@ def build_coeff_spec(W: GModule, rho_choice: str = "w0", twist_u: int = 1) -> Co
     image = howell_array(ring, rho)
     if image != inv_upper or image.nrows != inv_lower.nrows:
         raise ValueError("rho is not an isomorphism onto the upper invariants")
-    twist = _matpow(W.action(group.upper_gen), twist_u % p, ring.modulus)
-    return CoeffSystemSpec(W, inv_lower, inv_upper, rho, twist, twist_u, rho_choice)
+    N = ring.modulus
+    twist = _matpow(W.action(group.upper_gen), twist_u % p, N)
+    down_stack = translate_stack(ring, inv_lower.mat, twist, p)
+    # the boundary is equivariant iff the generator moves child block j to
+    # block j + 1 (the twist on wraparound included) and fixes the gluing
+    shifts = np.array_equal(np.roll(down_stack, -inv_lower.nrows, axis=0), down_stack @ twist % N)
+    if not (shifts and np.array_equal(rho @ twist % N, rho)):
+        raise VerificationBug("boundary map is not equivariant")
+    # the gluing image must be exactly the stabilizer-fixed subspace of the
+    # vertex fiber, and at a non-leaf vertex the child images span the fiber
+    if image != kernel_array(ring, (twist - np.eye(W.rank, dtype=np.int64)) % N):
+        raise VerificationBug("edge image differs from the stabilizer-fixed subspace")
+    if W.rank and howell_array(ring, down_stack).nrows != W.rank:
+        raise VerificationBug("child edge images do not span the vertex fiber")
+    return CoeffSystemSpec(W, inv_lower, inv_upper, rho, twist, twist_u, rho_choice, down_stack)
 
 
 class ChainComplexData:
-    """Explicit matrices of the depth-D truncated complex for one W.
+    """The depth-D truncated complex for one W, kept in its tree structure.
 
-    The boundary matrix maps 1-chains (rows) to 0-chains; `boundary_rows`
-    and `boundary_preimage` apply it and invert it level by level.  The
-    cyclic generator acts on 0-chains by the index shift `apply_g0`, with
-    the vertex-fiber twist applied on index wraparound, and on 1-chains by
-    the edge-index shift `_g1_image_index`, which carries no twist.
+    The boundary maps 1-chains (rows) to 0-chains.  `boundary_rows`
+    applies it one edge level at a time, and `peel` reduces 0-chains
+    modulo its image leaf first: every edge owns its child vertex, where
+    the gluing rho is injective, so at the local pivot columns P of rho
+    (its Howell form with the columns reversed) a vertex block fixes the
+    coefficients of the vertex's parent edge.  `boundary_span` and
+    `boundary_preimage` are read off the peel.  The dense boundary matrix
+    `dmat` is assembled only when read; the tests use it as the oracle.
+    The cyclic generator acts on 0-chains by the index shift `apply_g0`,
+    with the vertex-fiber twist applied on index wraparound, and on
+    1-chains by the edge-index shift, which carries no twist.
     """
 
     def __init__(self, spec: CoeffSystemSpec, depth: int):
@@ -143,13 +164,22 @@ class ChainComplexData:
         self.dim0 = int(self.off0[-1])
         self.dim1 = int(self.off1[-1])
         self.signs = [1 if m % 2 == 0 else (self.ring.modulus - 1) for m in range(D + 1)]
+        # the leaf-first pivots of rho, and the inverse of rho on them
+        H = howell_array(self.ring, spec.rho[:, ::-1])
+        self.local_pivots = np.sort(w - 1 - np.array([c for c, _ in H.pivots], dtype=np.int64))
+        self.local_free = np.setdiff1d(np.arange(w), self.local_pivots)
+        self._rho_inv = RowSolver(self.ring, spec.rho[:, self.local_pivots]).solve_rows(np.eye(t, dtype=np.int64))[0]
+        self._fixed: Optional[tuple[np.ndarray, list[int]]] = None
+        self._solver: Optional[RowSolver] = None
+        self._down_solver: Optional[RowSolver] = None
+        self._rho_solver: Optional[RowSolver] = None
 
-        # down blocks: child j of a vertex carries the j-th twist translate
-        N = self.ring.modulus
-        self.down_stack = translate_stack(self.ring, spec.inv_lower.mat, spec.twist, p)  # (p*t, w)
-
+    @cached_property
+    def dmat(self) -> np.ndarray:
+        """The dense dim C1 x dim C0 boundary matrix, assembled edge by edge on first read."""
+        p, t, w, N = self.p, self.t, self.w, self.ring.modulus
         D1 = np.zeros((self.dim1, self.dim0), dtype=np.int64)
-        for m in range(D):
+        for m in range(self.depth):
             sm, sm1 = self.signs[m], self.signs[m + 1]
             pm = p**m
             for b in range(p ** (m + 1)):
@@ -157,15 +187,9 @@ class ChainComplexData:
                 rows = slice(self.off1[m] + b * t, self.off1[m] + (b + 1) * t)
                 cols_par = slice(self.off0[m] + a * w, self.off0[m] + (a + 1) * w)
                 cols_child = slice(self.off0[m + 1] + b * w, self.off0[m + 1] + (b + 1) * w)
-                D1[rows, cols_par] = (sm * self.down_stack[j * t : (j + 1) * t]) % N
-                D1[rows, cols_child] = (sm1 * spec.rho) % N
-        self.dmat = D1
-        self._check_invariants()
-        self._rspan: Optional[CanonicalBasis] = None
-        self._fixed: Optional[tuple[np.ndarray, list[int]]] = None
-        self._solver: Optional[RowSolver] = None
-        self._down_solver: Optional[RowSolver] = None
-        self._rho_solver: Optional[RowSolver] = None
+                D1[rows, cols_par] = (sm * self.spec.down_stack[j * t : (j + 1) * t]) % N
+                D1[rows, cols_child] = (sm1 * self.spec.rho) % N
+        return D1
 
     # -- index helpers ------------------------------------------------
     def level0_block(self, c: np.ndarray, m: int) -> np.ndarray:
@@ -198,70 +222,7 @@ class ChainComplexData:
     def apply_g0(self, v: np.ndarray) -> np.ndarray:
         return self.apply_g0_rows(v.reshape(1, -1))[0]
 
-    def _g1_image_index(self) -> np.ndarray:
-        idx = np.arange(self.dim1)
-        out = np.empty(self.dim1, dtype=np.int64)
-        for m in range(self.depth):
-            pm1 = self.p ** (m + 1)
-            blk = idx[self.off1[m] : self.off1[m + 1]].reshape(pm1, self.t)
-            out[self.off1[m] : self.off1[m + 1]] = np.roll(blk, -1, axis=0).reshape(-1)
-        return out
-
-    def _check_invariants(self) -> None:
-        ring = self.ring
-        # edge stabilizers act trivially by construction (no twist on edge
-        # blocks); the gluing image must be exactly the stabilizer-fixed
-        # subspace of the vertex fiber
-        fixed = kernel_array(ring, (self.spec.twist - np.eye(self.w, dtype=np.int64)) % ring.modulus)
-        if howell_array(ring, self.spec.rho) != fixed:
-            raise VerificationBug("edge image differs from the stabilizer-fixed subspace")
-        # at a non-leaf vertex the child images must span the whole fiber
-        if self.w and howell_array(ring, self.down_stack).nrows != self.w:
-            raise VerificationBug("child edge images do not span the vertex fiber")
-        # exact equivariance of the boundary map per edge level m: its rows meet vertex
-        # levels m and m + 1 only, and the generator maps each vertex level to itself
-        g1 = self._g1_image_index()
-        for m in range(self.depth):
-            rows = slice(self.off1[m], self.off1[m + 1])
-            band = self.dmat[rows]
-            lo, mid, hi = self.off0[m : m + 3]
-            shift = g1[rows] - self.off1[m]
-            if band[:, :lo].any() or band[:, hi:].any() or any(
-                not np.array_equal(band[shift, a:b], self._g0_level(band[:, a:b], k))
-                for a, b, k in ((lo, mid, m), (mid, hi, m + 1))
-            ):
-                raise VerificationBug("boundary map is not equivariant")
-
-    # -- cached solvers ------------------------------------------------
-    # The boundary is eliminated leaf first: with the C0 columns reversed,
-    # the deepest level comes first, so each edge's rows take their pivots
-    # in the edge's private child block, where rho is injective, and the
-    # elimination makes no fill-in.  The public C0 layout stays root first.
-    def boundary_span(self) -> CanonicalBasis:
-        """Canonical basis of the boundary image, reduced in leaf-first order.
-
-        A row's pivot is its last nonzero column; pivot columns still
-        increase down the rows, so `reduce_rows`, `coords` and
-        `section_cols` apply as usual.  The basis is canonical for this
-        order only: do not compare it with `==` against
-        `howell_array(ring, dmat)`, which is reduced root first.
-        """
-        if self._rspan is None:
-            H = howell_array(self.ring, self.dmat[:, ::-1])
-            n = self.dim0
-            pivots = tuple((n - 1 - c, g) for c, g in reversed(H.pivots))
-            self._rspan = CanonicalBasis(self.ring, n, np.ascontiguousarray(H.mat[::-1, ::-1]), pivots)
-        return self._rspan
-
-    def boundary_solver(self) -> RowSolver:
-        """Dense solver for the leaf-first boundary, the oracle of `boundary_preimage`.
-
-        It takes C0 coordinates reversed: `boundary_solver().solve(b[::-1])`.
-        """
-        if self._solver is None:
-            self._solver = RowSolver(self.ring, self.dmat[:, ::-1])
-        return self._solver
-
+    # -- the boundary, level by level -----------------------------------
     def _edge_images(self, Xm: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Boundaries of rows of level-m edge values, in the level-m and level-(m+1) vertex blocks.
 
@@ -271,7 +232,7 @@ class ChainComplexData:
         N = self.ring.modulus
         p, t, w = self.p, self.t, self.w
         k, pm = Xm.shape[0], p**m
-        par = Xm.reshape(k, p, pm, t).transpose(0, 2, 1, 3).reshape(k * pm, p * t) @ self.down_stack
+        par = Xm.reshape(k, p, pm, t).transpose(0, 2, 1, 3).reshape(k * pm, p * t) @ self.spec.down_stack
         child = Xm.reshape(k * p * pm, t) @ self.spec.rho
         return (
             (self.signs[m] * par).reshape(k, pm * w) % N,
@@ -288,30 +249,56 @@ class ChainComplexData:
             out[:, self.off0[m + 1] : self.off0[m + 2]] += child
         return out % self.ring.modulus
 
+    def peel(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of 0-chains reduced modulo the boundary image, leaf first.
+
+        For m = D ... 1, the level-m block of each vertex at the local
+        pivot columns fixes the coefficients of its parent edge (of level
+        m - 1), whose boundary is then subtracted from both vertex levels
+        it meets.  Returns (residue, coeffs) with X = residue + coeffs @ dmat;
+        the residue is zero at the local pivot columns of every non-root
+        vertex, which makes it the canonical representative of X.
+        """
+        N = self.ring.modulus
+        X = np.atleast_2d(np.asarray(X, dtype=np.int64)) % N
+        k = X.shape[0]
+        coeffs = np.zeros((k, self.dim1), dtype=np.int64)
+        for m in range(self.depth, 0, -1):
+            lo, mid, hi = self.off0[m - 1 : m + 2]
+            at_pivots = X[:, mid:hi].reshape(-1, self.w)[:, self.local_pivots]
+            z = (self.signs[m] * at_pivots @ self._rho_inv % N).reshape(k, -1)
+            par, child = self._edge_images(z, m - 1)
+            X[:, lo:mid] = (X[:, lo:mid] - par) % N
+            X[:, mid:hi] = (X[:, mid:hi] - child) % N
+            coeffs[:, self.off1[m - 1] : self.off1[m]] = z
+        return X, coeffs
+
+    def boundary_span(self) -> TreeBasis:
+        """The boundary image as a tree basis on the leaf-first `peel`."""
+        return TreeBasis(self)
+
     def boundary_preimage(self, b: np.ndarray) -> Optional[np.ndarray]:
         """The 1-chain x with x @ dmat = b, or None when b is not a boundary.
 
-        Leaf-first back-substitution: the level-(m+1) vertex block, less
-        the parent images of the level-(m+1) edges, is the child image of
-        the level-m edges, which rho (injective) determines.  The preimage
-        is therefore unique and equals the dense `boundary_solver`'s.
+        The peel's coefficients when its residue is zero.  rho is injective,
+        so the preimage is unique and equals the dense `boundary_solver`'s.
         """
-        N = self.ring.modulus
-        b = np.asarray(b, dtype=np.int64).reshape(-1) % N
-        x = np.zeros(self.dim1, dtype=np.int64)
-        rest = self.level0_block(b, self.depth)
-        for m in range(self.depth - 1, -1, -1):
-            xm, ok = self.rho_solver().solve_rows((self.signs[m + 1] * rest).reshape(-1, self.w) % N)
-            if not ok.all():
-                return None
-            x[self.off1[m] : self.off1[m + 1]] = xm.reshape(-1)
-            par, _ = self._edge_images(xm.reshape(1, -1), m)
-            rest = (self.level0_block(b, m) - par[0]) % N
-        return None if rest.any() else x
+        residue, x = self.peel(b)
+        return None if residue.any() else x[0]
+
+    # -- cached solvers ------------------------------------------------
+    def boundary_solver(self) -> RowSolver:
+        """Dense solver for the leaf-first boundary, the oracle of `boundary_preimage`.
+
+        It takes C0 coordinates reversed: `boundary_solver().solve(b[::-1])`.
+        """
+        if self._solver is None:
+            self._solver = RowSolver(self.ring, self.dmat[:, ::-1])
+        return self._solver
 
     def down_solver(self) -> RowSolver:
         if self._down_solver is None:
-            self._down_solver = RowSolver(self.ring, self.down_stack)
+            self._down_solver = RowSolver(self.ring, self.spec.down_stack)
         return self._down_solver
 
     def rho_solver(self) -> RowSolver:
@@ -323,38 +310,39 @@ class ChainComplexData:
     def h0_generator_matrix(self) -> np.ndarray:
         """Matrix of the cyclic generator on the section coordinates of H0.
 
-        Rows of the generator on unit vectors are single shifts (or a
-        twist combination on wraparound), so the reduction against the
-        boundary span touches only a handful of pivot rows per vertex.
-        The tests use it as the dense oracle of `fixed_classes`.
+        Row i is the reduced image of the i-th section unit vector.  The
+        tests use it as the dense oracle of `fixed_classes`.
         """
-        ring = self.ring
-        N = ring.modulus
         R = self.boundary_span()
         sec = R.section_cols()
-        sec_pos = {c: i for i, c in enumerate(sec)}
-        piv_row = {c: i for i, (c, _) in enumerate(R.pivots)}
-        reduced = np.zeros((len(sec), self.dim0), dtype=np.int64)
+        unit = np.zeros((len(sec), self.dim0), dtype=np.int64)
+        unit[np.arange(len(sec)), sec] = 1
+        return R.reduce_rows(self.apply_g0_rows(unit))[:, sec]
 
-        def add_entry(row: int, col: int, val: int) -> None:
-            if col in piv_row:
-                reduced[row] = (reduced[row] - val * R.mat[piv_row[col]]) % N
-            else:
-                reduced[row, col] = (reduced[row, col] + val) % N
 
-        for r, s in enumerate(sec):
-            m = int(np.searchsorted(self.off0, s, side="right")) - 1
-            local = s - self.off0[m]
-            a, i = divmod(local, self.w)
-            pm = self.p**m
-            if a + 1 < pm:
-                add_entry(r, self.off0[m] + (a + 1) * self.w + i, 1)
-            else:
-                for k in range(self.w):
-                    val = int(self.spec.twist[i, k])
-                    if val:
-                        add_entry(r, self.off0[m] + k, val)
-        return reduced[:, sec]
+class TreeBasis:
+    """The boundary image of a complex, reduced by its leaf-first peel.
+
+    It agrees with the dense Howell form of `dmat` with its columns
+    reversed: the same residues, the same section columns (every root
+    column, then the columns outside the local pivots at every other
+    vertex) and the same rank, one per local pivot of a non-root vertex.
+    """
+
+    def __init__(self, cc: ChainComplexData):
+        self.cc = cc
+        self.nonroot = sum(cc.p**m for m in range(1, cc.depth + 1))
+        self.nrows = cc.local_pivots.size * self.nonroot
+
+    def reduce_rows(self, X: np.ndarray) -> np.ndarray:
+        """Canonical residues of the rows of X modulo the boundary image."""
+        return self.cc.peel(X)[0]
+
+    def section_cols(self) -> list[int]:
+        """Columns without a pivot: a section basis of H0."""
+        cc = self.cc
+        below = cc.w * np.arange(1, self.nonroot + 1)[:, None] + cc.local_free
+        return list(range(cc.w)) + below.ravel().tolist()
 
 
 def build_complex(W: GModule, depth: int, rho_choice: str = "w0", twist_u: int = 1) -> ChainComplexData:
@@ -372,39 +360,33 @@ def iota_embed(cc: ChainComplexData) -> np.ndarray:
 def fixed_classes(cc: ChainComplexData) -> tuple[np.ndarray, list[int]]:
     """Basis (section coordinates) of the generator-fixed part of H0.
 
-    The leaf-first boundary span leaves every root column as a section
-    column and, at each level m >= 1, the same local set S_m at every
-    vertex; any other layout raises VerificationBug.  The generator moves
-    the section unit vector at vertex a < p^m - 1 to the one at vertex
-    a + 1, so a fixed class is constant on each level's shift orbit, with
-    one unknown per orbit.  Only the wrap rows (vertex p^m - 1 to vertex 0
-    through the twist) constrain the unknowns; reduced, they must meet the
-    section columns at vertex 0 only.  The kernel of that small system,
-    expanded over the orbits and put in Howell form, is the basis
-    `kernel_array` gives for the dense gq - I of `h0_generator_matrix`.
+    The tree basis leaves every root column as a section column and, at
+    every other vertex, the columns outside the local pivots.  The
+    generator moves the section unit vector at vertex a < p^m - 1 to the
+    one at vertex a + 1, so a fixed class is constant on each level's
+    shift orbit, with one unknown per orbit.  Only the wrap rows (vertex
+    p^m - 1 to vertex 0 through the twist) constrain the unknowns;
+    reduced, they must meet the section columns at vertex 0 only.  The
+    kernel of that small system, expanded over the orbits and put in
+    Howell form, is the basis `kernel_array` gives for the dense gq - I
+    of `h0_generator_matrix`.
 
-    Computed once per complex and kept on it, as the boundary span is.
+    Computed once per complex and kept on it.
     """
     if cc._fixed is None:
-        p, w = cc.p, cc.w
+        w = cc.w
         R = cc.boundary_span()
         sec = R.section_cols()
-        is_sec = np.zeros(cc.dim0, dtype=bool)
-        is_sec[sec] = True
-        owner = np.full(cc.dim0, -1)  # the unknown of each section column's orbit
-        ends: list[int] = []  # the orbit's column at vertex p^m - 1, per unknown
-        for m in range(cc.depth + 1):
-            level = slice(cc.off0[m], cc.off0[m + 1])
-            mask = is_sec[level].reshape(p**m, w)
-            local = np.flatnonzero(mask[0])
-            if (m == 0 and local.size != w) or not (mask == mask[0]).all():
-                raise VerificationBug(f"section columns at level {m} break the shift-orbit layout")
-            owner[level].reshape(p**m, w)[:, local] = len(ends) + np.arange(local.size)
-            ends.extend(cc.off0[m + 1] - w + local)
-        owner = owner[sec]
+        levels = [np.arange(w)] + [cc.local_free] * cc.depth  # the section columns of each level's vertices
+        start = np.cumsum([0] + [local.size for local in levels])
+        # the unknown of each section column's orbit, and the orbit's column at vertex p^m - 1
+        owner = np.concatenate(
+            [s + np.tile(np.arange(local.size), cc.p**m) for m, (s, local) in enumerate(zip(start, levels))]
+        )
+        ends = np.concatenate([cc.off0[m + 1] - w + local for m, local in enumerate(levels)])
         _, first = np.unique(owner, return_index=True)  # each orbit starts at vertex 0
-        unit = np.zeros((len(ends), cc.dim0), dtype=np.int64)
-        unit[np.arange(len(ends)), ends] = 1
+        unit = np.zeros((ends.size, cc.dim0), dtype=np.int64)
+        unit[np.arange(ends.size), ends] = 1
         red = R.reduce_rows(cc.apply_g0_rows(unit))[:, sec]
         M = red[:, first]
         red[:, first] = 0
@@ -504,11 +486,9 @@ def check_cogtri_hypothesis(W: GModule, twist_u: int = 1) -> LemmaReport:
     except ValueError as err:
         return rejected("cogtri", desc, str(err))
     p = W.group.p
-    t = spec.inv_lower.nrows
-    mult = translate_stack(ring, spec.inv_lower.mat, spec.twist, p)
-    src = h1_procyclic(ring, block_shift(p, t), p)
+    src = h1_procyclic(ring, block_shift(p, spec.inv_lower.nrows), p)
     tgt = h1_procyclic(ring, spec.twist, p)
-    inj, surj = src.induced_map(mult, tgt)
+    inj, surj = src.induced_map(spec.down_stack, tgt)
     dims = {"source_coker": src.dim, "target_coker": tgt.dim}
     verdicts = {"h1_injective": inj, "h1_bijective": inj and surj}
     return LemmaReport("cogtri", desc, verdicts=verdicts, dims=dims)

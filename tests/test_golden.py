@@ -52,14 +52,17 @@ VERIFY = {
     "hecke --p 2 --e 2": "eebb1d8c426323fe78193d389100f1864a1cf73e8f3530ccc7779d7a02039912",
     "lemma22 --p 3 --e 3 --seed 7 --random 5": "25dd4fafbfa55c45435b5dc5bcae2517d25b7af1b8e0155be9261246f80afe25",
     "corrpro --p 3 --depth 4 --rho twist:1 --twist 2": "fbc2999d3e11c9f500736c5988749e7570f12fb9534201685d8b13459cda1aae",
-    # the largest boundary (1240 x 3744) and flatness system (800 x 1440) in tier-1
+    # a 1240 x 3744 boundary and the largest flatness system (800 x 1440) in tier-1
     "corrpro --p 5 --depth 3": "feca2083912737f7f9cfd9c285e0f804271248e8301a55e3207cfee4247dab17",
     "hecke --p 5": "8d456c67e683050bad6fc01be7fc9c925c2c10ae06d1dde23fd28b8007bee489",
+    # the large end: a 4788 x 19200 boundary, reduced through the tree basis only
+    "corrpro --p 7 --depth 3 --module jbar": "0fa8a72df665418b032f73eb4bd6ab254deb1cab70fde38726b404eca1ffcaad",
+    "presentation --p 7 --depth 3 --module jbar": "6628a21b4c446b408112c6c505a09dbd528d83ffc23c8d2b6eee8c69088f94d3",
 }
 
 REDUCE = "reduce --p 3 --depth 4 --seed 5 --count 3"
-# sampled classes are drawn in the section coordinates of the boundary
-# basis, which is reduced leaf first (ChainComplexData.boundary_span)
+# sampled classes are drawn in the section coordinates of the tree basis,
+# which the leaf-first peel reduces to (ChainComplexData.boundary_span)
 REDUCE_DIGEST = "4477772a70466fef297eed2f8aece681d8d00cd5ee9516a8f06cc37602e4ac01"
 
 FLATNESS = {

@@ -1,10 +1,14 @@
 """Half-tree complexes: dimensions, equivariance, homology, reduction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from treelab import halftree
 from treelab.catalog import builtin_catalog, get_module
-from treelab.exactalg import RingSpec, VerificationBug, howell_array, kernel_array
+from treelab.cli import main
+from treelab.exactalg import CanonicalBasis, RingSpec, VerificationBug, howell_array, kernel_array
 from treelab.grouprep import build_group, invariants, jbar, trivial_module
 from treelab.halftree import (
     ChainComplexData,
@@ -38,6 +42,15 @@ def tree_incidence_oracle(p, D):
     return inc
 
 
+def g1_image_index(cc):
+    """The generator on 1-chains as a row permutation: edge b goes to edge b + 1 at its level."""
+    idx = np.arange(cc.dim1)
+    for m in range(cc.depth):
+        blk = idx[cc.off1[m] : cc.off1[m + 1]].reshape(cc.p ** (m + 1), cc.t)
+        idx[cc.off1[m] : cc.off1[m + 1]] = np.roll(blk, -1, axis=0).reshape(-1)
+    return idx
+
+
 @pytest.mark.parametrize("p,D", [(2, 1), (2, 3), (3, 2), (5, 2)])
 def test_trivial_module_complex_is_signed_incidence(p, D):
     grp = build_group("sl2", p)
@@ -64,26 +77,29 @@ def test_dimension_bookkeeping(p, D):
 
 
 def test_equivariance_checked_at_build():
-    # the constructor asserts boundary equivariance; verify it directly too
+    # the coefficient system asserts the local identities that make the
+    # boundary equivariant; verify it on the dense boundary too
     J = jbar(build_group("sl2", 3), RingSpec(3, 1))
     cc = build_complex(J, 2)
-    lhs = cc.dmat[cc._g1_image_index(), :]
+    lhs = cc.dmat[g1_image_index(cc), :]
     rhs = cc.apply_g0_rows(cc.dmat)
     assert np.array_equal(lhs, rhs)
 
 
-@pytest.mark.parametrize("vertex_level", [0, 2, 3])
-def test_tampered_boundary_fails_the_equivariance_check(vertex_level):
-    # one corrupted entry in the level-2 edge band, inside its vertex levels
-    # 2 and 3 or outside them, breaks equivariance, and the per-level check
-    # at build must see it
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_tampered_down_stack_fails_the_equivariance_check(monkeypatch, block):
+    # one corrupted entry in child block j breaks the equivariance of the
+    # dense boundary, and the local check at build must see it
     J = jbar(build_group("sl2", 3), RingSpec(3, 1))
-    cc = build_complex(J, 3)
-    row, col = cc.off1[2] + 5 * cc.t + 1, cc.off0[vertex_level] + 2
-    cc.dmat[row, col] = (cc.dmat[row, col] + 1) % 3
-    assert not np.array_equal(cc.dmat[cc._g1_image_index(), :], cc.apply_g0_rows(cc.dmat))
+    spec = halftree.build_coeff_spec(J)
+    stack = spec.down_stack.copy()
+    stack[block * spec.inv_lower.nrows + 1, 2] += 1
+    stack %= 3
+    cc = ChainComplexData(replace(spec, down_stack=stack), 3)
+    assert not np.array_equal(cc.dmat[g1_image_index(cc), :], cc.apply_g0_rows(cc.dmat))
+    monkeypatch.setattr(halftree, "translate_stack", lambda *args: stack)
     with pytest.raises(VerificationBug, match="not equivariant"):
-        cc._check_invariants()
+        build_complex(J, 3)
 
 
 def test_generator_orders():
@@ -109,7 +125,7 @@ def test_generator_orders():
     assert np.array_equal(cur, v)  # full order p^(D+1)
     # edge blocks carry no twist: order divides p^D on 1-chains
     w1 = rng.integers(0, p, size=cc.dim1)
-    shift = cc._g1_image_index()
+    shift = g1_image_index(cc)
     cur = w1.copy()
     for _ in range(p**D):
         cur = cur[shift]
@@ -318,34 +334,46 @@ def test_fixed_class_sampler_fixed_in_quotient():
     for _ in range(5):
         c = sample_fixed_class(cc, rng)
         moved = (cc.apply_g0(c) - c) % 3
-        assert R.contains(moved)
+        assert not R.reduce_rows(moved).any()
 
 
 def leaf_first_variants(p):
     yield from ((W, "w0", 1) for W in builtin_catalog(p, 1))
     if p > 2:
         yield get_module(p, 1, "jbar"), "twist:1", 2
+        yield get_module(p, 1, "jbar"), "scalar:1", 1
+
+
+def dense_leaf_first_span(cc):
+    """The Howell form of the dense boundary with the C0 columns reversed,
+    flipped back: a row's pivot is its last nonzero column."""
+    H = howell_array(cc.ring, cc.dmat[:, ::-1])
+    n = cc.dim0
+    pivots = tuple((n - 1 - c, g) for c, g in reversed(H.pivots))
+    return CanonicalBasis(cc.ring, n, np.ascontiguousarray(H.mat[::-1, ::-1]), pivots)
 
 
 @pytest.mark.parametrize("p,D", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (3, 4)])
 def test_leaf_first_boundary_against_root_first_oracle(p, D):
-    from treelab.exactalg import howell_array
-
     rng = np.random.default_rng(10 * p + D)
     for W, rho, u in leaf_first_variants(p):
         cc = build_complex(W, D, rho, u)
+        dense = dense_leaf_first_span(cc)
+        assert howell_array(cc.ring, dense.mat) == howell_array(cc.ring, cc.dmat), (W.name, rho)
+        assert all(np.flatnonzero(row)[-1] == c for row, (c, _) in zip(dense.mat, dense.pivots))
+        # the tree basis is the dense leaf-first form, without building it
         R = cc.boundary_span()
-        assert howell_array(cc.ring, R.mat) == howell_array(cc.ring, cc.dmat), (W.name, rho)
-        # reduced leaf first: a row's pivot is its last nonzero
-        assert all(np.flatnonzero(row)[-1] == c for row, (c, _) in zip(R.mat, R.pivots))
+        assert R.nrows == dense.nrows == cc.dim1
         sec = R.section_cols()
+        assert sec == dense.section_cols()
         assert set(range(cc.w)) <= set(sec)
-        assert len(sec) == cc.dim0 - cc.dim1
+        Y = rng.integers(0, p, size=(4, cc.dim0))
+        assert np.array_equal(R.reduce_rows(Y), dense.reduce_rows(Y)), (W.name, rho)
         X = rng.integers(0, p, size=(3, cc.dim1))
         assert np.array_equal(cc.boundary_rows(X), (X @ cc.dmat) % p)
-        # the tree back-substitution against the dense solver: the same
-        # preimage of every boundary, None on every non-boundary
-        targets = np.concatenate([(X @ cc.dmat) % p, rng.integers(0, p, size=(3, cc.dim0))])
+        # the peel's preimage against the dense solver: the same preimage
+        # of every boundary, None on every non-boundary
+        targets = np.concatenate([(X @ cc.dmat) % p, Y])
         for b in targets:
             x = cc.boundary_preimage(b)
             oracle = cc.boundary_solver().solve(b[::-1])
@@ -392,10 +420,16 @@ def test_corrpro_never_builds_the_dense_generator(monkeypatch):
     assert rep.status == PASS and rep.dims["dim_h0_fixed"] == 4
 
 
-def test_fixed_classes_refuse_a_root_first_basis():
-    # the root-first Howell form pivots in the root block, so its section
-    # columns break the shift-orbit layout the fixed part is read from
-    cc = build_complex(get_module(3, 1, "jbar"), 2)
-    cc._rspan = howell_array(cc.ring, cc.dmat)
-    with pytest.raises(VerificationBug):
-        fixed_classes(cc)
+def test_verify_and_reduce_never_build_the_dense_boundary(monkeypatch, tmp_path):
+    def dense(self):
+        raise AssertionError("dense boundary built")
+
+    monkeypatch.setattr(ChainComplexData, "dmat", property(dense))
+    cc = build_complex(get_module(3, 1, "jbar"), 3)
+    assert check_corrpro(cc).status == PASS and check_presentation(cc).status == PASS
+    fix, sec = fixed_classes(cc)
+    assert fix.shape == (4, len(sec))
+    w, B = reduce_chain(cc, sample_fixed_class(cc, np.random.default_rng(4)))
+    assert cc.spec.inv_upper.contains(w)
+    argv = "reduce --p 3 --depth 3 --module jbar --seed 5 --count 2 --json"
+    assert main(argv.split() + [str(tmp_path / "doc.json")]) == 0
