@@ -125,7 +125,7 @@ def test_criterion_5_reduction_with_certificates():
             rng = np.random.default_rng(10_000 * p + D)
             for _ in range(100):
                 c = sample_fixed_class(cc, rng)
-                w, B = reduce_chain(cc, c)  # internal identities assert inside
+                w, B = reduce_chain(cc, c)  # fixedness and edge-image checks inside
                 lifted = np.zeros(cc.dim0, dtype=np.int64)
                 lifted[: cc.w] = w
                 assert np.array_equal((lifted + B @ cc.dmat) % p, c)

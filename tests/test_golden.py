@@ -64,6 +64,9 @@ REDUCE = "reduce --p 3 --depth 4 --seed 5 --count 3"
 # sampled classes are drawn in the section coordinates of the tree basis,
 # which the leaf-first peel reduces to (ChainComplexData.boundary_span)
 REDUCE_DIGEST = "4477772a70466fef297eed2f8aece681d8d00cd5ee9516a8f06cc37602e4ac01"
+# the large end: 19200-dimensional 0-chains with 4788-edge certificates
+LARGE_REDUCE = "reduce --p 7 --depth 3 --seed 5 --count 3"
+LARGE_REDUCE_DIGEST = "38beebbfd615e99c296a5672f357ac0e17df00569c450662ffd057d070c7f6be"
 
 FLATNESS = {
     (3, 1, "presentation"): "b0524783885a74194359c621920af043177870cc71a2754647efec22d12c2ab5",
@@ -101,6 +104,11 @@ def test_verify_reports_digest(tmp_path, argv):
 def test_reduce_runs_digest(tmp_path):
     doc = cli_doc(tmp_path, REDUCE)
     assert digest(doc["runs"]) == REDUCE_DIGEST
+
+
+def test_large_reduce_runs_digest(tmp_path):
+    doc = cli_doc(tmp_path, LARGE_REDUCE)
+    assert digest(doc["runs"]) == LARGE_REDUCE_DIGEST
 
 
 @pytest.mark.parametrize("p,e,method", sorted(FLATNESS))

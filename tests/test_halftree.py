@@ -8,7 +8,7 @@ import pytest
 from treelab import halftree
 from treelab.catalog import builtin_catalog, get_module
 from treelab.cli import main
-from treelab.exactalg import CanonicalBasis, RingSpec, VerificationBug, howell_array, kernel_array
+from treelab.exactalg import CanonicalBasis, RingSpec, RowSolver, VerificationBug, howell_array, kernel_array
 from treelab.grouprep import build_group, invariants, jbar, trivial_module
 from treelab.halftree import (
     ChainComplexData,
@@ -114,12 +114,9 @@ def test_generator_orders():
     cur = v.copy()
     for _ in range(p**D):
         cur = cc.apply_g0(cur)
-    for m in range(D):
-        assert np.array_equal(cc.level0_block(cur, m), cc.level0_block(v, m))
-    top = cc.level0_block(v, D).reshape(p**D, cc.w)
-    assert np.array_equal(
-        cc.level0_block(cur, D).reshape(p**D, cc.w), (top @ cc.spec.twist) % p
-    )
+    top = cc.off0[D]
+    assert np.array_equal(cur[:top], v[:top])
+    assert np.array_equal(cur[top:].reshape(p**D, cc.w), (v[top:].reshape(p**D, cc.w) @ cc.spec.twist) % p)
     for _ in range(p**D * (p - 1)):
         cur = cc.apply_g0(cur)
     assert np.array_equal(cur, v)  # full order p^(D+1)
@@ -289,26 +286,147 @@ def test_reduce_rejects_unfixed_class():
     assert probe is not None
 
 
-def test_reduce_checks_telescoping_at_every_level(monkeypatch):
-    # a first-peel certificate whose level-1 block no longer sums to zero
-    # (level 0 untouched) must fail the telescoping identity
+def certificate(cc, b):
+    """The 1-chain x with x @ dmat = b, by the dense solver, or None."""
+    return cc.boundary_solver().solve(b[::-1])
+
+
+def level_peeling_reduce(cc, c):
+    """The level-peeling induction, the oracle of `reduce_chain`.
+
+    Push all mass to the top level through the child-edge surjections,
+    certify that the top level is stabilizer-fixed, then peel it through
+    the parent edges, until only the root block is left; every identity
+    the argument guarantees is asserted.  Boundaries are taken on `dmat`.
+    """
+    N, p, w, t = cc.ring.modulus, cc.p, cc.w, cc.t
+    c = np.asarray(c, dtype=np.int64) % N
+    if certificate(cc, (cc.apply_g0(c) - c) % N) is None:
+        raise NotFixedClassError("class not fixed by the cyclic generator")
+    down, up = RowSolver(cc.ring, cc.spec.down_stack), RowSolver(cc.ring, cc.spec.rho)
+    B = np.zeros(cc.dim1, dtype=np.int64)
+
+    def block(m):
+        return c[cc.off0[m] : cc.off0[m + 1]]
+
+    def top_level():
+        return max((m for m in range(cc.depth + 1) if block(m).any()), default=0)
+
+    def subtract_boundary(m, xm):
+        x = np.zeros(cc.dim1, dtype=np.int64)
+        x[cc.off1[m] : cc.off1[m + 1]] = xm.reshape(-1)
+        c[:] = (c - x @ cc.dmat) % N
+        B[:] = (B + x) % N
+
+    while (n := top_level()) > 0:
+        # push every value below the top down through the child edges, one
+        # level at a time: edge a + j p^m takes block j of vertex a's solution
+        for m in range(n):
+            if block(m).any():
+                u, ok = down.solve_rows(block(m).reshape(p**m, w))
+                assert ok.all(), "child edges fail to span a vertex fiber"
+                subtract_boundary(m, (cc.signs[m] * u).reshape(p**m, p, t).transpose(1, 0, 2) % N)
+        if (n := top_level()) == 0:
+            break
+        # the unique 1-chain moving c to its translate; levels >= n vanish
+        b = certificate(cc, (cc.apply_g0(c) - c) % N)
+        assert b is not None, "fixedness certificate disappeared during reduction"
+        assert not b[cc.off1[n] :].any(), "certificate chain has support above the top level"
+        # telescoping: the g-orbit sum of b over p^(m+1) steps, whose level-m
+        # block is that block's sum over its edges, vanishes at every m < n
+        for m in range(n):
+            edges = b[cc.off1[m] : cc.off1[m + 1]].reshape(p ** (m + 1), t)
+            assert not (edges.sum(axis=0) % N).any(), "telescoping identity fails"
+        top = block(n).reshape(p**n, w)
+        assert np.array_equal((top @ cc.spec.twist) % N, top), "top level is not stabilizer-fixed"
+        # peel the top level through the parent edges
+        u, ok = up.solve_rows((cc.signs[n] * top) % N)
+        assert ok.all(), "top value escapes the parent edge image"
+        subtract_boundary(n - 1, u)
+        assert not block(n).any(), "peeling did not clear the top level"
+    return c[:w].copy(), B
+
+
+def reduce_oracle_cases():
+    """Every catalog module, gluing and unit twist at p=2 D<=4, p=3 D<=3 and p=5 D<=2."""
+    variants = [(rho, u) for rho in ("w0", "twist:1", "scalar:1") for u in (1, 2)]
+    for p, depth in ((2, 4), (3, 3), (5, 2)):
+        for W in builtin_catalog(p, 1):
+            for D in range(1, depth + 1):
+                yield from ((W, D, rho, u) for rho, u in variants if u % p)
+
+
+def test_reduce_matches_the_level_peeling_oracle():
+    rng = np.random.default_rng(12)
+    for W, D, rho, u in reduce_oracle_cases():
+        cc = build_complex(W, D, rho, u)
+        for _ in range(2):
+            c = sample_fixed_class(cc, rng)
+            w, B = reduce_chain(cc, c)
+            w0, B0 = level_peeling_reduce(cc, c)
+            assert np.array_equal(w, w0) and np.array_equal(B, B0), (W.name, D, rho, u)
+            assert cc.spec.inv_upper.contains(w)
+
+
+def test_reduce_is_one_peel(monkeypatch):
+    cc = build_complex(get_module(3, 1, "jbar"), 3)
+    c = sample_fixed_class(cc, np.random.default_rng(5))
+    calls = []
+    peel = ChainComplexData.peel
+
+    def counted(self, X):
+        calls.append(X.shape)
+        return peel(self, X)
+
+    def refused(self, B):
+        raise AssertionError("RowSolver used")
+
+    monkeypatch.setattr(ChainComplexData, "peel", counted)
+    monkeypatch.setattr(RowSolver, "solve_rows", refused)
+    reduce_chain(cc, c)
+    assert calls == [(2, cc.dim0)]
+
+
+def test_reduce_refuses_a_residue_off_the_root_block(monkeypatch):
+    # a peel that leaves mass at a non-root section column of a fixed class
+    # is a fault of the reduction, not of the class
     cc = build_complex(get_module(3, 1, "jbar"), 3)
     c = sample_fixed_class(cc, np.random.default_rng(3))
-    assert cc.top_level(c) == 3
-    calls = []
-    preimage = ChainComplexData.boundary_preimage
+    col = cc.boundary_span().section_cols()[cc.w]
+    assert col >= cc.w
+    peel = ChainComplexData.peel
 
-    def tampered(self, b):
-        x = preimage(self, b)
+    def tampered(self, X):
+        residue, coeffs = peel(self, X)
+        residue[0, col] = (residue[0, col] + 1) % self.ring.modulus
+        return residue, coeffs
+
+    monkeypatch.setattr(ChainComplexData, "peel", tampered)
+    with pytest.raises(VerificationBug, match="outside the level-0 edge image"):
+        reduce_chain(cc, c)
+
+
+def test_reduce_checks_telescoping_at_every_level(monkeypatch):
+    # a first-peel certificate whose level-1 block no longer sums to zero
+    # (level 0 untouched) must fail the oracle's telescoping identity
+    cc = build_complex(get_module(3, 1, "jbar"), 3)
+    c = sample_fixed_class(cc, np.random.default_rng(3))
+    assert c[cc.off0[3] :].any()
+    calls = []
+    solve = certificate
+
+    def tampered(cc, b):
+        x = solve(cc, b)
         calls.append(x)
         if len(calls) == 2:  # the first peel's certificate
             x = x.copy()
-            x[self.off1[1]] = (x[self.off1[1]] + 1) % self.ring.modulus
+            x[cc.off1[1]] = (x[cc.off1[1]] + 1) % cc.ring.modulus
         return x
 
-    monkeypatch.setattr(ChainComplexData, "boundary_preimage", tampered)
-    with pytest.raises(VerificationBug, match="telescoping"):
-        reduce_chain(cc, c)
+    level_peeling_reduce(cc, c)
+    monkeypatch.setitem(globals(), "certificate", tampered)
+    with pytest.raises(AssertionError, match="telescoping"):
+        level_peeling_reduce(cc, c)
 
 
 @pytest.mark.parametrize("p,D", [(2, 1), (2, 3), (3, 2), (5, 1)])
@@ -353,14 +471,28 @@ def dense_leaf_first_span(cc):
     return CanonicalBasis(cc.ring, n, np.ascontiguousarray(H.mat[::-1, ::-1]), pivots)
 
 
+def sparse_product(X, M, N):
+    """X @ M mod N, row by row over the nonzeros of X."""
+    out = np.zeros((X.shape[0], M.shape[1]), dtype=np.int64)
+    for i, row in enumerate(X):
+        nz = np.flatnonzero(row)
+        out[i] = row[nz] @ M[nz]
+    return out % N
+
+
 @pytest.mark.parametrize("p,D", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (3, 4)])
 def test_leaf_first_boundary_against_root_first_oracle(p, D):
     rng = np.random.default_rng(10 * p + D)
     for W, rho, u in leaf_first_variants(p):
         cc = build_complex(W, D, rho, u)
         dense = dense_leaf_first_span(cc)
-        assert howell_array(cc.ring, dense.mat) == howell_array(cc.ring, cc.dmat), (W.name, rho)
-        assert all(np.flatnonzero(row)[-1] == c for row, (c, _) in zip(dense.mat, dense.pivots))
+        # span(dense) = span(dmat): each of the dim C1 rows of dense, which
+        # are independent over F_p, is its peel coefficients times dmat
+        residue, Z = cc.peel(dense.mat)
+        assert not residue.any() and dense.nrows == cc.dim1
+        assert np.array_equal(sparse_product(Z, cc.dmat, p), dense.mat), (W.name, rho)
+        last = cc.dim0 - 1 - np.argmax(dense.mat[:, ::-1] != 0, axis=1)
+        assert np.array_equal(last, [c for c, _ in dense.pivots])
         # the tree basis is the dense leaf-first form, without building it
         R = cc.boundary_span()
         assert R.nrows == dense.nrows == cc.dim1
@@ -371,16 +503,13 @@ def test_leaf_first_boundary_against_root_first_oracle(p, D):
         assert np.array_equal(R.reduce_rows(Y), dense.reduce_rows(Y)), (W.name, rho)
         X = rng.integers(0, p, size=(3, cc.dim1))
         assert np.array_equal(cc.boundary_rows(X), (X @ cc.dmat) % p)
-        # the peel's preimage against the dense solver: the same preimage
-        # of every boundary, None on every non-boundary
+        # the peel's coefficients against the dense solver: the same preimage
+        # of every boundary, a nonzero residue on every non-boundary
         targets = np.concatenate([(X @ cc.dmat) % p, Y])
-        for b in targets:
-            x = cc.boundary_preimage(b)
-            oracle = cc.boundary_solver().solve(b[::-1])
-            assert (x is None) == (oracle is None) and (x is None or np.array_equal(x, oracle))
-        for x0, b in zip(X, targets):
-            x = cc.boundary_preimage(b)
-            assert x is not None and np.array_equal(x, x0)
+        residue, coeffs = cc.peel(targets)
+        oracle, ok = cc.boundary_solver().solve_rows(targets[:, ::-1])
+        assert np.array_equal(residue.any(axis=1), ~ok) and np.array_equal(coeffs[ok], oracle[ok])
+        assert not residue[: len(X)].any() and np.array_equal(coeffs[: len(X)], X)
 
 
 def dense_fixed_oracle(cc):
