@@ -10,7 +10,9 @@ submodule equality, membership and quotient bookkeeping bit-exact.
 
 Vectors are rows throughout; a linear map is a matrix acting by right
 multiplication, so `kernel_array` and `RowSolver.solve` are left-sided
-(x @ A = 0 and x @ A = b).
+(x @ A = 0 and x @ A = b).  `RowSolver` eliminates [A | I] once; its
+`kernel` is the left kernel that elimination yields, and `kernel_array`
+takes it from there whenever e > 1 (at e = 1 it eliminates A^T instead).
 """
 
 from __future__ import annotations
@@ -354,26 +356,22 @@ def span_closure(ring: RingSpec, seed: np.ndarray, ops: Sequence[np.ndarray]) ->
 def kernel_array(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
     """Left kernel {x : x @ A = 0} as a canonical basis."""
     A = np.atleast_2d(ring.reduce(A))
-    m, n = A.shape
+    if not ring.is_field:
+        return RowSolver(ring, A).kernel
+    m = A.shape[0]
     if m == 0:
         return _empty_basis(ring, 0)
-    if ring.is_field:
-        # right kernel of A^T, extracted from its reduced echelon form
-        R, pivots = _howell(ring, A.T)
-        pivcols = [c for c, _ in pivots]
-        pivset = set(pivcols)
-        free = [j for j in range(m) if j not in pivset]
-        if not free:
-            return _empty_basis(ring, m)
-        K = np.zeros((len(free), m), dtype=np.int64)
-        K[np.arange(len(free)), free] = 1
-        K[:, pivcols] = (-R[:, free].T) % ring.p
-        return howell_array(ring, K)
-    # by the Howell property, the rows of the Howell form of [A | I] that
-    # pivot in the I part are themselves the Howell form of the kernel
-    H = howell_array(ring, np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1))
-    k = sum(c < n for c, _ in H.pivots)
-    return CanonicalBasis(ring, m, H.mat[k:, n:], tuple((c - n, g) for c, g in H.pivots[k:]))
+    # right kernel of A^T, extracted from its reduced echelon form
+    R, pivots = _howell(ring, A.T)
+    pivcols = [c for c, _ in pivots]
+    pivset = set(pivcols)
+    free = [j for j in range(m) if j not in pivset]
+    if not free:
+        return _empty_basis(ring, m)
+    K = np.zeros((len(free), m), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivcols] = (-R[:, free].T) % ring.p
+    return howell_array(ring, K)
 
 
 class RowSolver:
@@ -381,7 +379,10 @@ class RowSolver:
 
     Built once from the Howell form of [A | I]; each solve is a single
     back-substitution pass.  The returned x is the deterministic choice
-    of the Howell-form reduction order.
+    of the Howell-form reduction order (at e = 1, the canonical residue
+    of the solution set modulo the kernel).  By the Howell property, the
+    rows of that form pivoting in the I part are the Howell form of the
+    left kernel of A, kept as `kernel`.
     """
 
     def __init__(self, ring: RingSpec, A: np.ndarray):
@@ -392,8 +393,11 @@ class RowSolver:
         H = howell_array(ring, aug)
         # rows pivoting inside A come first, since pivot columns increase
         self.pivots = [(c, g) for c, g in H.pivots if c < self.n]
-        self.hmat = H.mat[: len(self.pivots), : self.n]
-        self.umat = H.mat[: len(self.pivots), self.n :]
+        k = len(self.pivots)
+        self.hmat = H.mat[:k, : self.n]
+        self.umat = H.mat[:k, self.n :]
+        kpivots = tuple((c - self.n, g) for c, g in H.pivots[k:])
+        self.kernel = CanonicalBasis(ring, self.m, H.mat[k:, self.n :], kpivots)
         self._unit = all(g == 1 for _, g in self.pivots)
         self._pivcols = [c for c, _ in self.pivots]
 

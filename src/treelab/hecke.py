@@ -412,9 +412,12 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     is flat iff some (equivalently any) surjection H^r -> J splits as a
     module map.  Small instances go through the generic dense
     split_test; larger ones solve the equivalent generator-relation
-    system, and any section found is re-verified by the exact section
-    and intertwining identities.  `method` forces one route ("split_test"
-    or "presentation"); the two must agree wherever both run.
+    system by its r-fold block structure, at every e: one relation
+    kernel shared by the r components, then one r.v x r.n section
+    system (480 x 480 at p = 5).  Any section found is re-verified by
+    the exact section and intertwining identities.  `method` forces one
+    route ("split_test" or "presentation"); the two must agree wherever
+    both run.
     """
     alg = build_hecke(p, e)
     ring = alg.ring
@@ -459,45 +462,43 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
 def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarray) -> Optional[np.ndarray]:
     """Solve for a module-map section through the presentation of J.
 
-    A module map out of J is pinned by its values y_k on the module
-    generators, subject to killing every relation among them; adding the
-    section equations y_k @ P = x_k turns existence into one small exact
-    linear solve.  Unknowns: r vectors in the free module's coordinates.
-    The relation for a q is a q times the relation for q, so module
-    generators of ker P give the same solutions as all of ker P.
+    A module map out of J is pinned by its values y_k in H^r on the module
+    generators, subject to killing every relation among them, and it is a
+    section iff y_k @ P = x_k.  The relation for a q is a q times the
+    relation for q, so module generators q of ker P give the same
+    solutions as all of ker P.  Each relation block is kron(I_r, L(q_k)),
+    so every component z_j = (y_1^j, ..., y_r^j) of the unknowns lies in
+    one space V, the left kernel of R = [vstack_k L(q_k)] over q.  With
+    z_j = a_j @ Bv for the Howell basis Bv of V, the section equations
+    read a @ S = x, block (j, k) of S being Bv_k @ P_j.  The returned y is
+    the canonical residue of the expanded solution modulo the expanded
+    ker S, the kernel of the whole system: it depends on no elimination
+    order, and at e = 1 it is what one RowSolver on the whole system
+    returns.
     """
     ring = alg.ring
     N = ring.modulus
     n = alg.basis_mats[0].shape[0]
     d = alg.dim
     r = len(chosen)
-    m = r * d  # free module coordinate count
-
-    def blockdiag(mat: np.ndarray) -> np.ndarray:
-        return np.kron(np.eye(r, dtype=np.int64), mat)
-
-    left_ops = [blockdiag(alg.left_regular(u)) for u in range(d)]
+    left_ops = [np.kron(np.eye(r, dtype=np.int64), alg.left_regular(u)) for u in range(d)]
     K = kernel_array(ring, P).mat
     rel_gens, _ = _module_generators(ring, K, left_ops)
-    # unknown vector Y = [y_1 | ... | y_r], each y_k of length m
-    # relation compatibility: sum_k q_k . y_k = 0 for every generator q
-    blocks = [
-        np.concatenate([blockdiag(alg.left_regular_combo(c)) for c in q.reshape(r, d)]) for q in K[rel_gens]
-    ]
-    # section equations: y_k @ P = x_k
-    sect = np.zeros((r * m, r * n), dtype=np.int64)
-    rhs_sect = np.zeros(r * n, dtype=np.int64)
-    for k, i in enumerate(chosen):
-        sect[k * m : (k + 1) * m, k * n : (k + 1) * n] = P
-        rhs_sect[k * n + i] = 1
-    wide = np.concatenate(blocks + [sect], axis=1)
-    rhs = np.concatenate([np.zeros(len(blocks) * m, dtype=np.int64), rhs_sect])
-    y = RowSolver(ring, wide).solve(rhs)
-    if y is None:
+    # R[(k, a), (q, b)] = L(q_k)[a, b], where L(c) = sum_u c_u struct[u] is x -> c * x
+    R = np.einsum("gku,uab->kagb", K[rel_gens].reshape(-1, r, d), alg.struct).reshape(r * d, -1) % N
+    Bv = kernel_array(ring, R).mat.reshape(-1, r, d)  # Bv[:, k] is Bv_k
+    v = Bv.shape[0]
+    S = np.einsum("vkx,jxc->jvkc", Bv, P.reshape(r, d, n)).reshape(r * v, r * n) % N
+    solver = RowSolver(ring, S)
+    a = solver.solve(np.eye(n, dtype=np.int64)[chosen].reshape(-1))
+    if a is None:
         return None
+    # rows a -> Y = [y_1 | ... | y_r] with y_k^j = a_j @ Bv_k: the solution, then ker S
+    Y = np.einsum("tjv,vkx->tkjx", np.vstack([a, solver.kernel.mat]).reshape(-1, r, v), Bv) % N
+    y = howell_array(ring, Y[1:].reshape(-1, r * r * d)).reduce(Y[0].reshape(-1))
     # the section on J through deterministic preimages: row j is
     # sum_k z_jk . y_k, and (T_w . y_k) is y_k @ left_ops[w]
-    acted = np.stack([y[k * m : (k + 1) * m] @ op for k in range(r) for op in left_ops]) % N
+    acted = np.stack([yk @ op for yk in y.reshape(r, -1) for op in left_ops]) % N
     return (_preimages(ring, P) @ acted) % N
 
 

@@ -151,6 +151,26 @@ def test_kernel_vs_enumeration(p, e):
         assert member == oracle
 
 
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3)])
+def test_row_solver_kernel_is_kernel_array(p, e):
+    # at e = 1 kernel_array eliminates A^T, an independent route; at every e
+    # the kernel is checked against |ker A| * |im A| = N^m
+    ring = RingSpec(p, e)
+    N = ring.modulus
+    rng = np.random.default_rng(100 * p + e)
+    mats = [np.zeros((3, 4), dtype=np.int64), np.eye(4, dtype=np.int64), np.zeros((0, 3), dtype=np.int64)]
+    for _ in range(12):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        k = int(rng.integers(1, min(m, n) + 1))
+        mats.append(rng.integers(0, N, size=(m, n)))
+        mats.append(rng.integers(0, N, size=(m, k)) @ rng.integers(0, N, size=(k, n)) % N)
+    for A in mats:
+        K = RowSolver(ring, A).kernel
+        assert K == kernel_array(ring, A)
+        assert not ((K.mat @ A) % N).any()
+        assert K.span_log_size() + howell_array(ring, A).span_log_size() == e * A.shape[0]
+
+
 def test_rank_law_field_case():
     ring = RingSpec(5, 1)
     rng = np.random.default_rng(2)

@@ -52,7 +52,7 @@ VERIFY = {
     "hecke --p 2 --e 2": "eebb1d8c426323fe78193d389100f1864a1cf73e8f3530ccc7779d7a02039912",
     "lemma22 --p 3 --e 3 --seed 7 --random 5": "25dd4fafbfa55c45435b5dc5bcae2517d25b7af1b8e0155be9261246f80afe25",
     "corrpro --p 3 --depth 4 --rho twist:1 --twist 2": "fbc2999d3e11c9f500736c5988749e7570f12fb9534201685d8b13459cda1aae",
-    # a 1240 x 3744 boundary and the largest flatness system (800 x 1440) in tier-1
+    # a 1240 x 3744 boundary and the largest flatness section system (480 x 480) in tier-1
     "corrpro --p 5 --depth 3": "feca2083912737f7f9cfd9c285e0f804271248e8301a55e3207cfee4247dab17",
     "hecke --p 5": "8d456c67e683050bad6fc01be7fc9c925c2c10ae06d1dde23fd28b8007bee489",
     # the large end: a 4788 x 19200 boundary, reduced through the tree basis only
@@ -72,6 +72,9 @@ FLATNESS = {
     (3, 1, "presentation"): "b0524783885a74194359c621920af043177870cc71a2754647efec22d12c2ab5",
     (3, 1, "split_test"): "3acc6195b9a7ef84d80d007b11799429e7487354eb8ceb09121b978eb40728e1",
     (2, 2, "presentation"): "cffcb1bef8f49c8907f0fc70834d06436c3416bcb6d7c5b1f0fd2eee822de461",
+    # the section is the canonical residue of the solution set modulo its kernel;
+    # at e > 1 the whole-system solve had picked one by its elimination order
+    (5, 2, "presentation"): "7392adf3cbde6eefb727f9074b8992ed6a0504b433f9a8f24e561ef2d7e22b9f",
 }
 
 # one hypothesis rejection from each check that can reject

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from treelab import hecke
-from treelab.exactalg import howell_array, span_closure
+from treelab import exactalg, hecke
+from treelab.exactalg import RowSolver, howell_array, kernel_array, span_closure
 from treelab.grouprep import build_group
 from treelab.hecke import (
     build_hecke,
@@ -252,21 +252,91 @@ def test_flatness_methods_agree(p, e):
 
 
 def test_flatness_presentation_relations_by_module_generators(monkeypatch):
-    # one relation block per module generator of ker P: every one of the
-    # 64 kernel rows would make the system 800 x (64 * 160 + 480) = 800 x 10720
-    shapes = []
-    original = hecke.RowSolver
+    # one relation block per module generator of ker P: the 64 kernel rows
+    # would make the shared relation system 160 x (64 * 32); the section
+    # system is r.v x r.n = 480 x 480, where the whole system was 800 x 1440
+    solver_shapes, kernel_shapes = [], []
+    original_init = exactalg.RowSolver.__init__
+    original_kernel = hecke.kernel_array
 
-    def recorded(ring, A):
-        shapes.append(np.shape(A))
-        return original(ring, A)
+    def recorded_init(self, ring, A):
+        solver_shapes.append(np.shape(A))
+        original_init(self, ring, A)
 
-    monkeypatch.setattr(hecke, "RowSolver", recorded)
+    def recorded_kernel(ring, A):
+        kernel_shapes.append(np.shape(A))
+        return original_kernel(ring, A)
+
+    monkeypatch.setattr(exactalg.RowSolver, "__init__", recorded_init)
+    monkeypatch.setattr(hecke, "kernel_array", recorded_kernel)
     rep = check_flatness(5, 1, "presentation")
     assert rep.verdicts["flat"] is True
-    rows, cols = max(shapes, key=lambda shape: shape[1])
-    assert rows == 800
-    assert cols < 10720
+    assert max(rows for rows, _ in solver_shapes) <= 480
+    assert max(solver_shapes, key=lambda shape: shape[0] * shape[1]) == (480, 480)
+    assert (160, 6 * 32) in kernel_shapes
+    assert max(cols for _, cols in kernel_shapes) < 64 * 32
+
+
+def dense_presentation_section(alg, chosen, P):
+    """The section unknowns from one solve of the whole dense system.
+
+    Unknowns Y = [y_1 | ... | y_r], each y_k of length m = r.d: one
+    relation block per module generator q of ker P (sum_k q_k . y_k = 0),
+    then the section equations y_k @ P = x_k.  Returns the raw solution
+    of RowSolver on that system and its canonical residue modulo the
+    system's kernel.
+    """
+    ring = alg.ring
+    n = alg.basis_mats[0].shape[0]
+    d = alg.dim
+    r = len(chosen)
+    m = r * d
+
+    def blockdiag(mat):
+        return np.kron(np.eye(r, dtype=np.int64), mat)
+
+    left_ops = [blockdiag(alg.left_regular(u)) for u in range(d)]
+    K = kernel_array(ring, P).mat
+    rel_gens, _ = hecke._module_generators(ring, K, left_ops)
+    blocks = [
+        np.concatenate([blockdiag(alg.left_regular_combo(c)) for c in q.reshape(r, d)]) for q in K[rel_gens]
+    ]
+    sect = np.zeros((r * m, r * n), dtype=np.int64)
+    rhs_sect = np.zeros(r * n, dtype=np.int64)
+    for k, i in enumerate(chosen):
+        sect[k * m : (k + 1) * m, k * n : (k + 1) * n] = P
+        rhs_sect[k * n + i] = 1
+    wide = np.concatenate(blocks + [sect], axis=1)
+    rhs = np.concatenate([np.zeros(len(blocks) * m, dtype=np.int64), rhs_sect])
+    solver = RowSolver(ring, wide)
+    y = solver.solve(rhs)
+    return y, solver.kernel.reduce(y)
+
+
+def section_from_unknowns(alg, P, y):
+    """Row j of the section is sum_k z_jk . y_k over the preimages z_j of P."""
+    N = alg.ring.modulus
+    r = P.shape[0] // alg.dim
+    m = r * alg.dim
+    left_ops = [np.kron(np.eye(r, dtype=np.int64), alg.left_regular(u)) for u in range(alg.dim)]
+    acted = np.stack([y[k * m : (k + 1) * m] @ op for k in range(r) for op in left_ops]) % N
+    return (hecke._preimages(alg.ring, P) @ acted) % N
+
+
+@pytest.mark.parametrize(
+    "p,e", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+)
+def test_block_section_against_dense_oracle(p, e):
+    # the block solve returns the canonical residue of the solution set, the
+    # dense solve at e = 1 (and, as it happens, at p <= 3) as well
+    alg = build_hecke(p, e)
+    n = alg.basis_mats[0].shape[0]
+    chosen, P = hecke._module_generators(alg.ring, np.eye(n, dtype=np.int64), alg.basis_mats)
+    raw, residue = dense_presentation_section(alg, chosen, P)
+    section = hecke._section_via_presentation(alg, chosen, P)
+    assert np.array_equal(section, section_from_unknowns(alg, P, residue))
+    if e == 1 or p <= 3:
+        assert np.array_equal(raw, residue)
 
 
 def test_flatness_e2_recorded():
