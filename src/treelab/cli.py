@@ -28,7 +28,6 @@ from .catalog import builtin_catalog, emit_catalog, select_modules
 from .exactalg import MAX_E
 from .halftree import (
     build_complex,
-    check_cogtri_hypothesis,
     parse_rho,
     reduce_chain,
     sample_fixed_class,
@@ -146,8 +145,6 @@ class RunConfig:
 def _tree_reports(cfg: RunConfig, lemmas: tuple[str, ...]) -> list[LemmaReport]:
     """Every selected module's report of the first lemma, then of the next."""
     mods = select_modules(cfg.p, 1, cfg.module)
-    if lemmas == ("cogtri",):
-        return [check_cogtri_hypothesis(W, cfg.twist) for W in mods]
     per_module = [tree_reports(W, cfg.depth, cfg.rho, cfg.twist, lemmas) for W in mods]
     return [reps[i] for i in range(len(lemmas)) for reps in per_module]
 
@@ -170,8 +167,7 @@ def run_suite(cfg: RunConfig) -> dict:
         tasks = [
             lambda: lemma21_suite(cfg.p, 1, cfg.module, seed, cfg.n_random),
             lambda: lemma22_suite(cfg.p, cfg.e, seed, cfg.n_random),
-            lambda: _tree_reports(cfg, ("corrpro", "presentation")),
-            lambda: _tree_reports(cfg, ("cogtri",)),
+            lambda: _tree_reports(cfg, ("corrpro", "presentation", "cogtri")),
         ]
         if cfg.p in HECKE_PRIMES:
             tasks.append(lambda: hecke_suite(cfg.p, cfg.e, checks, seed, min(cfg.n_random, 5)))

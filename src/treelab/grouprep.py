@@ -76,7 +76,6 @@ class GroupData:
     weyl: Elem
     upper_unipotent: tuple[Elem, ...]
     lower_unipotent: tuple[Elem, ...]
-    torus: tuple[Elem, ...]
     opp_radicals: tuple[frozenset[Elem], ...]
 
     @property
@@ -141,10 +140,6 @@ def build_group(kind: str, p: int) -> GroupData:
 
     upper = tuple(sorted((1, t, 0, 1) for t in range(p)))
     lower = tuple(sorted((1, 0, t, 1) for t in range(p)))
-    if kind == "sl2":
-        torus = tuple(sorted((t % p, 0, 0, pow(t, -1, p)) for t in range(1, p)))
-    else:
-        torus = tuple(sorted((s, 0, 0, t) for s in range(1, p) for t in range(1, p)))
     radicals = []
     for n2 in upper:
         conj = frozenset(elem_mul(elem_mul(n2, x, p), elem_inv(n2, p), p) for x in lower)
@@ -164,7 +159,6 @@ def build_group(kind: str, p: int) -> GroupData:
         weyl=weyl,
         upper_unipotent=upper,
         lower_unipotent=lower,
-        torus=torus,
         opp_radicals=opp,
     )
     _spot_verify(grp)

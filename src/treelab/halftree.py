@@ -140,10 +140,10 @@ class ChainComplexData:
     modulo its image leaf first: every edge owns its child vertex, where
     the gluing rho is injective, so at the local pivot columns P of rho
     (its Howell form with the columns reversed) a vertex block fixes the
-    coefficients of the vertex's parent edge.  `boundary_span`,
-    `fixed_classes` and `reduce_chain` are read off the peel.  The dense
-    boundary matrix `dmat` is assembled only when read; the tests use it
-    as the oracle.
+    coefficients of the vertex's parent edge.  `boundary_span` and
+    `reduce_chain` are read off the peel, and `fixed_classes` off its
+    closed form on the vertex-0 path.  The dense boundary matrix `dmat`
+    is assembled only when read; the tests use it as the oracle.
     The cyclic generator acts on 0-chains by the index shift `apply_g0`,
     with the vertex-fiber twist applied on index wraparound, and on
     1-chains by the edge-index shift, which carries no twist.
@@ -170,7 +170,7 @@ class ChainComplexData:
         self.local_pivots = np.sort(w - 1 - np.array([c for c, _ in H.pivots], dtype=np.int64))
         self.local_free = np.setdiff1d(np.arange(w), self.local_pivots)
         self._rho_inv = RowSolver(self.ring, spec.rho[:, self.local_pivots]).solve_rows(np.eye(t, dtype=np.int64))[0]
-        self._fixed: Optional[tuple[np.ndarray, list[int]]] = None
+        self._fixed: Optional[tuple[CanonicalBasis, np.ndarray]] = None
         self._solver: Optional[RowSolver] = None
 
     @cached_property
@@ -316,56 +316,54 @@ def build_complex(W: GModule, depth: int, rho_choice: str = "w0", twist_u: int =
     return ChainComplexData(build_coeff_spec(W, rho_choice, twist_u), depth)
 
 
-def iota_embed(cc: ChainComplexData) -> np.ndarray:
-    """Upper-invariant basis of W placed in the level-0 vertex block."""
-    out = np.zeros((cc.spec.inv_upper.nrows, cc.dim0), dtype=np.int64)
-    out[:, : cc.w] = cc.spec.inv_upper.mat
-    return out
-
-
-def fixed_classes(cc: ChainComplexData) -> tuple[np.ndarray, list[int]]:
-    """Basis (section coordinates) of the generator-fixed part of H0.
+def fixed_classes(cc: ChainComplexData) -> tuple[CanonicalBasis, np.ndarray]:
+    """Basis of the generator-fixed part of H0, in orbit coordinates.
 
     The tree basis leaves every root column as a section column and, at
-    every other vertex, the columns outside the local pivots.  The
+    every other vertex, the columns S outside the local pivots.  The
     generator moves the section unit vector at vertex a < p^m - 1 to the
     one at vertex a + 1, so a fixed class is constant on each level's
-    shift orbit, with one unknown per orbit.  Only the wrap rows (vertex
-    p^m - 1 to vertex 0 through the twist) constrain the unknowns;
-    reduced, they must meet the section columns at vertex 0 only.  The
-    kernel of that small system, expanded over the orbits and put in
-    Howell form, is the basis `kernel_array` gives for the dense gq - I
-    of `h0_generator_matrix`.
+    shift orbit, with one unknown per orbit; `owner` names the orbit of
+    each section column.  Only the wrap rows (vertex p^m - 1 to vertex 0
+    through the twist) constrain the unknowns, and each stays on the
+    vertex-0 path while it is peeled: at level l its parent-edge
+    coefficient is z = x[P]·rho^-1 (the level signs cancel), it leaves
+    (x - z·rho)[S] on the orbits of level l and passes x = z·inv_lower
+    up to level l - 1; the x that reaches the root meets the first w
+    orbits.  The fixed basis is the kernel of M - I for this orbit
+    system M.  At e = 1, expanding it over the orbits (`.mat[:, owner]`)
+    gives the Howell form that `kernel_array` gives for the dense gq - I
+    of `h0_generator_matrix`: each pivot lands on its orbit's first
+    column, and those columns keep the orbit order.
 
     Computed once per complex and kept on it.
     """
     if cc._fixed is None:
-        w = cc.w
-        R = cc.boundary_span()
-        sec = R.section_cols()
-        levels = [np.arange(w)] + [cc.local_free] * cc.depth  # the section columns of each level's vertices
+        N, w = cc.ring.modulus, cc.w
+        levels = [np.arange(w)] + [cc.local_free] * cc.depth  # S_m: the section columns of a level-m vertex
         start = np.cumsum([0] + [local.size for local in levels])
-        # the unknown of each section column's orbit, and the orbit's column at vertex p^m - 1
         owner = np.concatenate(
             [s + np.tile(np.arange(local.size), cc.p**m) for m, (s, local) in enumerate(zip(start, levels))]
         )
-        ends = np.concatenate([cc.off0[m + 1] - w + local for m, local in enumerate(levels)])
-        _, first = np.unique(owner, return_index=True)  # each orbit starts at vertex 0
-        unit = np.zeros((ends.size, cc.dim0), dtype=np.int64)
-        unit[np.arange(ends.size), ends] = 1
-        red = R.reduce_rows(cc.apply_g0_rows(unit))[:, sec]
-        M = red[:, first]
-        red[:, first] = 0
-        if red.any():
-            raise VerificationBug("a wrap row meets a section column off vertex 0")
+        M = np.zeros((start[-1], start[-1]), dtype=np.int64)
+        for m, local in enumerate(levels):
+            x = cc.spec.twist[local]  # the wrap rows of level m, moved to vertex 0
+            for lvl in range(m, 0, -1):
+                z = x[:, cc.local_pivots] @ cc._rho_inv % N
+                residue = (x - z @ cc.spec.rho) % N
+                M[start[m] : start[m + 1], start[lvl] : start[lvl + 1]] = residue[:, levels[lvl]]
+                x = z @ cc.spec.down_stack[: cc.t] % N
+            M[start[m] : start[m + 1], :w] = x
         M[np.diag_indices_from(M)] -= 1
-        Y = kernel_array(cc.ring, M).mat
-        cc._fixed = (howell_array(cc.ring, Y[:, owner]).mat, sec)
+        cc._fixed = (kernel_array(cc.ring, M), owner)
     return cc._fixed
 
 
 def _tree_desc(lemma: str, W: GModule, depth: int, rho_choice: str, twist_u: int) -> dict:
-    desc = {"module": W.name or "anonymous", "p": W.group.p, "depth": depth}
+    desc = {"module": W.name or "anonymous", "p": W.group.p}
+    if lemma == "cogtri":
+        return {**desc, "twist_u": twist_u}
+    desc["depth"] = depth
     if lemma == "corrpro":
         desc.update(rho=rho_choice, twist_u=twist_u, rank=W.rank)
     return desc
@@ -375,35 +373,37 @@ def _tree_desc(lemma: str, W: GModule, depth: int, rho_choice: str, twist_u: int
 def check_corrpro(cc: ChainComplexData) -> LemmaReport:
     """The edge space maps bijectively onto the fixed part of H0.
 
-    Verdicts: the level-0 embedding of the upper invariants is injective
-    in H0, lands in the generator-fixed part, and spans it exactly.
+    Verdicts: the level-0 embedding iota of the upper invariants is
+    injective in H0, lands in the generator-fixed part, and spans it
+    exactly.  iota and g·iota - iota lie in the root block, whose columns
+    are all section columns, so each is its own residue: injectivity is
+    read off inv_upper, fixedness off inv_upper·twist - inv_upper.  The
+    root columns are the first w orbits of `fixed_classes`, and expanding
+    over the orbits is injective, so "onto" and the rank are tested in
+    orbit coordinates against [inv_upper | 0].
     """
     desc = _tree_desc("corrpro", cc.spec.W, cc.depth, cc.spec.rho_choice, cc.spec.twist_u)
     ring = cc.ring
-    R = cc.boundary_span()
-    iota = iota_embed(cc)
-    red = R.reduce_rows(iota)
-    inj = kernel_array(ring, red).nrows == 0
-    moved = R.reduce_rows((cc.apply_g0_rows(iota) - iota) % ring.modulus)
-    lands_fixed = not np.any(moved)
-    fix_mat, sec = fixed_classes(cc)
-    iota_q = red[:, sec]
-    span_i = howell_array(ring, iota_q)
-    span_f = howell_array(ring, fix_mat)
-    onto = span_f.is_subspace_of(span_i)
+    upper = cc.spec.inv_upper.mat
+    inj = kernel_array(ring, upper).nrows == 0
+    lands_fixed = not np.any((upper @ cc.spec.twist - upper) % ring.modulus)
+    fixed, _ = fixed_classes(cc)
+    iota = np.zeros((upper.shape[0], fixed.ncols), dtype=np.int64)
+    iota[:, : cc.w] = upper
+    onto = fixed.is_subspace_of(howell_array(ring, iota))
     verdicts = {
         "injective": inj,
         "lands_in_fixed_part": lands_fixed,
         "onto_fixed_part": onto,
         "bijective": inj and lands_fixed and onto,
-        "dims_equal": span_f.nrows == cc.spec.inv_upper.nrows,
+        "dims_equal": fixed.nrows == cc.spec.inv_upper.nrows,
     }
     dims = {
         "dim_c0": cc.dim0,
         "dim_c1": cc.dim1,
-        "dim_h0_fixed": span_f.nrows,
+        "dim_h0_fixed": fixed.nrows,
         "dim_inv_upper": cc.spec.inv_upper.nrows,
-        "dim_h0": cc.dim0 - R.nrows,
+        "dim_h0": cc.dim0 - cc.boundary_span().nrows,
     }
     return LemmaReport("corrpro", desc, verdicts=verdicts, dims=dims)
 
@@ -431,34 +431,33 @@ def check_presentation(cc: ChainComplexData) -> LemmaReport:
 def tree_reports(
     W: GModule, depth: int, rho_choice: str, twist_u: int, lemmas: tuple[str, ...]
 ) -> list[LemmaReport]:
-    """The named checks ("corrpro", "presentation") on one shared build of the
-    complex, or one rejection per check when W fails the hypotheses."""
-    if not set(lemmas) <= {"corrpro", "presentation"}:
+    """The named checks ("corrpro", "presentation", "cogtri") on one shared
+    build of the complex, or one rejection per check when W fails the
+    hypotheses."""
+    if not set(lemmas) <= {"corrpro", "presentation", "cogtri"}:
         raise ValueError(f"unknown tree checks {lemmas}")
     try:
         cc = build_complex(W, depth, rho_choice, twist_u)
     except ValueError as err:
         return [rejected(lem, _tree_desc(lem, W, depth, rho_choice, twist_u), str(err)) for lem in lemmas]
-    return [check_corrpro(cc) if lemma == "corrpro" else check_presentation(cc) for lemma in lemmas]
+    checks = {"corrpro": check_corrpro, "presentation": check_presentation}
+    return [check_cogtri_hypothesis(cc.spec) if lem == "cogtri" else checks[lem](cc) for lem in lemmas]
 
 
 @timed
-def check_cogtri_hypothesis(W: GModule, twist_u: int = 1) -> LemmaReport:
+def check_cogtri_hypothesis(spec: CoeffSystemSpec) -> LemmaReport:
     """Per-vertex injectivity of the local H^1 comparison map.
 
     coker(shift - 1) on the stacked child-edge space maps to coker(c - 1)
     on the fiber; injectivity (in fact bijectivity) is the local input
-    for the fixed-part correspondence.
+    for the fixed-part correspondence.  It reads no rho: every valid
+    gluing is an isomorphism exactly when w0 is.
     """
-    desc = {"module": W.name or "anonymous", "p": W.group.p, "twist_u": twist_u}
-    ring = W.ring
-    try:
-        spec = build_coeff_spec(W, "w0", twist_u)
-    except ValueError as err:
-        return rejected("cogtri", desc, str(err))
+    W = spec.W
+    desc = _tree_desc("cogtri", W, 0, spec.rho_choice, spec.twist_u)
     p = W.group.p
-    src = h1_procyclic(ring, block_shift(p, spec.inv_lower.nrows), p)
-    tgt = h1_procyclic(ring, spec.twist, p)
+    src = h1_procyclic(W.ring, block_shift(p, spec.inv_lower.nrows), p)
+    tgt = h1_procyclic(W.ring, spec.twist, p)
     inj, surj = src.induced_map(spec.down_stack, tgt)
     dims = {"source_coker": src.dim, "target_coker": tgt.dim}
     verdicts = {"h1_injective": inj, "h1_bijective": inj and surj}
@@ -499,15 +498,15 @@ def reduce_chain(cc: ChainComplexData, c: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def sample_fixed_class(cc: ChainComplexData, rng: np.random.Generator) -> np.ndarray:
-    """A random 0-chain whose class is generator-fixed (via the fixed basis)."""
-    fix_mat, sec = fixed_classes(cc)
+    """A random 0-chain whose class is generator-fixed: a random combination
+    of the fixed basis, expanded over the orbits, plus a random boundary."""
+    fixed, owner = fixed_classes(cc)
+    N = cc.ring.modulus
     out = np.zeros(cc.dim0, dtype=np.int64)
-    if fix_mat.shape[0] == 0:
+    if fixed.nrows == 0:
         return out
-    coeffs = rng.integers(0, cc.ring.modulus, size=fix_mat.shape[0])
-    combo = (coeffs @ fix_mat) % cc.ring.modulus
-    out[np.array(sec, dtype=np.int64)] = combo
+    coeffs = rng.integers(0, N, size=fixed.nrows)
+    out[cc.boundary_span().section_cols()] = (coeffs @ fixed.mat % N)[owner]
     # add a random boundary so the representative is not already reduced
-    noise = rng.integers(0, cc.ring.modulus, size=cc.dim1)
-    out = (out + cc.boundary_rows(noise)[0]) % cc.ring.modulus
-    return out
+    noise = rng.integers(0, N, size=cc.dim1)
+    return (out + cc.boundary_rows(noise)[0]) % N

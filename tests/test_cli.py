@@ -7,6 +7,7 @@ import pytest
 from treelab import halftree
 from treelab.catalog import builtin_catalog
 from treelab.cli import RunConfig, build_parser, main, run_suite
+from treelab.grouprep import invariants
 
 
 def strip_times(doc):
@@ -190,14 +191,47 @@ def test_lemma21_unknown_module_usage_error():
 
 
 def test_verify_all_builds_each_complex_once(monkeypatch):
-    calls = []
-    original = halftree.build_complex
+    calls, specs = [], []
+    original, original_spec = halftree.build_complex, halftree.build_coeff_spec
 
     def counted(W, *args):
         calls.append(W.name)
         return original(W, *args)
 
+    def counted_spec(W, *args):
+        specs.append(W.name)
+        return original_spec(W, *args)
+
     monkeypatch.setattr(halftree, "build_complex", counted)
+    monkeypatch.setattr(halftree, "build_coeff_spec", counted_spec)
     doc = run_suite(RunConfig(command="all", p=3, depth=3, seed=1))
     assert doc["aggregate"] == "pass"
-    assert calls == [W.name for W in builtin_catalog(3, 1)]
+    # cogtri reads the spec of the same build as corrpro and presentation
+    assert calls == specs == [W.name for W in builtin_catalog(3, 1)]
+
+
+@pytest.mark.parametrize("rho", ["twist:1", "scalar:1"])
+def test_cogtri_reads_no_rho(rho):
+    # cogtri under `verify all` runs on a complex glued by rho, and reports
+    # as `verify cogtri` does, which always glues by w0
+    for twist in (1, 2):
+        alone = run_suite(RunConfig(command="cogtri", p=3, twist=twist))["reports"]
+        every = run_suite(RunConfig(command="all", p=3, depth=1, seed=1, rho=rho, twist=twist))["reports"]
+        assert strip_times([r for r in every if r["lemma"] == "cogtri"]) == strip_times(alone)
+
+
+def test_tree_suites_run_at_the_envelope_corner():
+    # p=7 D=6: dim C0 is 6.6 million for jbar; corrpro reads its fixed part
+    # off the root path and presentation its rank off the tree basis
+    p, D = 7, 6
+    mods = builtin_catalog(p, 1)
+    for lemma in ("corrpro", "presentation"):
+        doc = run_suite(RunConfig(command=lemma, p=p, depth=D))
+        assert doc["aggregate"] == "pass" and len(doc["reports"]) == len(mods)
+        for W, rep in zip(mods, doc["reports"]):
+            t = invariants(W, [W.group.lower_gen]).nrows
+            assert rep["status"] == "pass" and rep["instance"]["module"] == W.name
+            assert rep["dims"]["dim_c0"] == W.rank * sum(p**m for m in range(D + 1))
+            assert rep["dims"]["dim_c1"] == t * sum(p ** (m + 1) for m in range(D))
+            if lemma == "corrpro":
+                assert rep["dims"]["dim_h0_fixed"] == rep["dims"]["dim_inv_upper"]

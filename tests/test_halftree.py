@@ -13,6 +13,8 @@ from treelab.grouprep import build_group, invariants, jbar, trivial_module
 from treelab.halftree import (
     ChainComplexData,
     NotFixedClassError,
+    TreeBasis,
+    build_coeff_spec,
     build_complex,
     check_cogtri_hypothesis,
     check_corrpro,
@@ -221,7 +223,7 @@ def test_presentation_exactness(p, D):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cogtri_hypothesis_bijective(p):
     for W in builtin_catalog(p, 1):
-        rep = check_cogtri_hypothesis(W)
+        rep = check_cogtri_hypothesis(build_coeff_spec(W))
         assert rep.status == PASS
         assert rep.dims["source_coker"] == rep.dims["target_coker"]
 
@@ -519,6 +521,42 @@ def dense_fixed_oracle(cc):
     return kernel_array(cc.ring, gq).mat
 
 
+def wide_fixed_oracle(cc):
+    """The fixed basis by the wide route, in section coordinates.
+
+    Unit rows of width dim C0 at the last vertex of every shift orbit, moved
+    by the generator and peeled over the whole tree; the reduced wrap rows
+    must meet the section columns at vertex 0 only.  The kernel of the orbit
+    system, expanded over the orbits, is put in Howell form.
+    """
+    w = cc.w
+    R = cc.boundary_span()
+    sec = R.section_cols()
+    levels = [np.arange(w)] + [cc.local_free] * cc.depth
+    start = np.cumsum([0] + [local.size for local in levels])
+    owner = np.concatenate(
+        [s + np.tile(np.arange(local.size), cc.p**m) for m, (s, local) in enumerate(zip(start, levels))]
+    )
+    ends = np.concatenate([cc.off0[m + 1] - w + local for m, local in enumerate(levels)])
+    _, first = np.unique(owner, return_index=True)  # each orbit starts at vertex 0
+    unit = np.zeros((ends.size, cc.dim0), dtype=np.int64)
+    unit[np.arange(ends.size), ends] = 1
+    red = R.reduce_rows(cc.apply_g0_rows(unit))[:, sec]
+    M = red[:, first]
+    red[:, first] = 0
+    assert not red.any(), "a wrap row meets a section column off vertex 0"
+    M[np.diag_indices_from(M)] -= 1
+    Y = kernel_array(cc.ring, M).mat
+    return howell_array(cc.ring, Y[:, owner]).mat
+
+
+def expanded_fixed_basis(cc):
+    """The orbit-coordinate fixed basis of `fixed_classes`, expanded to the section columns."""
+    fixed, owner = fixed_classes(cc)
+    assert owner.size == len(cc.boundary_span().section_cols())
+    return fixed.mat[:, owner]
+
+
 def fixed_oracle_cases():
     """Every gluing and twist on the catalog at D <= 2 and on jbar at p=3 D=4;
     two of them on jbar at p=5 D=3, whose dense oracle takes 0.5 s each."""
@@ -532,12 +570,27 @@ def fixed_oracle_cases():
 
 
 def test_fixed_classes_against_dense_generator_oracle():
-    for W, D, rho, u in fixed_oracle_cases():
+    large = [(W, D, "w0", 1) for p, D in ((7, 2), (2, 5)) for W in builtin_catalog(p, 1)]
+    for W, D, rho, u in [*fixed_oracle_cases(), *large]:
         cc = build_complex(W, D, rho, u)
-        fix, sec = fixed_classes(cc)
-        oracle = dense_fixed_oracle(cc)
-        assert sec == cc.boundary_span().section_cols()
-        assert fix.shape == oracle.shape and np.array_equal(fix, oracle), (W.name, D, rho, u)
+        fix = expanded_fixed_basis(cc)
+        for oracle in (dense_fixed_oracle(cc), wide_fixed_oracle(cc)):
+            assert fix.shape == oracle.shape and np.array_equal(fix, oracle), (W.name, D, rho, u)
+
+
+def test_fixed_part_is_read_off_the_root_path(monkeypatch):
+    # no row of width dim C0 is peeled, shifted or reduced on the corrpro path
+    def wide(*args):
+        raise AssertionError("a wide row was built")
+
+    for name in ("peel", "apply_g0_rows"):
+        monkeypatch.setattr(ChainComplexData, name, wide)
+    monkeypatch.setattr(TreeBasis, "reduce_rows", wide)
+    cc = build_complex(get_module(5, 1, "jbar"), 3)
+    fixed, owner = fixed_classes(cc)
+    assert fixed.nrows == cc.spec.inv_upper.nrows and owner.size == cc.dim0 - cc.dim1
+    rep = check_corrpro(build_complex(get_module(5, 1, "jbar"), 3))
+    assert rep.status == PASS and rep.dims["dim_h0_fixed"] == cc.spec.inv_upper.nrows
 
 
 def test_corrpro_never_builds_the_dense_generator(monkeypatch):
@@ -556,8 +609,7 @@ def test_verify_and_reduce_never_build_the_dense_boundary(monkeypatch, tmp_path)
     monkeypatch.setattr(ChainComplexData, "dmat", property(dense))
     cc = build_complex(get_module(3, 1, "jbar"), 3)
     assert check_corrpro(cc).status == PASS and check_presentation(cc).status == PASS
-    fix, sec = fixed_classes(cc)
-    assert fix.shape == (4, len(sec))
+    assert expanded_fixed_basis(cc).shape == (4, len(cc.boundary_span().section_cols()))
     w, B = reduce_chain(cc, sample_fixed_class(cc, np.random.default_rng(4)))
     assert cc.spec.inv_upper.contains(w)
     argv = "reduce --p 3 --depth 3 --module jbar --seed 5 --count 2 --json"
