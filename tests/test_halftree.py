@@ -578,6 +578,24 @@ def test_fixed_classes_against_dense_generator_oracle():
             assert fix.shape == oracle.shape and np.array_equal(fix, oracle), (W.name, D, rho, u)
 
 
+def test_fixed_classes_against_both_oracles_off_the_hypotheses():
+    # on a valid complex the orbit system is block lower-triangular with an
+    # invertible M_ll - I below the root, so only the root block decides the
+    # kernel; a random twist makes those blocks singular, and the blocks that
+    # carry each wrap row up its root path then enter the fixed basis
+    below_root = 0
+    for p, D in ((2, 3), (3, 2), (5, 2)):
+        spec = build_coeff_spec(get_module(p, 1, "jbar"))
+        rng = np.random.default_rng(p)
+        for _ in range(6):
+            cc = ChainComplexData(replace(spec, twist=rng.integers(0, p, size=spec.twist.shape)), D)
+            fix = expanded_fixed_basis(cc)
+            below_root += bool(fix[:, cc.w :].any())
+            for oracle in (dense_fixed_oracle(cc), wide_fixed_oracle(cc)):
+                assert fix.shape == oracle.shape and np.array_equal(fix, oracle), (p, D)
+    assert below_root
+
+
 def test_fixed_part_is_read_off_the_root_path(monkeypatch):
     # no row of width dim C0 is peeled, shifted or reduced on the corrpro path
     def wide(*args):
@@ -589,7 +607,7 @@ def test_fixed_part_is_read_off_the_root_path(monkeypatch):
     cc = build_complex(get_module(5, 1, "jbar"), 3)
     fixed, owner = fixed_classes(cc)
     assert fixed.nrows == cc.spec.inv_upper.nrows and owner.size == cc.dim0 - cc.dim1
-    rep = check_corrpro(build_complex(get_module(5, 1, "jbar"), 3))
+    rep = check_corrpro(build_complex(get_module(5, 1, "jbar"), 3))  # a fresh complex: no cached basis
     assert rep.status == PASS and rep.dims["dim_h0_fixed"] == cc.spec.inv_upper.nrows
 
 
