@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactalg import RingSpec, VerificationBug
+from .exactalg import RingSpec, RowSolver, VerificationBug
 from .grouprep import (
     GModule,
     GroupData,
@@ -40,7 +40,7 @@ def steinberg(group: GroupData, ring: RingSpec) -> GModule:
     ps0 = summands[0]
     J = jbar(group, ring)
     ones = np.ones(J.rank, dtype=np.int64)
-    coords = ps0.eigenbasis.coords(ones)  # type: ignore[attr-defined]
+    coords = RowSolver(ring, ps0.eigenbasis.mat).solve(ones)  # type: ignore[attr-defined]
     if coords is None:
         raise VerificationBug("constants must lie in the trivial-character summand")
     const_line = generated_submodule(ps0, coords)

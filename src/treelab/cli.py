@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import builtin_catalog, emit_catalog, select_modules
-from .exactalg import MAX_E
+from .exactalg import MAX_E, SUPPORTED_PRIMES
 from .halftree import (
     build_complex,
     parse_rho,
@@ -37,7 +37,6 @@ from .hecke import HECKE_CHECKS, HECKE_PRIMES, hecke_suite
 from .lemmas import lemma21_suite, lemma22_suite
 from .report import FAIL, PASS, LemmaReport, aggregate_status
 
-SUPPORTED_P = (2, 3, 5, 7)
 MAX_DEPTH = 6
 # suites that work over the field F_p only; lemma22 and hecke take any e
 FIELD_ONLY = ("lemma21", "corrpro", "presentation", "cogtri", "reduce")
@@ -91,8 +90,8 @@ class RunConfig:
         for field, flag in FLAGS.items():
             if field not in reads and getattr(self, field) != getattr(RunConfig, field):
                 raise ValueError(f"{self.command} --p {self.p} does not read {flag}")
-        if self.p not in SUPPORTED_P:
-            raise ValueError(f"p must be one of {SUPPORTED_P}")
+        if self.p not in SUPPORTED_PRIMES:
+            raise ValueError(f"p must be one of {SUPPORTED_PRIMES}")
         if not 1 <= self.e <= MAX_E:
             raise ValueError(f"e must lie in 1..{MAX_E}")
         if self.command in FIELD_ONLY and self.e != 1:

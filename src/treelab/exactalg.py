@@ -144,37 +144,19 @@ class CanonicalBasis:
     def is_subspace_of(self, other: "CanonicalBasis") -> bool:
         return other.contains_rows(self.mat)
 
-    def coords(self, v) -> Optional[np.ndarray]:
-        """Coefficients c with c @ mat = v, or None if v is not in the span.
-
-        Deterministic: c is read off by the Howell back-substitution order.
-        """
-        N = self.ring.modulus
-        v = np.asarray(v, dtype=np.int64).reshape(-1) % N
-        c = np.zeros(self.nrows, dtype=np.int64)
-        for i, (col, g) in enumerate(self.pivots):
-            q = int(v[col]) // g
-            if q:
-                c[i] = q
-                v = (v - q * self.mat[i]) % N
-        if np.any(v):
-            return None
-        return c
-
-    def coords_rows(self, X) -> Optional[np.ndarray]:
-        X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-        out = np.zeros((X.shape[0], self.nrows), dtype=np.int64)
-        for i, row in enumerate(X):
-            c = self.coords(row)
-            if c is None:
-                return None
-            out[i] = c
-        return out
-
     def section_cols(self) -> list[int]:
         """Columns without a pivot: a section basis of the quotient (e = 1)."""
         pivset = {c for c, _ in self.pivots}
         return [j for j in range(self.ncols) if j not in pivset]
+
+    def section_action(self, A: np.ndarray) -> np.ndarray:
+        """Matrix of x -> x @ A on the quotient by the span, in section coordinates (e = 1).
+
+        The span must be stable under A; row i is the reduced image of
+        the i-th section unit vector.
+        """
+        sec = self.section_cols()
+        return self.reduce_rows(np.asarray(A)[sec, :])[:, sec]
 
 
 def _empty_basis(ring: RingSpec, ncols: int) -> CanonicalBasis:

@@ -21,8 +21,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .exactalg import (
+    SUPPORTED_PRIMES,
     CanonicalBasis,
     RingSpec,
+    RowSolver,
     VerificationBug,
     howell_array,
     kernel_array,
@@ -98,7 +100,7 @@ def build_group(kind: str, p: int) -> GroupData:
     """
     if kind not in ("sl2", "gl2"):
         raise ValueError(f"unknown group kind {kind!r}")
-    if p not in (2, 3, 5, 7):
+    if p not in SUPPORTED_PRIMES:
         raise ValueError(f"unsupported p = {p}")
     elements = []
     for a in range(p):
@@ -347,7 +349,11 @@ def generated_by_lower_invariants(W: GModule) -> CanonicalBasis:
 
 @dataclass(frozen=True, eq=False)
 class QuotientPresentation:
-    """A quotient Lambda^n / span(rel) with canonical coset representatives."""
+    """A quotient Lambda^n / span(rel) with canonical coset representatives.
+
+    Every subspace of the quotient is kept as its ambient preimage, which
+    contains rel; Howell forms make those preimages canonical.
+    """
 
     ring: RingSpec
     ambient: int
@@ -361,6 +367,26 @@ class QuotientPresentation:
     def log_size(self) -> int:
         """log_p of the number of elements of the quotient."""
         return self.ring.e * self.ambient - self.rel.span_log_size()
+
+    def fixed_preimage(self, ops: Sequence[np.ndarray]) -> CanonicalBasis:
+        """Ambient span of the classes that every op fixes; contains the relations."""
+        eye = np.eye(self.ambient, dtype=np.int64)
+        pre = preimage_kernel(self.ring, [(op - eye) % self.ring.modulus for op in ops], self.rel)
+        return span_sum(self.ring, [pre.mat, self.rel.mat])
+
+    def map_verdicts(self, f: np.ndarray, source_rel: Optional[CanonicalBasis] = None) -> tuple[bool, bool]:
+        """(injective, surjective) for the map that the rows of f induce into the quotient.
+
+        The source is Lambda^m / span(source_rel), m the row count of f,
+        or free when source_rel is None; f must send source_rel into rel.
+        Works for any e via span sizes: surjective iff image + relations
+        fill the ambient, injective iff the f-preimage of the relations
+        lies in the source relations.
+        """
+        surj = span_sum(self.ring, [f, self.rel.mat]).span_log_size() == self.ring.e * self.ambient
+        pre = preimage_kernel(self.ring, [f], self.rel)
+        inj = pre.nrows == 0 if source_rel is None else pre.is_subspace_of(source_rel)
+        return inj, surj
 
 
 def coinvariants(M: GModule, subgroup: Sequence[Elem]) -> QuotientPresentation:
@@ -414,31 +440,20 @@ def block_shift(p: int, t: int, u: int = 1) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ProcyclicH1:
+class ProcyclicH1(QuotientPresentation):
     """H^1 of a procyclic group with topological generator acting as c.
 
     Realized as the coinvariants M/(c-1)M; this is the identification
     used throughout for continuous cohomology of Z_p in characteristic p.
     """
 
-    ring: RingSpec
     operator: np.ndarray
-    quotient: QuotientPresentation
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
-
-    def log_size(self) -> int:
-        return self.quotient.log_size()
 
     def induced_map(self, f: np.ndarray, target: "ProcyclicH1") -> tuple[bool, bool]:
         """(injective, surjective) for the map induced by f on the two quotients.
 
-        f must intertwine the operators.  Works for any e via span sizes:
-        surjective iff image + target relations fill the target, injective
-        iff the f-preimage of the target relations lies in the source
-        relations.
+        f must intertwine the operators, so it sends (c-1)M into the
+        target relations.
         """
         ring = self.ring
         f = ring.reduce(f)
@@ -446,11 +461,7 @@ class ProcyclicH1:
         rhs = (f @ target.operator) % ring.modulus
         if not np.array_equal(lhs, rhs):
             raise ValueError("map does not intertwine the designated operators")
-        img = span_sum(ring, [f, target.quotient.rel.mat])
-        surj = img.span_log_size() == ring.e * target.quotient.ambient
-        pre = preimage_kernel(ring, [f], target.quotient.rel)
-        inj = pre.is_subspace_of(self.quotient.rel)
-        return inj, surj
+        return target.map_verdicts(f, self.rel)
 
 
 def h1_procyclic(ring: RingSpec, operator: np.ndarray, p: int) -> ProcyclicH1:
@@ -459,7 +470,7 @@ def h1_procyclic(ring: RingSpec, operator: np.ndarray, p: int) -> ProcyclicH1:
     _ppower_order(ring, op, p)
     eye = np.eye(op.shape[0], dtype=np.int64)
     rel = howell_array(ring, (op - eye) % ring.modulus)
-    return ProcyclicH1(ring, op, QuotientPresentation(ring, op.shape[0], rel))
+    return ProcyclicH1(ring, op.shape[0], rel, op)
 
 
 def left_torus_translation(J: GModule, t: Elem) -> np.ndarray:
@@ -477,13 +488,13 @@ def submodule_gmodule(M: GModule, basis: CanonicalBasis, name: str = "") -> GMod
     """Action-stable submodule as a module in its own coordinates (e = 1)."""
     if not M.ring.is_field:
         raise ValueError("coordinate submodules require e = 1")
+    # the Howell rows are independent at e = 1, so the coordinates are unique
+    solver = RowSolver(M.ring, basis.mat)
     mats = {}
     for g in M.group.gens:
-        img = M.act_rows(basis.mat, g)
-        coords = basis.coords_rows(img)
-        if coords is None:
+        mats[g], ok = solver.solve_rows(M.act_rows(basis.mat, g))
+        if not ok.all():
             raise ValueError("basis is not action-stable")
-        mats[g] = coords
     return GModule(M.group, M.ring, mats, name=name)
 
 
@@ -494,11 +505,7 @@ def quotient_gmodule(M: GModule, rel: CanonicalBasis, name: str = "") -> GModule
     for g in M.group.gens:
         if not rel.contains_rows(M.act_rows(rel.mat, g)):
             raise ValueError("relation span is not action-stable")
-    sec = rel.section_cols()
-    mats = {}
-    for g in M.group.gens:
-        rows = rel.reduce_rows(M.action(g)[sec, :])
-        mats[g] = rows[:, sec]
+    mats = {g: rel.section_action(M.action(g)) for g in M.group.gens}
     return GModule(M.group, M.ring, mats, name=name)
 
 
@@ -595,7 +602,7 @@ def composition_length(M: GModule, perm_seed: Optional[int] = None) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class PresentedModule:
+class PresentedModule(QuotientPresentation):
     """A module presented as (free carrier with action) / (relation span).
 
     Works over any e; all operations stay in the ambient coordinates of
@@ -603,22 +610,8 @@ class PresentedModule:
     """
 
     base: GModule
-    rel: CanonicalBasis
-    name: str = ""
 
-    @property
-    def ring(self) -> RingSpec:
-        return self.base.ring
-
-    def invariants_preimage(self, subgroup: Sequence[Elem]) -> CanonicalBasis:
-        """Ambient span of {v : class of v is fixed}; contains the relations."""
-        eye = np.eye(self.base.rank, dtype=np.int64)
-        blocks = [(self.base.action(h) - eye) % self.ring.modulus for h in subgroup]
-        pre = preimage_kernel(self.ring, blocks, self.rel)
-        return span_sum(self.ring, [pre.mat, self.rel.mat])
-
-    def is_generated_by_invariants(self, subgroup: Sequence[Elem]) -> bool:
-        pre = self.invariants_preimage(subgroup)
+    def generated_span(self, pre: CanonicalBasis) -> CanonicalBasis:
+        """Ambient preimage of the submodule that the classes of pre generate."""
         gen = generated_submodule(self.base, pre.mat)
-        closed = span_sum(self.ring, [gen.mat, self.rel.mat])
-        return closed.span_log_size() == self.ring.e * self.base.rank
+        return span_sum(self.ring, [gen.mat, self.rel.mat])

@@ -168,7 +168,7 @@ class ChainComplexData:
         # the leaf-first pivots of rho, and the inverse of rho on them
         H = howell_array(self.ring, spec.rho[:, ::-1])
         self.local_pivots = np.sort(w - 1 - np.array([c for c, _ in H.pivots], dtype=np.int64))
-        self.local_free = np.setdiff1d(np.arange(w), self.local_pivots)
+        self.local_free = np.delete(np.arange(w), self.local_pivots)
         self._rho_inv = RowSolver(self.ring, spec.rho[:, self.local_pivots]).solve_rows(np.eye(t, dtype=np.int64))[0]
         self._fixed: Optional[tuple[CanonicalBasis, np.ndarray]] = None
         self._solver: Optional[RowSolver] = None
@@ -304,11 +304,11 @@ class TreeBasis:
         """Canonical residues of the rows of X modulo the boundary image."""
         return self.cc.peel(X)[0]
 
-    def section_cols(self) -> list[int]:
-        """Columns without a pivot: a section basis of H0."""
+    def section_cols(self) -> np.ndarray:
+        """Columns without a pivot, increasing: a section basis of H0."""
         cc = self.cc
         below = cc.w * np.arange(1, self.nonroot + 1)[:, None] + cc.local_free
-        return list(range(cc.w)) + below.ravel().tolist()
+        return np.concatenate([np.arange(cc.w), below.ravel()])
 
 
 def build_complex(W: GModule, depth: int, rho_choice: str = "w0", twist_u: int = 1) -> ChainComplexData:

@@ -35,7 +35,7 @@ from .exactalg import (
     span_sum,
     split_test,
 )
-from .grouprep import IDENT, GModule, build_group, elem_mul, invariants, jbar, primitive_root
+from .grouprep import IDENT, GModule, QuotientPresentation, build_group, elem_mul, invariants, jbar, primitive_root
 from .report import RECORDED, LemmaReport, timed
 
 
@@ -173,12 +173,18 @@ def _verify_algebra(alg: HeckeAlgebra) -> None:
         raise VerificationBug("associativity fails on a basis triple")
     if not alg._generated_subalgebra_full(alg.gens):
         raise VerificationBug("T_s and the torus do not generate the algebra")
-    # operators commute with the group action and compose per the tensor
+    # operators commute with the group action and compose per the tensor;
+    # a generator acts by a permutation A = I[perm], so A @ m is m[perm]
+    # and m @ A is m with its columns permuted by the inverse of perm
+    ops = np.stack(alg.basis_mats)
+    n = ops.shape[1]
     for g in alg.J.group.gens:
         A = alg.J.action(g)
-        for m in alg.basis_mats:
-            if not np.array_equal((m @ A) % N, (A @ m) % N):
-                raise VerificationBug("basis operator is not equivariant")
+        perm = A.argmax(axis=1)
+        if not (np.array_equal(A, np.eye(n, dtype=np.int64)[perm]) and (A.sum(axis=0) == 1).all()):
+            raise VerificationBug("group generator does not act on J by a permutation")
+        if not np.array_equal(ops[:, :, np.argsort(perm)], ops[:, perm, :]):
+            raise VerificationBug("basis operator is not equivariant")
     rng = np.random.default_rng(alg.p)
     for _ in range(20):
         u, v = int(rng.integers(0, d)), int(rng.integers(0, d))
@@ -238,10 +244,7 @@ def quotient_module(M: HeckeModule, rel: CanonicalBasis, name: str = "") -> Heck
     if not ring.is_field:
         raise ValueError("coordinate quotients require e = 1")
     sec = rel.section_cols()
-    mats = []
-    for w in range(M.alg.dim):
-        rows = rel.reduce_rows(M.action[w][sec, :])
-        mats.append(rows[:, sec])
+    mats = [rel.section_action(a) for a in M.action]
     cyclic = None if M.cyclic is None else rel.reduce(M.cyclic)[sec]
     return HeckeModule(M.alg, len(sec), mats, name=name, cyclic=cyclic)
 
@@ -263,7 +266,7 @@ def random_modules_hecke(alg: HeckeAlgebra, seed: int, count: int):
 
 
 @dataclass(frozen=True, eq=False)
-class TensorModule:
+class TensorModule(QuotientPresentation):
     """K(M) = M (x)_H J as an explicit quotient with its group action.
 
     ambient: coordinates of a free carrier (M (x) J for the balancing
@@ -272,14 +275,9 @@ class TensorModule:
     """
 
     alg: HeckeAlgebra
-    ambient: int
-    rel: CanonicalBasis
     action_gens: dict
     base_pairing: np.ndarray
     presentation: str
-
-    def log_size(self) -> int:
-        return self.alg.ring.e * self.ambient - self.rel.span_log_size()
 
 
 def _module_generators(
@@ -354,12 +352,12 @@ def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
         base_pairing = np.zeros((r, r * n), dtype=np.int64)
         for i in range(r):
             base_pairing[i, i * n + alg.base_coset_idx] = 1
-        return TensorModule(alg, r * n, rel, _carrier_action(alg, r), base_pairing, "balancing")
+        return TensorModule(ring, r * n, rel, alg, _carrier_action(alg, r), base_pairing, "balancing")
     if presentation != "generators":
         raise ValueError(f"unknown presentation {presentation!r}")
     if M.rank == 0:
         empty = np.zeros((0, 0), dtype=np.int64)
-        return TensorModule(alg, 0, howell_array(ring, empty), _carrier_action(alg, 0), empty, "generators")
+        return TensorModule(ring, 0, howell_array(ring, empty), alg, _carrier_action(alg, 0), empty, "generators")
     candidates = np.eye(M.rank, dtype=np.int64)
     if M.cyclic is not None:
         candidates = np.concatenate([np.atleast_2d(M.cyclic) % ring.modulus, candidates])
@@ -376,7 +374,7 @@ def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
     rel_gens, _ = _module_generators(ring, Q, free_ops)
     rel = span_sum(ring, [np.zeros((0, s * n), dtype=np.int64)] + [pairing(q) for q in Q[rel_gens]])
     base_pairing = np.stack([pairing(z)[alg.base_coset_idx] for z in _preimages(ring, P)])
-    return TensorModule(alg, s * n, rel, _carrier_action(alg, s), base_pairing, "generators")
+    return TensorModule(ring, s * n, rel, alg, _carrier_action(alg, s), base_pairing, "generators")
 
 
 @timed
@@ -386,10 +384,7 @@ def check_vytastra(M: HeckeModule, presentation: str = "auto") -> LemmaReport:
     ring = alg.ring
     desc = {"module": M.name or "anonymous", "p": alg.p, "e": ring.e, "rank": M.rank}
     K = tensor_K(M, presentation)
-    A = K.action_gens[alg.J.group.upper_gen]
-    eye = np.eye(K.ambient, dtype=np.int64)
-    inv_pre = preimage_kernel(ring, [(A - eye) % ring.modulus], K.rel)
-    inv_pre = span_sum(ring, [inv_pre.mat, K.rel.mat])
+    inv_pre = K.fixed_preimage([K.action_gens[alg.J.group.upper_gen]])
     ker = preimage_kernel(ring, [K.base_pairing], K.rel)
     injective = ker.nrows == 0
     image = span_sum(ring, [K.base_pairing, K.rel.mat])

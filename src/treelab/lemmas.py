@@ -24,14 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .catalog import select_modules
-from .exactalg import (
-    CanonicalBasis,
-    RingSpec,
-    howell_array,
-    kernel_array,
-    preimage_kernel,
-    span_sum,
-)
+from .exactalg import CanonicalBasis, RingSpec, howell_array, kernel_array, preimage_kernel, span_sum
 from .grouprep import (
     GModule,
     PresentedModule,
@@ -148,11 +141,7 @@ def check_comparison_map(em: ComparisonPair) -> LemmaReport:
             break
     verdicts["h1_bijective_all_twists"] = ok_h1
 
-    img = span_sum(ring, [em.inv.mat, em.coin.rel.mat])
-    surj = img.nrows == W.rank
-    pre = preimage_kernel(ring, [em.inv.mat], em.coin.rel)
-    inj = pre.nrows == 0
-    verdicts["inv_to_coinv_bijective"] = surj and inj
+    verdicts["inv_to_coinv_bijective"] = all(em.coin.map_verdicts(em.inv.mat))
     dims["coinvariants"] = em.coin.dim
     return LemmaReport("lemma21", _instance_desc(W), verdicts=verdicts, dims=dims, details=details)
 
@@ -198,10 +187,10 @@ class SurjectionInstance:
     rel_target: CanonicalBasis
 
     def source(self) -> PresentedModule:
-        return PresentedModule(self.base, self.rel_source, self.name + ":src")
+        return PresentedModule(self.base.ring, self.base.rank, self.rel_source, self.base)
 
     def target(self) -> PresentedModule:
-        return PresentedModule(self.base, self.rel_target, self.name + ":tgt")
+        return PresentedModule(self.base.ring, self.base.rank, self.rel_target, self.base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,15 +212,15 @@ def check_invariant_surjectivity(inst: SurjectionInstance) -> LemmaReport:
     """Surjectivity descends to upper-unipotent invariants."""
     base = inst.base
     ring = base.ring
-    upper_gen = [base.group.upper_gen]
+    upper = [base.action(base.group.upper_gen)]
     desc = _lemma22_desc(inst.name, base)
     if not inst.rel_source.is_subspace_of(inst.rel_target):
         return rejected("lemma22.i", desc, "map is not surjective")
     src, tgt = inst.source(), inst.target()
-    if not (src.is_generated_by_invariants(upper_gen) and tgt.is_generated_by_invariants(upper_gen)):
+    k_src, k_tgt = src.fixed_preimage(upper), tgt.fixed_preimage(upper)
+    full = ring.e * base.rank
+    if not all(M.generated_span(k).span_log_size() == full for M, k in ((src, k_src), (tgt, k_tgt))):
         return rejected("lemma22.i", desc, "generation hypothesis fails")
-    k_src = src.invariants_preimage(upper_gen)
-    k_tgt = tgt.invariants_preimage(upper_gen)
     image = span_sum(ring, [k_src.mat, inst.rel_target.mat])
     dims = {
         "inv_source_log": k_src.span_log_size() - inst.rel_source.span_log_size(),
@@ -247,21 +236,19 @@ def check_inherited_generation(inst: InjectionInstance) -> LemmaReport:
     """Generation by invariants passes to action-stable submodules."""
     base = inst.base
     ring = base.ring
-    upper_gen = [base.group.upper_gen]
+    upper = base.action(base.group.upper_gen)
     desc = _lemma22_desc(inst.name, base)
     if not inst.rel.is_subspace_of(inst.sub_pre):
         return rejected("lemma22.ii", desc, "not a submodule")
-    W = PresentedModule(base, inst.rel, inst.name + ":W")
-    if not W.is_generated_by_invariants(upper_gen):
+    W = PresentedModule(ring, base.rank, inst.rel, base)
+    if W.generated_span(W.fixed_preimage([upper])).span_log_size() != ring.e * base.rank:
         return rejected("lemma22.ii", desc, "ambient generation hypothesis fails")
-    eye = np.eye(base.rank, dtype=np.int64)
-    blocks = [(base.action(h) - eye) % ring.modulus for h in upper_gen]
     # classes of V fixed by the subgroup: {x in sub_pre : x (a - 1) in rel}
     B = inst.sub_pre.mat
-    cond = preimage_kernel(ring, [(B @ blk) % ring.modulus for blk in blocks], inst.rel)
+    blk = (upper - np.eye(base.rank, dtype=np.int64)) % ring.modulus
+    cond = preimage_kernel(ring, [(B @ blk) % ring.modulus], inst.rel)
     inv_pre = span_sum(ring, [(cond.mat @ B) % ring.modulus, inst.rel.mat])
-    gen = generated_submodule(base, inv_pre.mat)
-    closed = span_sum(ring, [gen.mat, inst.rel.mat])
+    closed = W.generated_span(inv_pre)
     return LemmaReport(
         "lemma22.ii",
         desc,

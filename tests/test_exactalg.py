@@ -234,19 +234,6 @@ def test_row_solver_matches_one_shot():
         assert np.array_equal(x, RowSolver(ring, A).solve(b))
 
 
-def test_coords_roundtrip():
-    ring = RingSpec(3, 2)
-    rng = np.random.default_rng(3)
-    A = rng.integers(0, 9, size=(3, 4))
-    H = howell_array(ring, A)
-    for _ in range(20):
-        c = rng.integers(0, 9, size=H.nrows)
-        v = (c @ H.mat) % 9
-        got = H.coords(v)
-        assert got is not None
-        assert np.array_equal((got @ H.mat) % 9, v)
-
-
 def test_preimage_kernel_enumerated():
     ring = RingSpec(2, 2)
     rng = np.random.default_rng(9)

@@ -16,6 +16,7 @@ from treelab.grouprep import (
     elem_inv,
     elem_mul,
     generated_submodule,
+    QuotientPresentation,
     h1_procyclic,
     invariants,
     is_irreducible,
@@ -169,6 +170,39 @@ def test_lower_invariants_generate_under_upper_subgroup_alone(p):
     inv = invariants(J, [grp.lower_gen])
     span = generated_submodule(J, inv.mat, [grp.upper_gen])
     assert span.nrows == J.rank
+
+
+def span_set(rows, N):
+    """The row span as a set of tuples, by enumerating coefficients."""
+    return {
+        tuple(int(x) for x in (np.array(c, dtype=np.int64) @ rows) % N)
+        for c in itertools.product(range(N), repeat=rows.shape[0])
+    }
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("with_source", [False, True])
+def test_map_verdicts_against_enumeration(p, e, with_source):
+    """(injective, surjective) of Lambda^m / S -> Lambda^n / R, x -> x @ f, by listing every vector."""
+    ring = RingSpec(p, e)
+    N = ring.modulus
+    rng = np.random.default_rng(10 * p + e + 100 * with_source)
+    seen = set()
+    for _ in range(30):
+        m, n = (int(x) for x in rng.integers(1, 4, size=2))
+        f = rng.integers(0, N, size=(m, n))
+        S = rng.integers(0, N, size=(int(rng.integers(1, 3)) if with_source else 0, m))
+        R = np.concatenate([rng.integers(0, N, size=(int(rng.integers(0, 3)), n)), S @ f % N])
+        quotient = QuotientPresentation(ring, n, howell_array(ring, R))
+        got = quotient.map_verdicts(f, howell_array(ring, S) if with_source else None)
+        rel = span_set(R, N)
+        vectors = [np.array(x, dtype=np.int64) for x in itertools.product(range(N), repeat=m)]
+        classes = {tuple(int(y) for y in (x @ f + r) % N) for x in vectors for r in rel}
+        kernel = {tuple(int(y) for y in x) for x in vectors if tuple(int(y) for y in x @ f % N) in rel}
+        want = (kernel <= span_set(S, N), len(classes) == N**n)
+        assert got == want, (f, S, R)
+        seen.add(want)
+    assert len(seen) >= 3  # both verdicts take both values
 
 
 def test_h1_identity_operator():

@@ -1,6 +1,10 @@
 """Half-tree complexes: dimensions, equivariance, homology, reduction."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,7 +503,7 @@ def test_leaf_first_boundary_against_root_first_oracle(p, D):
         R = cc.boundary_span()
         assert R.nrows == dense.nrows == cc.dim1
         sec = R.section_cols()
-        assert sec == dense.section_cols()
+        assert sec.tolist() == dense.section_cols()
         assert set(range(cc.w)) <= set(sec)
         Y = rng.integers(0, p, size=(4, cc.dim0))
         assert np.array_equal(R.reduce_rows(Y), dense.reduce_rows(Y)), (W.name, rho)
@@ -632,3 +636,21 @@ def test_verify_and_reduce_never_build_the_dense_boundary(monkeypatch, tmp_path)
     assert cc.spec.inv_upper.contains(w)
     argv = "reduce --p 3 --depth 3 --module jbar --seed 5 --count 2 --json"
     assert main(argv.split() + [str(tmp_path / "doc.json")]) == 0
+
+
+def test_tree_suites_import_no_numpy_ma():
+    # numpy.ma takes 15-22 ms to import (np.setdiff1d imports it), and
+    # building a complex, corrpro and a reduction need none of it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from treelab.catalog import get_module\n"
+        "from treelab.halftree import build_complex, check_corrpro, reduce_chain, sample_fixed_class\n"
+        "cc = build_complex(get_module(3, 1, 'jbar'), 2)\n"
+        "check_corrpro(cc)\n"
+        "reduce_chain(cc, sample_fixed_class(cc, np.random.default_rng(0)))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

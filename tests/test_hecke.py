@@ -1,11 +1,13 @@
 """Hecke algebra: double-coset oracle, tensor functor, splitness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from treelab import exactalg, hecke
-from treelab.exactalg import RowSolver, howell_array, kernel_array, span_closure
-from treelab.grouprep import build_group
+from treelab.exactalg import RowSolver, VerificationBug, howell_array, kernel_array, span_closure
+from treelab.grouprep import GModule, build_group
 from treelab.hecke import (
     build_hecke,
     check_assoc,
@@ -70,6 +72,22 @@ def test_suite_checks_the_generators_once(monkeypatch):
     build_hecke.cache_clear()
     hecke_suite(5, seed=7, n_random=5)
     assert len(calls) == 1
+
+
+def test_tampered_basis_operator_fails_the_equivariance_check():
+    alg = build_hecke(3)
+    mats = [m.copy() for m in alg.basis_mats]
+    mats[1][0, 0] = (mats[1][0, 0] + 1) % alg.ring.modulus
+    with pytest.raises(VerificationBug, match="basis operator is not equivariant"):
+        hecke._verify_algebra(replace(alg, basis_mats=mats))
+
+
+def test_equivariance_check_requires_permutation_generators():
+    alg = build_hecke(3)
+    J = alg.J
+    scaled = GModule(J.group, J.ring, {g: 2 * J.action(g) for g in J.group.gens})
+    with pytest.raises(VerificationBug, match="does not act on J by a permutation"):
+        hecke._verify_algebra(replace(alg, J=scaled))
 
 
 def test_suite_evaluates_the_algebra_laws_once(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from treelab.catalog import builtin_catalog, get_module
 from treelab import lemmas
 from treelab.exactalg import RingSpec, howell_array
-from treelab.grouprep import build_group, generated_submodule, invariants, jbar, trivial_module
+from treelab.grouprep import QuotientPresentation, build_group, generated_submodule, invariants, jbar, trivial_module
 from treelab.lemmas import (
     InjectionInstance,
     SurjectionInstance,
@@ -217,3 +217,21 @@ def test_lemma21_suite_takes_the_coinvariants_once_per_module(monkeypatch):
     reports = lemma21_suite(3, seed=1, n_random=3)
     assert len(calls) == len(reports) // 2 == len(builtin_catalog(3, 1)) + 3
     assert len(set(calls)) == len(calls)
+
+
+def test_invariant_surjectivity_takes_each_fixed_preimage_once(monkeypatch):
+    calls = []
+    original = QuotientPresentation.fixed_preimage
+
+    def counted(self, ops):
+        calls.append(self.rel)
+        return original(self, ops)
+
+    monkeypatch.setattr(QuotientPresentation, "fixed_preimage", counted)
+    J = jbar(build_group("sl2", 3), RingSpec(3, 2))
+    zero = howell_array(J.ring, np.zeros((1, J.rank), dtype=np.int64))
+    instances = [SurjectionInstance("identity", J, zero, zero)] + list(random_surjections(5, 3, 2, 4))
+    for inst in instances:
+        calls.clear()
+        check_invariant_surjectivity(inst)
+        assert calls == [inst.rel_source, inst.rel_target]
