@@ -8,6 +8,7 @@ import pytest
 from treelab.exactalg import RingSpec, howell_array
 from treelab.grouprep import (
     IDENT,
+    QuotientPresentation,
     build_group,
     coinvariants,
     composition_length,
@@ -16,7 +17,6 @@ from treelab.grouprep import (
     elem_inv,
     elem_mul,
     generated_submodule,
-    QuotientPresentation,
     h1_procyclic,
     invariants,
     is_irreducible,
