@@ -324,15 +324,27 @@ def span_sum(ring: RingSpec, parts: Iterable[np.ndarray]) -> CanonicalBasis:
 def span_closure(ring: RingSpec, seed: np.ndarray, ops: Sequence[np.ndarray]) -> CanonicalBasis:
     """Smallest span containing the rows of seed and stable under x -> x @ op.
 
-    Fixpoint iteration: add the images of the current Howell basis under
-    every operator until the canonical form stops changing.
+    Semi-naive fixpoint: each round maps only a frontier through the
+    operators and reduces the images modulo the current span; when every
+    residue is zero the span is stable and no elimination is needed.
+    Otherwise [span; residues] is eliminated once, and the next frontier
+    is the rows of the new Howell form whose (column, pivot value) is not
+    a pivot of the old one.  By the Howell property such an old-pivot row
+    differs from the old span's row with that pivot by a vector zero up
+    to its column, so the frontier spans the new span modulo the old one
+    at every e.  The first frontier is the Howell basis of the seed.
     """
     span = howell_array(ring, np.atleast_2d(seed))
-    while True:
-        bigger = span_sum(ring, [span.mat] + [(span.mat @ op) % ring.modulus for op in ops])
-        if bigger == span:
-            return span
-        span = bigger
+    front = span.mat
+    while len(ops) and front.shape[0]:
+        res = span.reduce_rows(np.concatenate([front @ op for op in ops]))
+        res = res[res.any(axis=1)]
+        if not res.shape[0]:
+            break
+        old = set(span.pivots)
+        span = howell_array(ring, np.concatenate([span.mat, res]))
+        front = span.mat[[i for i, pv in enumerate(span.pivots) if pv not in old]]
+    return span
 
 
 def kernel_array(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:

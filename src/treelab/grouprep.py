@@ -449,19 +449,17 @@ class ProcyclicH1(QuotientPresentation):
 
     operator: np.ndarray
 
-    def induced_map(self, f: np.ndarray, target: "ProcyclicH1") -> tuple[bool, bool]:
-        """(injective, surjective) for the map induced by f on the two quotients.
-
-        f must intertwine the operators, so it sends (c-1)M into the
-        target relations.
-        """
+    def intertwined(self, f: np.ndarray, target: "ProcyclicH1") -> np.ndarray:
+        """f reduced, checked to intertwine the operators, so it sends (c-1)M into the target relations."""
         ring = self.ring
         f = ring.reduce(f)
-        lhs = (self.operator @ f) % ring.modulus
-        rhs = (f @ target.operator) % ring.modulus
-        if not np.array_equal(lhs, rhs):
+        if not np.array_equal((self.operator @ f) % ring.modulus, (f @ target.operator) % ring.modulus):
             raise ValueError("map does not intertwine the designated operators")
-        return target.map_verdicts(f, self.rel)
+        return f
+
+    def induced_map(self, f: np.ndarray, target: "ProcyclicH1") -> tuple[bool, bool]:
+        """(injective, surjective) for the map induced by f on the two quotients."""
+        return target.map_verdicts(self.intertwined(f, target), self.rel)
 
 
 def h1_procyclic(ring: RingSpec, operator: np.ndarray, p: int) -> ProcyclicH1:

@@ -132,10 +132,15 @@ def check_comparison_map(em: ComparisonPair) -> LemmaReport:
 
     p = group.p
     ok_h1 = True
+    by_rels: dict[tuple[bytes, bytes], tuple[bool, bool]] = {}  # twists often share both relation spans
     for u in range(1, p):
         src = h1_procyclic(ring, em.source_shift(u), p)
         tgt = h1_procyclic(ring, _matpow(W.action(group.upper_gen), u, ring.modulus), p)
-        if not all(src.induced_map(em.mult, tgt)):
+        f = src.intertwined(em.mult, tgt)
+        key = (src.rel.mat.tobytes(), tgt.rel.mat.tobytes())
+        if key not in by_rels:
+            by_rels[key] = tgt.map_verdicts(f, src.rel)
+        if not all(by_rels[key]):
             ok_h1 = False
             details["h1_failure_twist"] = u
             break
@@ -257,17 +262,16 @@ def check_inherited_generation(inst: InjectionInstance) -> LemmaReport:
     )
 
 
-def _random_stable_span(base: GModule, rng: np.random.Generator) -> CanonicalBasis:
+def _random_stable_span(base: GModule, inv: CanonicalBasis, rng: np.random.Generator) -> CanonicalBasis:
     """Proper nonzero action-stable span from a few seeded vectors.
 
-    Vectors drawn inside the unipotent-invariant subspace generate
+    Vectors drawn inside inv, the unipotent-invariant subspace, generate
     intermediate submodules far more often than fully random ones, so
     both styles are mixed; falls back to the zero span (quotient = whole
     carrier), which is still a legal instance.
     """
     ring = base.ring
     full = ring.e * base.rank
-    inv = invariants(base, [base.group.upper_gen])
     for _ in range(24):
         k = int(rng.integers(1, 3))
         if inv.nrows and rng.integers(0, 2):
@@ -287,43 +291,43 @@ def _random_stable_span(base: GModule, rng: np.random.Generator) -> CanonicalBas
 R_MAX = 2
 
 
-def _free_carrier(p: int, e: int, r: int) -> GModule:
-    group = build_group("sl2", p)
-    ring = RingSpec(p, e)
-    J = jbar(group, ring)
-    if r == 1:
-        return J
-    return direct_sum([J] * r, name=f"jbar^{r}")
+def _random_carriers(
+    seed: int, p: int, e: int, count: int
+) -> Iterator[tuple[np.random.Generator, int, GModule, CanonicalBasis]]:
+    """Yield (rng, i, jbar^r, its upper-unipotent invariants) for count seeded draws of r.
+
+    Each carrier is built once per call, on its first draw.
+    """
+    rng = np.random.default_rng(seed)
+    built: dict[int, tuple[GModule, CanonicalBasis]] = {}
+    for i in range(count):
+        r = int(rng.integers(1, R_MAX + 1))
+        if r not in built:
+            J = jbar(build_group("sl2", p), RingSpec(p, e))
+            base = J if r == 1 else direct_sum([J] * r, name=f"jbar^{r}")
+            built[r] = (base, invariants(base, [base.group.upper_gen]))
+        yield (rng, i, *built[r])
 
 
 def random_modules(seed: int, p: int, count: int) -> Iterator[GModule]:
     """Seeded quotients of jbar^r over k, r in {1, 2}; hypotheses hold by construction."""
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        r = int(rng.integers(1, R_MAX + 1))
-        base = _free_carrier(p, 1, r)
-        span = _random_stable_span(base, rng)
+    for rng, i, base, inv in _random_carriers(seed, p, 1, count):
+        span = _random_stable_span(base, inv, rng)
         yield quotient_gmodule(base, span, name=f"rnd:p{p}:s{seed}:{i}")
 
 
 def random_surjections(seed: int, p: int, e: int, count: int) -> Iterator[SurjectionInstance]:
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        r = int(rng.integers(1, R_MAX + 1))
-        base = _free_carrier(p, e, r)
-        small = _random_stable_span(base, rng)
-        extra = _random_stable_span(base, rng)
+    for rng, i, base, inv in _random_carriers(seed, p, e, count):
+        small = _random_stable_span(base, inv, rng)
+        extra = _random_stable_span(base, inv, rng)
         big = span_sum(base.ring, [small.mat, extra.mat])
         yield SurjectionInstance(f"surj:p{p}:e{e}:s{seed}:{i}", base, small, big)
 
 
 def random_injections(seed: int, p: int, e: int, count: int) -> Iterator[InjectionInstance]:
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        r = int(rng.integers(1, R_MAX + 1))
-        base = _free_carrier(p, e, r)
-        rel = _random_stable_span(base, rng)
-        inside = _random_stable_span(base, rng)
+    for rng, i, base, inv in _random_carriers(seed, p, e, count):
+        rel = _random_stable_span(base, inv, rng)
+        inside = _random_stable_span(base, inv, rng)
         sub = span_sum(base.ring, [rel.mat, inside.mat])
         yield InjectionInstance(f"inj:p{p}:e{e}:s{seed}:{i}", base, rel, sub)
 
