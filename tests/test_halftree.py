@@ -28,7 +28,7 @@ from treelab.halftree import (
     sample_fixed_class,
     tree_reports,
 )
-from treelab.report import PASS
+from treelab.report import FAIL, PASS, REJECTED
 
 
 def tree_incidence_oracle(p, D):
@@ -654,3 +654,57 @@ def test_tree_suites_import_no_numpy_ma():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_corrpro_injective_and_landing_rest_on_the_build_of_inv_upper(p):
+    # the build takes inv_upper as the Howell basis over F_p of the upper
+    # invariants, so its rows are independent and fixed by the twist, a power
+    # of the upper generator: `injective` and `lands_in_fixed_part` cannot
+    # read false on a built complex
+    for W in builtin_catalog(p, 1):
+        cc = build_complex(W, 2, twist_u=p - 1)
+        upper = cc.spec.inv_upper
+        assert upper == invariants(W, [W.group.upper_gen])
+        assert kernel_array(cc.ring, upper.mat).nrows == 0
+        assert np.array_equal(cc.spec.twist, np.linalg.matrix_power(W.action(W.group.upper_gen), p - 1) % p)
+        verdicts = check_corrpro(cc).verdicts
+        assert verdicts["injective"] is True and verdicts["lands_in_fixed_part"] is True
+
+
+def test_corrpro_injective_and_landing_read_false_past_the_build():
+    cc = build_complex(get_module(3, 1, "jbar"), 2)
+    up = cc.spec.inv_upper
+    doubled = CanonicalBasis(cc.ring, up.ncols, np.concatenate([up.mat, up.mat[:1]]), up.pivots + up.pivots[:1])
+    rep = check_corrpro(ChainComplexData(replace(cc.spec, inv_upper=doubled), 2))
+    assert rep.status == FAIL
+    assert rep.verdicts["injective"] is False
+    units = howell_array(cc.ring, np.eye(cc.w, dtype=np.int64)[: up.nrows])
+    rep = check_corrpro(ChainComplexData(replace(cc.spec, inv_upper=units), 2))
+    assert rep.status == FAIL
+    assert rep.verdicts["lands_in_fixed_part"] is False
+
+
+def test_presentation_verdicts_rest_on_the_injective_rho_gate(monkeypatch):
+    # build_coeff_spec refuses a rho that is not injective, so a built
+    # complex has t boundary rows per non-root vertex, dim C1 in all:
+    # boundary_injective and h1_zero hold, and rank_nullity is an identity
+    for W in builtin_catalog(3, 1):
+        cc = build_complex(W, 2)
+        rank = cc.boundary_span().nrows
+        assert rank == cc.t * sum(cc.p**m for m in range(1, cc.depth + 1)) == cc.dim1
+        assert rank == howell_array(cc.ring, cc.dmat).nrows
+        assert check_presentation(cc).status == PASS
+    real = halftree.resolve_rho
+
+    def rank_deficient(W, choice):
+        rho = real(W, choice).copy()
+        rho[-1] = rho[0]
+        return rho
+
+    monkeypatch.setattr(halftree, "resolve_rho", rank_deficient)
+    J = get_module(3, 1, "jbar")
+    with pytest.raises(ValueError, match="rho is not an isomorphism onto the upper invariants"):
+        build_coeff_spec(J)
+    (rep,) = tree_reports(J, 2, "w0", 1, ("presentation",))
+    assert rep.status == REJECTED

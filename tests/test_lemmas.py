@@ -1,10 +1,12 @@
 """Lemma verdicts on the catalog and on seeded random instances."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from treelab.catalog import builtin_catalog, get_module
-from treelab import lemmas
+from treelab import grouprep, lemmas
 from treelab.exactalg import RingSpec, howell_array
 from treelab.grouprep import QuotientPresentation, build_group, generated_submodule, invariants, jbar, trivial_module
 from treelab.lemmas import (
@@ -235,3 +237,77 @@ def test_invariant_surjectivity_takes_each_fixed_preimage_once(monkeypatch):
         calls.clear()
         check_invariant_surjectivity(inst)
         assert calls == [inst.rel_source, inst.rel_target]
+
+
+def test_comparison_map_reads_false_on_a_zero_multiplication_map():
+    # past build_comparison: mult = 0 still intertwines, but nothing is hit
+    for W in builtin_catalog(5, 1):
+        em = build_comparison(W)
+        rep = check_comparison_map(replace(em, mult=np.zeros_like(em.mult)))
+        assert rep.status == FAIL, W.name
+        for name in ("mult_surjective", "ker_mult_in_ker_aug", "h1_bijective_all_twists"):
+            assert rep.verdicts[name] is False, (W.name, name)
+
+
+def test_inv_to_coinv_reads_false_off_the_lower_invariants():
+    J = jbar(build_group("sl2", 5), RingSpec(5, 1))
+    em = build_comparison(J)
+    units = howell_array(J.ring, np.eye(J.rank, dtype=np.int64)[: em.t])
+    rep = check_comparison_map(replace(em, inv=units))
+    assert rep.status == FAIL
+    assert rep.verdicts["inv_to_coinv_bijective"] is False
+
+
+def test_inherited_generation_reads_false_on_a_unit_row():
+    # over Z/27 the span of one coset indicator is not action-stable, so it
+    # is not generated by its invariants
+    J = jbar(build_group("sl2", 3), RingSpec(3, 3))
+    zero = howell_array(J.ring, np.zeros((1, J.rank), dtype=np.int64))
+    first = howell_array(J.ring, np.eye(J.rank, dtype=np.int64)[:1])
+    rep = check_inherited_generation(InjectionInstance("unit-row", J, zero, first))
+    assert rep.status == FAIL
+    assert rep.verdicts["submodule_generated_by_invariants"] is False
+
+
+def test_comparison_map_takes_map_verdicts_once_per_pair_of_relation_spans(monkeypatch):
+    calls = []
+    original = QuotientPresentation.map_verdicts
+
+    def counted(self, f, source_rel=None):
+        if source_rel is not None:  # the H^1 maps; the coinvariant map has a free source
+            calls.append((source_rel.mat.tobytes(), self.rel.mat.tobytes()))
+        return original(self, f, source_rel)
+
+    h1 = []
+
+    def built(*args):
+        h1.append(args)
+        return grouprep.h1_procyclic(*args)
+
+    monkeypatch.setattr(QuotientPresentation, "map_verdicts", counted)
+    monkeypatch.setattr(lemmas, "h1_procyclic", built)
+    for W in builtin_catalog(5, 1):
+        calls.clear()
+        h1.clear()
+        assert check_comparison_map(build_comparison(W)).status == PASS
+        assert len(h1) == 2 * 4, W.name  # both sides of every twist are still built and checked
+        assert len(calls) == 1, W.name  # all four twists share one pair of relation spans at p = 5
+
+
+def test_random_streams_take_each_carrier_and_its_invariants_once(monkeypatch):
+    calls = []
+    original = lemmas.invariants
+
+    def counted(M, subgroup):
+        calls.append(M.rank)
+        return original(M, subgroup)
+
+    monkeypatch.setattr(lemmas, "invariants", counted)
+    for stream in (random_surjections(7, 3, 3, 10), random_injections(8, 3, 3, 10)):
+        calls.clear()
+        instances = list(stream)
+        assert len({id(inst.base) for inst in instances}) == len(calls) == len(set(calls))
+        assert set(calls) == {inst.base.rank for inst in instances}
+    calls.clear()
+    assert len(list(random_modules(7, 5, 10))) == 10
+    assert len(calls) == len(set(calls)) <= lemmas.R_MAX

@@ -5,7 +5,9 @@ form against the independent sparse one, the kernel and the row solver
 against their defining equations, the batched row solve against the
 one-row solve, the batched reduction modulo a span against the full
 pivot product (e = 1) and a pivot-by-pivot reduction, and the shared
-span closure against a naive fixpoint loop kept here as the oracle.
+span closure against a naive fixpoint loop kept here as the oracle (also
+on the Hecke subalgebra closure and on a round that only lowers a pivot
+value, with every elimination input held to (1 + len(ops)) * ncols rows).
 Sparse and tree-shaped block matrices up to 20 x 30, with a random share
 of their entries multiplied by p, exercise the elimination's
 pivot-support update and, for e > 1, its non-unit pivots,
@@ -23,6 +25,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from treelab import exactalg  # noqa: E402
 from treelab.exactalg import (  # noqa: E402
     RingSpec,
     RowSolver,
@@ -31,6 +34,7 @@ from treelab.exactalg import (  # noqa: E402
     kernel_array,
     span_closure,
 )
+from treelab.hecke import build_hecke  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -265,3 +269,43 @@ def test_span_closure_matches_naive_fixpoint(case):
     assert span == naive_closure(ring, seed, ops)
     for op in ops:
         assert span.contains_rows((span.mat @ op) % ring.modulus)
+
+
+def closure_with_spied_eliminations(monkeypatch, ring, seed, ops):
+    """span_closure with the shape of every input to the one elimination recorded."""
+    shapes = []
+    real = exactalg._howell
+
+    def spy(ring, A):
+        shapes.append(np.shape(A))
+        return real(ring, A)
+
+    monkeypatch.setattr(exactalg, "_howell", spy)
+    span = span_closure(ring, seed, ops)
+    monkeypatch.undo()
+    assert span == naive_closure(ring, seed, ops)
+    # one Howell span plus the residues of a frontier of at most ncols rows
+    assert max(m for m, _ in shapes) <= (1 + len(ops)) * span.ncols
+    return span, shapes
+
+
+def test_span_closure_frontier_on_the_hecke_subalgebra(monkeypatch):
+    alg = build_hecke(5)
+    unit = np.zeros((1, alg.dim), dtype=np.int64)
+    unit[0, alg.unit] = 1
+    ops = [m for g in alg.gens for m in (alg.left_regular(g), alg.right_regular(g))]
+    assert len(ops) == 6
+    span, _ = closure_with_spied_eliminations(monkeypatch, alg.ring, unit, ops)
+    assert span.span_log_size() == alg.dim
+
+
+def test_span_closure_frontier_when_a_round_only_lowers_pivot_values(monkeypatch):
+    ring = RingSpec(3, 2)
+    seed = np.array([[3, 1, 0]])
+    op = np.array([[0, 0, 1], [1, 0, 0], [0, 0, 0]])
+    assert howell_array(ring, seed).pivots == ((0, 3), (1, 3))
+    span, shapes = closure_with_spied_eliminations(monkeypatch, ring, seed, [op])
+    # round 1 adds (1, 0, 3) and lowers both pivot values to 1 without a new pivot
+    # column; only its new pivot rows map onto the third column, in round 2
+    assert span.pivots == ((0, 1), (1, 1), (2, 1))
+    assert len(shapes) == 3  # the seed and two growing rounds; the last round has zero residues
