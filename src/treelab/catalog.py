@@ -17,7 +17,6 @@ import numpy as np
 from .exactalg import RingSpec, RowSolver, VerificationBug
 from .grouprep import (
     GModule,
-    GroupData,
     build_group,
     decompose_jbar,
     generated_submodule,
@@ -30,22 +29,20 @@ from .grouprep import (
 CATALOG_SCHEMA = "treelab.catalog.v1"
 
 
-def steinberg(group: GroupData, ring: RingSpec) -> GModule:
-    """The length-1 quotient of the trivial-character summand of jbar.
+def steinberg(ps0: GModule) -> GModule:
+    """The length-1 quotient of ps0, the trivial-character summand of jbar.
 
     The constant functions form a line inside that summand; the quotient
     has dimension p and is checked to be irreducible at build time.
     """
-    summands = decompose_jbar(group, ring)
-    ps0 = summands[0]
-    J = jbar(group, ring)
-    ones = np.ones(J.rank, dtype=np.int64)
-    coords = RowSolver(ring, ps0.eigenbasis.mat).solve(ones)  # type: ignore[attr-defined]
+    eig = ps0.eigenbasis  # type: ignore[attr-defined]
+    ones = np.ones(eig.ncols, dtype=np.int64)
+    coords = RowSolver(ps0.ring, eig.mat).solve(ones)
     if coords is None:
         raise VerificationBug("constants must lie in the trivial-character summand")
     const_line = generated_submodule(ps0, coords)
     st = quotient_gmodule(ps0, const_line, name="steinberg")
-    if st.rank != group.p or not is_irreducible(st):
+    if st.rank != ps0.group.p or not is_irreducible(st):
         raise VerificationBug("steinberg quotient is not irreducible of dimension p")
     return st
 
@@ -61,8 +58,9 @@ def builtin_catalog(p: int, e: int) -> list[GModule]:
     ring = RingSpec(p, e)
     mods = [trivial_module(group, ring), jbar(group, ring)]
     if e == 1:
-        mods.insert(1, steinberg(group, ring))
-        mods.extend(decompose_jbar(group, ring))
+        summands = decompose_jbar(group, ring)
+        mods.insert(1, steinberg(summands[0]))
+        mods.extend(summands)
     return mods
 
 

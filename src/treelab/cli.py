@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,7 +48,6 @@ FLAGS = {
     "twist": "--twist",
     "n_random": "--random",
     "checks": "--check",
-    "jobs": "--jobs",
 }
 READS = {
     "lemma21": ("module", "n_random"),
@@ -58,7 +56,7 @@ READS = {
     "presentation": ("depth", "module", "rho", "twist"),
     "cogtri": ("module", "twist"),
     "hecke": ("n_random", "checks"),
-    "all": ("depth", "module", "rho", "twist", "n_random", "checks", "jobs"),
+    "all": ("depth", "module", "rho", "twist", "n_random", "checks"),
     "reduce": ("depth", "module"),
 }
 
@@ -78,7 +76,6 @@ class RunConfig:
     n_random: int = 0
     checks: str = ",".join(HECKE_CHECKS)
     out: Optional[str] = None
-    jobs: int = 1
     count: int = 1
 
     def validate(self) -> None:
@@ -98,8 +95,6 @@ class RunConfig:
             raise ValueError(f"{self.command} runs over F_p only: e must be 1")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.n_random < 0:
             raise ValueError("random must be >= 0")
         if self.count < 1:
@@ -136,7 +131,6 @@ class RunConfig:
             "twist": self.twist,
             "random": self.n_random,
             "checks": self.checks,
-            "jobs": self.jobs,
             "count": self.count,
         }
 
@@ -170,12 +164,7 @@ def run_suite(cfg: RunConfig) -> dict:
         ]
         if cfg.p in HECKE_PRIMES:
             tasks.append(lambda: hecke_suite(cfg.p, cfg.e, checks, seed, min(cfg.n_random, 5)))
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                chunks = list(pool.map(lambda f: f(), tasks))
-        else:
-            chunks = [f() for f in tasks]
-        reports = [r for chunk in chunks for r in chunk]
+        reports = [r for f in tasks for r in f()]
     else:
         raise ValueError(f"unknown command {cfg.command!r}")
     return {
@@ -216,7 +205,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n_random=args.random,
         checks=args.check,
         out=args.json,
-        jobs=args.jobs,
     )
     doc = run_suite(cfg)
     _emit(doc, cfg.out)
@@ -301,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--random", type=int, default=0, help="number of seeded random instances")
     ver.add_argument("--check", default=RunConfig.checks, help="hecke checks (csv)")
     ver.add_argument("--json", default=None, help="write the report to this path")
-    ver.add_argument("--jobs", type=int, default=1)
     ver.set_defaults(func=_cmd_verify)
 
     red = sub.add_parser("reduce", help="reduce seeded fixed classes to edge vectors")

@@ -10,9 +10,11 @@ submodule equality, membership and quotient bookkeeping bit-exact.
 
 Vectors are rows throughout; a linear map is a matrix acting by right
 multiplication, so `kernel_array` and `RowSolver.solve` are left-sided
-(x @ A = 0 and x @ A = b).  `RowSolver` eliminates [A | I] once; its
-`kernel` is the left kernel that elimination yields, and `kernel_array`
-takes it from there whenever e > 1 (at e = 1 it eliminates A^T instead).
+(x @ A = 0 and x @ A = b).  Kernels, preimages and images all come from
+one Howell form of [[A | I], [rel | 0]], split at the column of I: the
+rows pivoting in A give span(A) + span(rel), the others give
+{x : x @ A in span(rel)}.  `kernel_array`, `preimage_kernel`,
+`image_and_preimage` and `RowSolver` each read that one split.
 """
 
 from __future__ import annotations
@@ -347,53 +349,51 @@ def span_closure(ring: RingSpec, seed: np.ndarray, ops: Sequence[np.ndarray]) ->
     return span
 
 
+def _split(
+    ring: RingSpec, A: np.ndarray, rel: Optional[np.ndarray] = None
+) -> tuple[CanonicalBasis, np.ndarray, CanonicalBasis]:
+    """(image, U, preimage) from one Howell form H of [[A | I], [rel | 0]].
+
+    H's rows that pivot in the A part come first; restricted to A they
+    are the Howell form of span(A) + span(rel) (the image), and their I
+    part U gives each image row as U[i] @ A modulo rel.  The other rows,
+    restricted to the I part, are the Howell form of {x : x @ A in
+    span(rel)} (the preimage; the left kernel when rel is None).  Both
+    by the Howell property: the rows of H pivoting at or after a column
+    span every vector of the row space that is zero before it.
+    """
+    m, n = A.shape
+    aug = np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1)
+    if rel is not None:
+        aug = np.concatenate([aug, np.pad(rel, ((0, 0), (0, m)))])
+    H = howell_array(ring, aug)
+    k = sum(c < n for c, _ in H.pivots)
+    image = CanonicalBasis(ring, n, H.mat[:k, :n], H.pivots[:k])
+    pre = CanonicalBasis(ring, m, H.mat[k:, n:], tuple((c - n, g) for c, g in H.pivots[k:]))
+    return image, H.mat[:k, n:], pre
+
+
 def kernel_array(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
     """Left kernel {x : x @ A = 0} as a canonical basis."""
-    A = np.atleast_2d(ring.reduce(A))
-    if not ring.is_field:
-        return RowSolver(ring, A).kernel
-    m = A.shape[0]
-    if m == 0:
-        return _empty_basis(ring, 0)
-    # right kernel of A^T, extracted from its reduced echelon form
-    R, pivots = _howell(ring, A.T)
-    pivcols = [c for c, _ in pivots]
-    pivset = set(pivcols)
-    free = [j for j in range(m) if j not in pivset]
-    if not free:
-        return _empty_basis(ring, m)
-    K = np.zeros((len(free), m), dtype=np.int64)
-    K[np.arange(len(free)), free] = 1
-    K[:, pivcols] = (-R[:, free].T) % ring.p
-    return howell_array(ring, K)
+    return _split(ring, np.atleast_2d(ring.reduce(A)))[2]
 
 
 class RowSolver:
     """Prepared solver for repeated x @ A = b queries against a fixed A.
 
-    Built once from the Howell form of [A | I]; each solve is a single
-    back-substitution pass.  The returned x is the deterministic choice
-    of the Howell-form reduction order (at e = 1, the canonical residue
-    of the solution set modulo the kernel).  By the Howell property, the
-    rows of that form pivoting in the I part are the Howell form of the
-    left kernel of A, kept as `kernel`.
+    Built once from the split Howell form of [A | I]; each solve is a
+    single back-substitution pass through the image rows.  The returned
+    x is the deterministic choice of the Howell-form reduction order (at
+    e = 1, the canonical residue of the solution set modulo the kernel).
+    The preimage part of the split is the left kernel, kept as `kernel`.
     """
 
     def __init__(self, ring: RingSpec, A: np.ndarray):
         self.ring = ring
         A = np.atleast_2d(ring.reduce(A))
         self.m, self.n = A.shape
-        aug = np.concatenate([A, np.eye(self.m, dtype=np.int64)], axis=1)
-        H = howell_array(ring, aug)
-        # rows pivoting inside A come first, since pivot columns increase
-        self.pivots = [(c, g) for c, g in H.pivots if c < self.n]
-        k = len(self.pivots)
-        self.hmat = H.mat[:k, : self.n]
-        self.umat = H.mat[:k, self.n :]
-        kpivots = tuple((c - self.n, g) for c, g in H.pivots[k:])
-        self.kernel = CanonicalBasis(ring, self.m, H.mat[k:, self.n :], kpivots)
-        self._unit = all(g == 1 for _, g in self.pivots)
-        self._pivcols = [c for c, _ in self.pivots]
+        self.image, self.umat, self.kernel = _split(ring, A)
+        self._pivcols = [c for c, _ in self.image.pivots]
 
     def solve(self, b) -> Optional[np.ndarray]:
         X, ok = self.solve_rows(np.asarray(b).reshape(1, -1))
@@ -409,20 +409,32 @@ class RowSolver:
         B = np.atleast_2d(np.asarray(B, dtype=np.int64)) % N
         if B.shape[1] != self.n:
             raise ValueError("dimension mismatch")
-        if self._unit and self.ring.is_field:
+        if self.ring.is_field:  # every pivot is 1
             Q = B[:, self._pivcols]
-            ok = ~((B - Q @ self.hmat) % N).any(axis=1)
+            ok = ~((B - Q @ self.image.mat) % N).any(axis=1)
             X = (Q @ self.umat) % N
         else:
             X = np.zeros((B.shape[0], self.m), dtype=np.int64)
-            for i, (c, g) in enumerate(self.pivots):
+            for i, (c, g) in enumerate(self.image.pivots):
                 q = B[:, c] // g
                 if q.any():
-                    B = (B - np.outer(q, self.hmat[i])) % N
+                    B = (B - np.outer(q, self.image.mat[i])) % N
                     X = (X + np.outer(q, self.umat[i])) % N
             ok = ~B.any(axis=1)
         X[~ok] = 0
         return X, ok
+
+
+def image_and_preimage(
+    ring: RingSpec, blocks: Sequence[np.ndarray], rel: Optional[CanonicalBasis] = None
+) -> tuple[CanonicalBasis, CanonicalBasis]:
+    """(span of [M_1 | M_2 | ...] plus rel in every block, preimage_kernel) from one split."""
+    blocks = [np.atleast_2d(ring.reduce(B)) for B in blocks]
+    if not blocks:
+        raise ValueError("need at least one block")
+    R = None if rel is None else np.kron(np.eye(len(blocks), dtype=np.int64), rel.mat)
+    image, _, pre = _split(ring, np.concatenate(blocks, axis=1), R)
+    return image, pre
 
 
 def preimage_kernel(
@@ -434,26 +446,7 @@ def preimage_kernel(
 
     With rel = None the conditions are x @ M_i = 0 (a joint kernel).
     """
-    blocks = [np.atleast_2d(ring.reduce(B)) for B in blocks]
-    if not blocks:
-        raise ValueError("need at least one block")
-    n = blocks[0].shape[0]
-    wide = np.concatenate(blocks, axis=1)
-    if rel is None or rel.nrows == 0:
-        return kernel_array(ring, wide)
-    r = rel.nrows
-    k = len(blocks)
-    stacked = np.zeros((n + k * r, wide.shape[1]), dtype=np.int64)
-    stacked[:n] = wide
-    off = 0
-    for i, B in enumerate(blocks):
-        w = B.shape[1]
-        stacked[n + i * r : n + (i + 1) * r, off : off + w] = rel.mat
-        off += w
-    K = kernel_array(ring, stacked)
-    if K.nrows == 0:
-        return _empty_basis(ring, n)
-    return howell_array(ring, K.mat[:, :n])
+    return image_and_preimage(ring, blocks, rel)[1]
 
 
 def split_test(

@@ -27,10 +27,10 @@ from .exactalg import (
     RowSolver,
     VerificationBug,
     howell_array,
+    image_and_preimage,
     kernel_array,
     preimage_kernel,
     span_closure,
-    span_sum,
 )
 
 Elem = tuple[int, int, int, int]
@@ -369,22 +369,24 @@ class QuotientPresentation:
         return self.ring.e * self.ambient - self.rel.span_log_size()
 
     def fixed_preimage(self, ops: Sequence[np.ndarray]) -> CanonicalBasis:
-        """Ambient span of the classes that every op fixes; contains the relations."""
+        """Ambient span of the classes that every op fixes.
+
+        The relations must be stable under every op; then the span contains them.
+        """
         eye = np.eye(self.ambient, dtype=np.int64)
-        pre = preimage_kernel(self.ring, [(op - eye) % self.ring.modulus for op in ops], self.rel)
-        return span_sum(self.ring, [pre.mat, self.rel.mat])
+        return preimage_kernel(self.ring, [(op - eye) % self.ring.modulus for op in ops], self.rel)
 
     def map_verdicts(self, f: np.ndarray, source_rel: Optional[CanonicalBasis] = None) -> tuple[bool, bool]:
         """(injective, surjective) for the map that the rows of f induce into the quotient.
 
         The source is Lambda^m / span(source_rel), m the row count of f,
         or free when source_rel is None; f must send source_rel into rel.
-        Works for any e via span sizes: surjective iff image + relations
-        fill the ambient, injective iff the f-preimage of the relations
-        lies in the source relations.
+        Works for any e via span sizes, from one elimination: surjective
+        iff image + relations fill the ambient, injective iff the
+        f-preimage of the relations lies in the source relations.
         """
-        surj = span_sum(self.ring, [f, self.rel.mat]).span_log_size() == self.ring.e * self.ambient
-        pre = preimage_kernel(self.ring, [f], self.rel)
+        image, pre = image_and_preimage(self.ring, [f], self.rel)
+        surj = image.span_log_size() == self.ring.e * self.ambient
         inj = pre.nrows == 0 if source_rel is None else pre.is_subspace_of(source_rel)
         return inj, surj
 
@@ -610,6 +612,8 @@ class PresentedModule(QuotientPresentation):
     base: GModule
 
     def generated_span(self, pre: CanonicalBasis) -> CanonicalBasis:
-        """Ambient preimage of the submodule that the classes of pre generate."""
-        gen = generated_submodule(self.base, pre.mat)
-        return span_sum(self.ring, [gen.mat, self.rel.mat])
+        """Ambient preimage of the submodule that the classes of pre generate.
+
+        pre must contain the relations, as every ambient preimage does.
+        """
+        return generated_submodule(self.base, pre.mat)

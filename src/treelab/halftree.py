@@ -72,8 +72,8 @@ def parse_rho(rho_choice: str) -> tuple[str, int]:
         raise ValueError(f"rho choice {rho_choice!r} needs an integer K") from None
 
 
-def resolve_rho(W: GModule, rho_choice: str) -> np.ndarray:
-    """The gluing matrix for a named choice.
+def resolve_rho(W: GModule, rho_choice: str, inv_lower: CanonicalBasis) -> np.ndarray:
+    """The gluing matrix for a named choice, on the lower invariants inv_lower of W.
 
     "w0"      : the action of the fixed Weyl representative;
     "twist:K"  : compose with the K-th power of the torus generator
@@ -84,7 +84,6 @@ def resolve_rho(W: GModule, rho_choice: str) -> np.ndarray:
     group = W.group
     p = group.p
     N = W.ring.modulus
-    inv_lower = invariants(W, [group.lower_gen])
     base = (inv_lower.mat @ W.action(group.weyl)) % N
     if kind == "w0":
         return base
@@ -111,7 +110,7 @@ def build_coeff_spec(W: GModule, rho_choice: str = "w0", twist_u: int = 1) -> Co
         raise ValueError("twist exponent must be a unit mod p")
     inv_lower = generated_by_lower_invariants(W)
     inv_upper = invariants(W, [group.upper_gen])
-    rho = resolve_rho(W, rho_choice)
+    rho = resolve_rho(W, rho_choice, inv_lower)
     image = howell_array(ring, rho)
     if image != inv_upper or image.nrows != inv_lower.nrows:
         raise ValueError("rho is not an isomorphism onto the upper invariants")

@@ -29,8 +29,8 @@ from .exactalg import (
     RowSolver,
     VerificationBug,
     howell_array,
+    image_and_preimage,
     kernel_array,
-    preimage_kernel,
     span_closure,
     span_sum,
     split_test,
@@ -79,10 +79,6 @@ class HeckeAlgebra:
     def right_regular(self, u: int) -> np.ndarray:
         """Coefficient matrix of x -> x * T_u."""
         return self.struct[:, u, :] % self.ring.modulus
-
-    def left_regular_combo(self, coeffs: np.ndarray) -> np.ndarray:
-        N = self.ring.modulus
-        return (np.tensordot(np.asarray(coeffs, dtype=np.int64) % N, self.struct, axes=(0, 0))) % N
 
     def _generated_subalgebra_full(self, gens: tuple[int, ...]) -> bool:
         unit_vec = np.zeros((1, self.dim), dtype=np.int64)
@@ -385,9 +381,8 @@ def check_vytastra(M: HeckeModule, presentation: str = "auto") -> LemmaReport:
     desc = {"module": M.name or "anonymous", "p": alg.p, "e": ring.e, "rank": M.rank}
     K = tensor_K(M, presentation)
     inv_pre = K.fixed_preimage([K.action_gens[alg.J.group.upper_gen]])
-    ker = preimage_kernel(ring, [K.base_pairing], K.rel)
+    image, ker = image_and_preimage(ring, [K.base_pairing], K.rel)
     injective = ker.nrows == 0
-    image = span_sum(ring, [K.base_pairing, K.rel.mat])
     onto = inv_pre.is_subspace_of(image)
     verdicts = {"injective": injective, "onto_invariants": onto, "bijective": injective and onto}
     dims = {

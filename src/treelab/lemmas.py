@@ -24,7 +24,9 @@ from typing import Iterator
 import numpy as np
 
 from .catalog import select_modules
-from .exactalg import CanonicalBasis, RingSpec, howell_array, kernel_array, preimage_kernel, span_sum
+from .exactalg import (
+    CanonicalBasis, RingSpec, howell_array, image_and_preimage, kernel_array, preimage_kernel, span_sum
+)
 from .grouprep import (
     GModule,
     PresentedModule,
@@ -115,10 +117,9 @@ def check_comparison_map(em: ComparisonPair) -> LemmaReport:
     }
     details: dict = {}
 
-    image = howell_array(ring, em.mult)
+    image, ker_mult = image_and_preimage(ring, [em.mult])
     verdicts["mult_surjective"] = image.nrows == W.rank
 
-    ker_mult = kernel_array(ring, em.mult)
     ker_aug = kernel_array(ring, em.aug)
     contained = ker_mult.is_subspace_of(ker_aug)
     verdicts["ker_mult_in_ker_aug"] = contained
@@ -257,7 +258,7 @@ def check_inherited_generation(inst: InjectionInstance) -> LemmaReport:
     return LemmaReport(
         "lemma22.ii",
         desc,
-        verdicts={"submodule_generated_by_invariants": closed == span_sum(ring, [inst.sub_pre.mat])},
+        verdicts={"submodule_generated_by_invariants": closed == inst.sub_pre},
         dims={"sub_log": inst.sub_pre.span_log_size(), "rel_log": inst.rel.span_log_size()},
     )
 

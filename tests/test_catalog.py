@@ -13,7 +13,7 @@ from treelab.catalog import (
     steinberg,
 )
 from treelab.exactalg import RingSpec
-from treelab.grouprep import build_group, invariants, is_irreducible
+from treelab.grouprep import build_group, decompose_jbar, invariants, is_irreducible
 
 
 def test_catalog_names_p3():
@@ -34,7 +34,7 @@ def test_catalog_higher_e_has_carriers_only():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_steinberg_is_irreducible_of_dimension_p(p):
-    st = steinberg(build_group("sl2", p), RingSpec(p, 1))
+    st = steinberg(decompose_jbar(build_group("sl2", p), RingSpec(p, 1))[0])
     assert st.rank == p
     assert is_irreducible(st)
     grp = build_group("sl2", p)

@@ -53,15 +53,12 @@ def test_replay_determinism():
     assert json.dumps(strip_times(a), sort_keys=True) == json.dumps(strip_times(b), sort_keys=True)
 
 
-def test_jobs_do_not_change_the_reports():
-    # the parallelism degree may differ in the config echo, but the report
-    # list must be identical and identically ordered
-    one = run_suite(RunConfig(command="all", p=2, seed=3, n_random=2, depth=2, jobs=1))
-    two = run_suite(RunConfig(command="all", p=2, seed=3, n_random=2, depth=2, jobs=4))
-    assert json.dumps(strip_times(one)["reports"], sort_keys=True) == json.dumps(
-        strip_times(two)["reports"], sort_keys=True
-    )
-    assert one["aggregate"] == two["aggregate"]
+def test_jobs_flag_is_gone():
+    # verify all runs its suites one after another; --jobs is not a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--p", "2", "--depth", "1", "--seed", "1", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "jobs" not in RunConfig(command="all", p=2, seed=1).echo()
 
 
 def test_seed_required_for_randomized_runs():

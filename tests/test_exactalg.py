@@ -5,15 +5,19 @@ import itertools
 import numpy as np
 import pytest
 
+from treelab import exactalg
 from treelab.exactalg import (
     RingSpec,
     RowSolver,
     howell_array,
     howell_array_sparse,
+    image_and_preimage,
     kernel_array,
     preimage_kernel,
+    span_sum,
     split_test,
 )
+from treelab.grouprep import QuotientPresentation
 
 
 def all_vectors(modulus, n):
@@ -153,8 +157,9 @@ def test_kernel_vs_enumeration(p, e):
 
 @pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3)])
 def test_row_solver_kernel_is_kernel_array(p, e):
-    # at e = 1 kernel_array eliminates A^T, an independent route; at every e
-    # the kernel is checked against |ker A| * |im A| = N^m
+    # both read the one split of [A | I], so the equality pins only that
+    # they read it alike; the kernel itself is checked against its
+    # equation and |ker A| * |im A| = N^m at every e
     ring = RingSpec(p, e)
     N = ring.modulus
     rng = np.random.default_rng(100 * p + e)
@@ -248,6 +253,60 @@ def test_preimage_kernel_enumerated():
         }
         member = {tuple(int(y) for y in v) for v in all_vectors(4, 3) if pre.contains(v)}
         assert member == oracle
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_split_image_and_preimage_against_enumeration(p, e):
+    # the image part is the Howell form of span([M_1 | M_2]) + diag(rel, rel),
+    # bit for bit the one span_sum eliminates; the preimage part is
+    # {x : x M_i in rel for every i}, checked against every x
+    ring = RingSpec(p, e)
+    N = ring.modulus
+    rng = np.random.default_rng(31 * p + e)
+    for trial in range(12):
+        m, w, k = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 1 + trial % 2
+        blocks = [rng.integers(0, N, size=(m, w)) * rng.integers(0, 2, size=(m, w)) for _ in range(k)]
+        rel = None if trial % 3 == 0 else howell_array(ring, rng.integers(0, N, size=(int(rng.integers(1, 3)), w)))
+        image, pre = image_and_preimage(ring, blocks, rel)
+        wide = np.concatenate(blocks, axis=1)
+        parts = [wide] if rel is None else [wide, np.kron(np.eye(k, dtype=np.int64), rel.mat)]
+        assert image == span_sum(ring, parts)
+        assert pre == preimage_kernel(ring, blocks, rel)
+        if rel is None:
+            assert pre == kernel_array(ring, wide)
+        inside = rel.contains if rel is not None else (lambda v: not v.any())
+        oracle = {tuple(map(int, v)) for v in all_vectors(N, m) if all(inside((v @ B) % N) for B in blocks)}
+        assert {tuple(map(int, v)) for v in all_vectors(N, m) if pre.contains(v)} == oracle
+
+
+@pytest.mark.parametrize("e", [1, 3])
+def test_each_span_question_eliminates_once(monkeypatch, e):
+    # kernel_array, preimage_kernel (with and without relations) and
+    # map_verdicts each read one Howell form; none eliminates its answer again
+    ring = RingSpec(3, e)
+    N = ring.modulus
+    calls = []
+    real = exactalg._howell
+
+    def spy(ring, A):
+        calls.append(A.shape)
+        return real(ring, A)
+
+    monkeypatch.setattr(exactalg, "_howell", spy)
+    A = np.array([[1, 2, 0], [2, 1, 0], [0, 0, 3], [1, 0, 1]], dtype=np.int64)
+    rel = howell_array(ring, [[0, 1, 1]])
+    quot = QuotientPresentation(ring, 3, rel)
+    source_rel = howell_array(ring, [[1, 1, 0, 0]])
+    for run in (
+        lambda: kernel_array(ring, A),
+        lambda: preimage_kernel(ring, [A, (2 * A) % N]),
+        lambda: preimage_kernel(ring, [A, (2 * A) % N], rel),
+        lambda: quot.map_verdicts(A),
+        lambda: quot.map_verdicts(A, source_rel),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1, calls
 
 
 def test_split_identity_gives_identity_section():

@@ -232,6 +232,17 @@ def test_cogtri_hypothesis_bijective(p):
         assert rep.dims["source_coker"] == rep.dims["target_coker"]
 
 
+def test_cogtri_reads_false_on_zero_child_embeddings():
+    # zero child blocks intertwine trivially, but every source class maps
+    # to zero and no class of the nonzero target coker(c - 1) is reached
+    spec = build_coeff_spec(get_module(3, 1, "jbar"))
+    rep = check_cogtri_hypothesis(replace(spec, down_stack=np.zeros_like(spec.down_stack)))
+    assert rep.status == FAIL
+    assert rep.verdicts["h1_injective"] is False
+    assert rep.verdicts["h1_bijective"] is False
+    assert rep.dims["target_coker"] > 0
+
+
 def test_reduce_pure_edge_vector():
     J = get_module(3, 1, "jbar")
     cc = build_complex(J, 3)
@@ -697,8 +708,8 @@ def test_presentation_verdicts_rest_on_the_injective_rho_gate(monkeypatch):
         assert check_presentation(cc).status == PASS
     real = halftree.resolve_rho
 
-    def rank_deficient(W, choice):
-        rho = real(W, choice).copy()
+    def rank_deficient(W, choice, inv_lower):
+        rho = real(W, choice, inv_lower).copy()
         rho[-1] = rho[0]
         return rho
 

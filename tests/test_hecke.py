@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from treelab import exactalg, hecke
-from treelab.exactalg import RowSolver, VerificationBug, howell_array, kernel_array, span_closure
+from treelab.exactalg import (
+    RowSolver,
+    VerificationBug,
+    howell_array,
+    kernel_array,
+    preimage_kernel,
+    span_closure,
+    span_sum,
+)
 from treelab.grouprep import GModule, build_group
 from treelab.hecke import (
     build_hecke,
@@ -316,9 +324,11 @@ def dense_presentation_section(alg, chosen, P):
     left_ops = [blockdiag(alg.left_regular(u)) for u in range(d)]
     K = kernel_array(ring, P).mat
     rel_gens, _ = hecke._module_generators(ring, K, left_ops)
-    blocks = [
-        np.concatenate([blockdiag(alg.left_regular_combo(c)) for c in q.reshape(r, d)]) for q in K[rel_gens]
-    ]
+    def left_regular_combo(c):
+        """Coefficient matrix of x -> (sum_u c_u T_u) * x."""
+        return np.tensordot(c % ring.modulus, alg.struct, axes=(0, 0)) % ring.modulus
+
+    blocks = [np.concatenate([blockdiag(left_regular_combo(c)) for c in q.reshape(r, d)]) for q in K[rel_gens]]
     sect = np.zeros((r * m, r * n), dtype=np.int64)
     rhs_sect = np.zeros(r * n, dtype=np.int64)
     for k, i in enumerate(chosen):
@@ -373,3 +383,34 @@ def test_suite_shape():
     assert "flatness" in lemmas
     assert sum(1 for x in lemmas if x == "vytastra") == 4  # free + 3 random
     assert all(r.status != FAIL for r in reports)
+
+
+@pytest.mark.parametrize("presentation", ["balancing", "generators"])
+def test_fixed_preimage_already_contains_the_tensor_relations(presentation):
+    # the tensor relations are stable under the group action, so the fixed
+    # preimage contains them without adding them once more
+    alg = build_hecke(3, 1)
+    upper = alg.J.group.upper_gen
+    for M in [free_module(alg, 1)] + list(random_modules_hecke(alg, 21, 3)):
+        K = tensor_K(M, presentation)
+        op = K.action_gens[upper]
+        eye = np.eye(K.ambient, dtype=np.int64)
+        pre = preimage_kernel(alg.ring, [(op - eye) % alg.ring.modulus], K.rel)
+        assert K.fixed_preimage([op]) == span_sum(alg.ring, [pre.mat, K.rel.mat])
+
+
+def test_vytastra_reads_false_on_a_zero_pairing(monkeypatch):
+    # with the pairing m -> m (x) indicator set to zero, every module element
+    # dies and no invariant class is reached
+    real = hecke.tensor_K
+
+    def zeroed(M, presentation="auto"):
+        K = real(M, presentation)
+        return replace(K, base_pairing=np.zeros_like(K.base_pairing))
+
+    monkeypatch.setattr(hecke, "tensor_K", zeroed)
+    rep = check_vytastra(free_module(build_hecke(3), 1))
+    assert rep.status == FAIL
+    assert rep.verdicts["injective"] is False
+    assert rep.verdicts["onto_invariants"] is False
+    assert rep.verdicts["bijective"] is False

@@ -7,7 +7,7 @@ import pytest
 
 from treelab.catalog import builtin_catalog, get_module
 from treelab import grouprep, lemmas
-from treelab.exactalg import RingSpec, howell_array
+from treelab.exactalg import RingSpec, howell_array, preimage_kernel, span_sum
 from treelab.grouprep import QuotientPresentation, build_group, generated_submodule, invariants, jbar, trivial_module
 from treelab.lemmas import (
     InjectionInstance,
@@ -311,3 +311,24 @@ def test_random_streams_take_each_carrier_and_its_invariants_once(monkeypatch):
     calls.clear()
     assert len(list(random_modules(7, 5, 10))) == 10
     assert len(calls) == len(set(calls)) <= lemmas.R_MAX
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_fixed_preimage_and_generated_span_already_contain_the_relations(e):
+    # the relations of every lemma22 instance are action-stable, so the
+    # fixed preimage and every span generated from it contain them: each
+    # equals its sum with the relations
+    ring = RingSpec(3, e)
+    J = jbar(build_group("sl2", 3), ring)
+    presented = [M for inst in random_surjections(7, 3, e, 4) for M in (inst.source(), inst.target())]
+    for inst in random_injections(8, 3, e, 4):
+        presented.append(grouprep.PresentedModule(ring, inst.base.rank, inst.rel, inst.base))
+    presented.append(grouprep.PresentedModule(ring, J.rank, howell_array(ring, np.zeros((1, J.rank))), J))
+    for M in presented:
+        upper = M.base.action(M.base.group.upper_gen)
+        eye = np.eye(M.ambient, dtype=np.int64)
+        pre = preimage_kernel(ring, [(upper - eye) % ring.modulus], M.rel)
+        fixed = M.fixed_preimage([upper])
+        assert fixed == span_sum(ring, [pre.mat, M.rel.mat])
+        gen = generated_submodule(M.base, fixed.mat)
+        assert M.generated_span(fixed) == span_sum(ring, [gen.mat, M.rel.mat])
