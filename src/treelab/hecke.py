@@ -35,7 +35,7 @@ from .exactalg import (
     span_sum,
     split_test,
 )
-from .grouprep import IDENT, GModule, QuotientPresentation, build_group, elem_mul, invariants, jbar, primitive_root
+from .grouprep import IDENT, GModule, QuotientPresentation, build_group, invariants, jbar, primitive_root
 from .report import RECORDED, LemmaReport, timed
 
 
@@ -51,7 +51,7 @@ class HeckeAlgebra:
     ring: RingSpec
     p: int
     J: GModule
-    basis_mats: list[np.ndarray]  # operator of each double coset on J
+    basis_mats: np.ndarray  # (d, n, n): operator of each double coset on J
     double_cosets: list[list[int]]  # coset indices per double coset
     struct: np.ndarray  # struct[u, v, w]: coefficient of w in T_u * T_v
     unit: int
@@ -66,11 +66,9 @@ class HeckeAlgebra:
     def left_action(self, coeffs: np.ndarray) -> np.ndarray:
         """Operator on J of the algebra element with the given coefficients."""
         N = self.ring.modulus
-        out = np.zeros_like(self.basis_mats[0])
-        for w, cw in enumerate(np.asarray(coeffs, dtype=np.int64) % N):
-            if cw:
-                out = (out + cw * self.basis_mats[w]) % N
-        return out
+        c = np.asarray(coeffs, dtype=np.int64) % N
+        nz = np.flatnonzero(c)
+        return np.tensordot(c[nz], self.basis_mats[nz], axes=1) % N
 
     def left_regular(self, u: int) -> np.ndarray:
         """Coefficient matrix of x -> T_u * x."""
@@ -94,54 +92,53 @@ HECKE_CHECKS = ("dim", "assoc", "vytastra", "flatness")
 
 @lru_cache(maxsize=None)
 def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
-    """Double-coset basis, structure constants, exhaustive associativity."""
+    """Double-coset basis, structure constants, exhaustive associativity.
+
+    All of it is read off one table, tab[x, i] = the coset of rep_x * rep_i.
+    U is cyclic, so U g U is the orbit of the coset U g under the upper
+    generator, and T_w sends coset i to the sum of tab[x, i] over x in w.
+    """
     if p not in HECKE_PRIMES:
         raise ValueError("supported primes for the Hecke algebra: 2, 3, 5")
     ring = RingSpec(p, e)
+    N = ring.modulus
     group = build_group("gl2", p)
     J = jbar(group, ring)
-    reps = J.coset_reps  # type: ignore[attr-defined]
     of = J.coset_of  # type: ignore[attr-defined]
+    reps = np.array(J.coset_reps, dtype=np.int64).reshape(-1, 2, 2)  # type: ignore[attr-defined]
     n = len(reps)
-    # U is a group, so one right translation of a coset gives its double
-    # coset; scanning in index order lists them by least coset
-    dc_of = [-1] * n
-    double_cosets: list[list[int]] = []
-    for i in range(n):
-        if dc_of[i] < 0:
-            orbit = sorted({of[elem_mul(reps[i], u, p)] for u in group.upper_unipotent})
-            for j in orbit:
-                dc_of[j] = len(double_cosets)
-            double_cosets.append(orbit)
-    d = len(double_cosets)
+    # numbering the orbits by their least coset lists them in index order
+    step = J.action(group.upper_gen).argmax(axis=1)  # U g -> U g upper_gen
+    iterates = [np.arange(n)]
+    for _ in range(p - 1):
+        iterates.append(step[iterates[-1]])
+    least, dc_of = np.unique(np.min(iterates, axis=0), return_inverse=True)
+    d = len(least)
     if d != 2 * (p - 1) ** 2:
         raise VerificationBug(f"double coset count {d} != 2(p-1)^2")
+    double_cosets = [np.flatnonzero(dc_of == w).tolist() for w in range(d)]
 
-    N = ring.modulus
-    mats = []
-    for orbit in double_cosets:
-        m = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for x in orbit:
-                m[i, of[elem_mul(reps[x], reps[i], p)]] += 1
-        mats.append(m % N)
+    # each product (a, b, c, d) is coded as a p^3 + b p^2 + c p + d and looked up
+    code = p ** np.arange(3, -1, -1)
+    coset_of_code = np.full(p**4, -1, dtype=np.int64)
+    coset_of_code[np.array(list(of), dtype=np.int64) @ code] = list(of.values())
+    tab = coset_of_code[((reps[:, None] @ reps[None]) % p).reshape(n, n, 4) @ code]
+    ops = np.zeros((d, n, n), dtype=np.int64)
+    np.add.at(ops, (dc_of[:, None], np.arange(n), tab), 1)
+    ops %= N
     base_coset_idx = of[IDENT]
-    unit = dc_of[base_coset_idx]
+    unit = int(dc_of[base_coset_idx])
     z = primitive_root(p)
-    gens = tuple(sorted({dc_of[of[g]] for g in ((z, 0, 0, 1), (1, 0, 0, z), group.weyl)} - {unit}))
+    gens = tuple(sorted({int(dc_of[of[g]]) for g in ((z, 0, 0, 1), (1, 0, 0, z), group.weyl)} - {unit}))
 
-    # structure constants from the marked-vector image of each composite
-    least = [orbit[0] for orbit in double_cosets]
-    struct = np.zeros((d, d, d), dtype=np.int64)
-    for u in range(d):
-        for v in range(d):
-            img = (mats[v][base_coset_idx] @ mats[u]) % N  # apply T_v first, then T_u
-            coeffs = img[least]
-            if not np.array_equal(coeffs[dc_of], img):
-                raise VerificationBug("composite image is not double-coset invariant")
-            struct[u, v] = coeffs
+    # img[u, v]: the marked coset under T_u * T_v (apply T_v first, then T_u)
+    img = np.einsum("vj,ujk->uvk", ops[:, base_coset_idx], ops) % N
+    struct = img[:, :, least]
+    if not np.array_equal(struct[:, :, dc_of], img):
+        raise VerificationBug("composite image is not double-coset invariant")
+    del img  # the d^4 law tensors set the build's peak memory
     laws = _algebra_laws(ring, struct, unit)
-    alg = HeckeAlgebra(ring, p, J, mats, double_cosets, struct, unit, base_coset_idx, gens, laws)
+    alg = HeckeAlgebra(ring, p, J, ops, double_cosets, struct, unit, base_coset_idx, gens, laws)
     _verify_algebra(alg)
     return alg
 
@@ -172,12 +169,11 @@ def _verify_algebra(alg: HeckeAlgebra) -> None:
     # operators commute with the group action and compose per the tensor;
     # a generator acts by a permutation A = I[perm], so A @ m is m[perm]
     # and m @ A is m with its columns permuted by the inverse of perm
-    ops = np.stack(alg.basis_mats)
-    n = ops.shape[1]
+    ops = alg.basis_mats
     for g in alg.J.group.gens:
         A = alg.J.action(g)
         perm = A.argmax(axis=1)
-        if not (np.array_equal(A, np.eye(n, dtype=np.int64)[perm]) and (A.sum(axis=0) == 1).all()):
+        if not (np.array_equal(A, np.eye(len(A), dtype=np.int64)[perm]) and (A.sum(axis=0) == 1).all()):
             raise VerificationBug("group generator does not act on J by a permutation")
         if not np.array_equal(ops[:, :, np.argsort(perm)], ops[:, perm, :]):
             raise VerificationBug("basis operator is not equivariant")
@@ -218,9 +214,9 @@ class HeckeModule:
         for u, v in pairs:
             lhs = (self.action[u] @ self.action[v]) % N
             rhs = np.zeros((self.rank, self.rank), dtype=np.int64)
-            for w, cw in enumerate(alg.struct[u, v]):
-                if cw:
-                    rhs = (rhs + int(cw) % N * self.action[w]) % N
+            c = alg.struct[u, v] % N
+            for w in np.flatnonzero(c):
+                rhs = (rhs + int(c[w]) * self.action[w]) % N
             if not np.array_equal(lhs, rhs):
                 raise VerificationBug(f"right-module law fails at basis pair ({u}, {v})")
 
@@ -305,9 +301,9 @@ def _module_generators(
     return chosen, np.concatenate(orbits)
 
 
-def _preimages(ring: RingSpec, P: np.ndarray) -> np.ndarray:
+def _preimages(solver: RowSolver) -> np.ndarray:
     """The deterministic preimage under P of every unit vector, one row each."""
-    Z, ok = RowSolver(ring, P).solve_rows(np.eye(P.shape[1], dtype=np.int64))
+    Z, ok = solver.solve_rows(np.eye(solver.n, dtype=np.int64))
     if not ok.all():
         raise VerificationBug("presentation does not reach a basis vector")
     return Z
@@ -365,11 +361,12 @@ def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
         """Row x is sum_k e_k (x) (q_k x), for q in the free module H^s."""
         return np.concatenate([alg.left_action(c) for c in q.reshape(s, d)], axis=1)
 
-    Q = kernel_array(ring, P).mat
+    solver = RowSolver(ring, P)
+    Q = solver.kernel.mat
     free_ops = [np.kron(np.eye(s, dtype=np.int64), alg.right_regular(u)) for u in range(d)]
     rel_gens, _ = _module_generators(ring, Q, free_ops)
     rel = span_sum(ring, [np.zeros((0, s * n), dtype=np.int64)] + [pairing(q) for q in Q[rel_gens]])
-    base_pairing = np.stack([pairing(z)[alg.base_coset_idx] for z in _preimages(ring, P)])
+    base_pairing = np.stack([pairing(z)[alg.base_coset_idx] for z in _preimages(solver)])
     return TensorModule(ring, s * n, rel, alg, _carrier_action(alg, s), base_pairing, "generators")
 
 
@@ -472,7 +469,8 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
     d = alg.dim
     r = len(chosen)
     left_ops = [np.kron(np.eye(r, dtype=np.int64), alg.left_regular(u)) for u in range(d)]
-    K = kernel_array(ring, P).mat
+    P_solver = RowSolver(ring, P)
+    K = P_solver.kernel.mat
     rel_gens, _ = _module_generators(ring, K, left_ops)
     # R[(k, a), (q, b)] = L(q_k)[a, b], where L(c) = sum_u c_u struct[u] is x -> c * x
     R = np.einsum("gku,uab->kagb", K[rel_gens].reshape(-1, r, d), alg.struct).reshape(r * d, -1) % N
@@ -489,7 +487,7 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
     # the section on J through deterministic preimages: row j is
     # sum_k z_jk . y_k, and (T_w . y_k) is y_k @ left_ops[w]
     acted = np.stack([yk @ op for yk in y.reshape(r, -1) for op in left_ops]) % N
-    return (_preimages(ring, P) @ acted) % N
+    return (_preimages(P_solver) @ acted) % N
 
 
 @timed

@@ -113,7 +113,7 @@ def check_comparison_map(em: ComparisonPair) -> LemmaReport:
         "rank": W.rank,
         "source": em.mult.shape[0],
         "inv_lower": em.t,
-        "inv_upper": invariants(W, [group.upper_gen]).nrows,
+        "inv_upper": em.coin.dim,  # e = 1, so dim ker(upper_gen - 1) = dim coker
     }
     details: dict = {}
 

@@ -7,6 +7,7 @@ import pytest
 
 from treelab import exactalg, hecke
 from treelab.exactalg import (
+    RingSpec,
     RowSolver,
     VerificationBug,
     howell_array,
@@ -15,7 +16,7 @@ from treelab.exactalg import (
     span_closure,
     span_sum,
 )
-from treelab.grouprep import GModule, build_group
+from treelab.grouprep import IDENT, GModule, build_group, elem_mul, jbar
 from treelab.hecke import (
     build_hecke,
     check_assoc,
@@ -56,6 +57,74 @@ def test_dimension_by_double_coset_enumeration(p, expected):
     assert check_dim(p).status == PASS
 
 
+def loop_build_oracle(p, e):
+    """Double cosets, basis operators and structure constants by loops.
+
+    One right translation of a coset by U gives its double coset, scanned
+    in index order; the operator of a double coset sends coset i to the
+    sum of the cosets of rep_x * rep_i over its cosets x; struct[u, v] is
+    read off the image of the marked coset under T_v, then T_u.
+    """
+    ring = RingSpec(p, e)
+    N = ring.modulus
+    group = build_group("gl2", p)
+    J = jbar(group, ring)
+    reps, of = J.coset_reps, J.coset_of
+    n = len(reps)
+    dc_of = [-1] * n
+    double_cosets = []
+    for i in range(n):
+        if dc_of[i] < 0:
+            orbit = sorted({of[elem_mul(reps[i], u, p)] for u in group.upper_unipotent})
+            for j in orbit:
+                dc_of[j] = len(double_cosets)
+            double_cosets.append(orbit)
+    mats = []
+    for orbit in double_cosets:
+        m = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            for x in orbit:
+                m[i, of[elem_mul(reps[x], reps[i], p)]] += 1
+        mats.append(m % N)
+    base = of[IDENT]
+    least = [orbit[0] for orbit in double_cosets]
+    d = len(double_cosets)
+    struct = np.zeros((d, d, d), dtype=np.int64)
+    for u in range(d):
+        for v in range(d):
+            img = (mats[v][base] @ mats[u]) % N
+            assert np.array_equal(img[least][dc_of], img)
+            struct[u, v] = img[least]
+    return double_cosets, mats, struct
+
+
+def assert_matches_loop_oracle(alg, p, e):
+    double_cosets, mats, struct = loop_build_oracle(p, e)
+    assert alg.double_cosets == double_cosets
+    assert all(type(x) is int for orbit in alg.double_cosets for x in orbit)
+    assert type(alg.unit) is int and all(type(g) is int for g in alg.gens)
+    assert alg.basis_mats.dtype == struct.dtype == alg.struct.dtype == np.int64
+    assert np.array_equal(alg.basis_mats, np.stack(mats))
+    assert np.array_equal(alg.struct, struct)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)])
+def test_table_build_against_loop_oracle(p, e):
+    assert_matches_loop_oracle(build_hecke(p, e), p, e)
+
+
+def test_table_build_against_loop_oracle_at_p7(monkeypatch):
+    # p = 7 stays refused: the build runs once, uncached, without its dense laws
+    monkeypatch.setattr(hecke, "HECKE_PRIMES", (*hecke.HECKE_PRIMES, 7))
+    monkeypatch.setattr(hecke, "_algebra_laws", lambda ring, struct, unit: {})
+    monkeypatch.setattr(hecke, "_verify_algebra", lambda alg: None)
+    cached = build_hecke.cache_info().currsize
+    alg = build_hecke.__wrapped__(7)
+    assert alg.dim == 2 * 6**2
+    assert_matches_loop_oracle(alg, 7, 1)
+    assert build_hecke.cache_info().currsize == cached
+
+
 @pytest.mark.parametrize("p,gens", [(2, (0,)), (3, (1, 5, 6)), (5, (3, 17, 20))])
 def test_closed_form_generators_fill_the_algebra(p, gens):
     # T_s and the torus operators, without the unit
@@ -84,7 +153,7 @@ def test_suite_checks_the_generators_once(monkeypatch):
 
 def test_tampered_basis_operator_fails_the_equivariance_check():
     alg = build_hecke(3)
-    mats = [m.copy() for m in alg.basis_mats]
+    mats = alg.basis_mats.copy()
     mats[1][0, 0] = (mats[1][0, 0] + 1) % alg.ring.modulus
     with pytest.raises(VerificationBug, match="basis operator is not equivariant"):
         hecke._verify_algebra(replace(alg, basis_mats=mats))
@@ -113,6 +182,50 @@ def test_suite_evaluates_the_algebra_laws_once(monkeypatch):
     assert len(calls) == 1
     (assoc,) = [r for r in reports if r.lemma == "hecke_assoc"]
     assert assoc.status == PASS and assoc.verdicts == {"associative": True, "unit_laws": True}
+
+
+def test_dim_and_jbar_star_read_false_on_a_missing_basis_operator(monkeypatch):
+    real = hecke.build_hecke
+    monkeypatch.setattr(hecke, "build_hecke", lambda p, e=1: replace(real(p, e), basis_mats=real(p, e).basis_mats[:-1]))
+    dim, star = check_dim(3), invariants_jbar_star(3)
+    assert dim.status == star.status == FAIL
+    assert dim.verdicts["dim_matches"] is False
+    assert star.verdicts["invariants_match_algebra_dim"] is False
+
+
+def bumped(struct, where, N):
+    out = struct.copy()
+    out[where] = (out[where] + 1) % N
+    return out
+
+
+def test_associativity_reads_false_on_each_bumped_structure_constant():
+    # off the unit rows every bump keeps the unit laws and breaks associativity
+    alg = build_hecke(3)
+    N = alg.ring.modulus
+    off_unit = [tuple(x) for x in np.argwhere(alg.struct) if alg.unit not in x[:2]]
+    assert len(off_unit) == 65
+    for where in off_unit:
+        laws = hecke._algebra_laws(alg.ring, bumped(alg.struct, where, N), alg.unit)
+        assert laws == {"associative": False, "unit_laws": True}, where
+
+
+def test_unit_laws_read_false_on_a_bumped_unit_row():
+    alg = build_hecke(3)
+    laws = hecke._algebra_laws(alg.ring, bumped(alg.struct, alg.unit, alg.ring.modulus), alg.unit)
+    assert laws["unit_laws"] is False
+
+
+@pytest.mark.parametrize("where", ["off_unit", "unit"])
+def test_check_assoc_fails_on_the_laws_of_a_bumped_tensor(monkeypatch, where):
+    real = build_hecke(3)
+    off_unit = next(tuple(x) for x in np.argwhere(real.struct) if real.unit not in x[:2])
+    struct = bumped(real.struct, off_unit if where == "off_unit" else real.unit, real.ring.modulus)
+    laws = hecke._algebra_laws(real.ring, struct, real.unit)
+    monkeypatch.setattr(hecke, "build_hecke", lambda p, e=1: replace(real, struct=struct, laws=laws))
+    rep = check_assoc(3)
+    assert rep.status == FAIL
+    assert rep.verdicts["associative" if where == "off_unit" else "unit_laws"] is False
 
 
 def test_unsupported_prime():
@@ -348,7 +461,7 @@ def section_from_unknowns(alg, P, y):
     m = r * alg.dim
     left_ops = [np.kron(np.eye(r, dtype=np.int64), alg.left_regular(u)) for u in range(alg.dim)]
     acted = np.stack([y[k * m : (k + 1) * m] @ op for k in range(r) for op in left_ops]) % N
-    return (hecke._preimages(alg.ring, P) @ acted) % N
+    return (hecke._preimages(RowSolver(alg.ring, P)) @ acted) % N
 
 
 @pytest.mark.parametrize(

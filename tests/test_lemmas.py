@@ -75,6 +75,17 @@ def test_comparison_map_principal_series_summands(p):
         assert rep.dims["inv_upper"] == 2
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_inv_upper_is_the_coinvariant_dimension(p):
+    # lemma21 runs at e = 1, where rank-nullity of upper_gen - 1 makes the
+    # upper invariants and the upper coinvariants equally large
+    for W in builtin_catalog(p, 1) + list(random_modules(3, p, 3)):
+        em = build_comparison(W)
+        inv_upper = invariants(W, [W.group.upper_gen]).nrows
+        assert em.coin.dim == inv_upper, W.name
+        assert check_comparison_map(em).dims["inv_upper"] == inv_upper, W.name
+
+
 def test_rejection_is_a_distinct_state():
     # hypothesis violations must surface as "rejected", never as failures
     grp = build_group("sl2", 3)
