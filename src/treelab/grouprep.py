@@ -226,7 +226,9 @@ class GModule:
             mats[g] = m
         self.rank = int(rank if rank is not None else 0)
         self._gen_mats = mats
-        self._cache: dict[Elem, np.ndarray] = {IDENT: np.eye(self.rank, dtype=np.int64)}
+        # a generator's one-letter word acts by (a copy of) its matrix; IDENT keeps ()
+        self._cache: dict[Elem, np.ndarray] = {g: m.copy() for g, m in mats.items()}
+        self._cache[IDENT] = np.eye(self.rank, dtype=np.int64)
 
     def action(self, g: Elem) -> np.ndarray:
         got = self._cache.get(g)

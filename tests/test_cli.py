@@ -159,6 +159,7 @@ def test_parser_rejects_unknown_suite():
         ["reduce", "--p", "3", "--depth", "2", "--seed", "1", "--count", "-5"],
         ["catalog", "list", "--p", "7", "--e", "4"],
         ["catalog", "emit", "--p", "7", "--e", "30"],
+        ["verify", "hecke", "--p", "7", "--check", "dim"],
     ],
 )
 def test_ignored_or_invalid_flags_are_usage_errors(argv):

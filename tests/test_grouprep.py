@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from treelab.catalog import builtin_catalog
 from treelab.exactalg import RingSpec, howell_array
 from treelab.grouprep import (
     IDENT,
@@ -83,6 +84,20 @@ def test_action_law_random_triples(kind, p):
         lhs = (J.action(g) @ J.action(h)) % p
         assert np.array_equal(lhs, J.action(grp.mul(g, h)))
     assert np.array_equal(J.action(IDENT), np.eye(J.rank, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_action_is_the_word_product_on_every_element(p):
+    # generators act by their cached matrices, which alias no stored generator
+    # matrix; at p = 2 the identity is a generator and keeps the empty word
+    for M in builtin_catalog(p, 1):
+        grp, N = M.group, M.ring.modulus
+        for g, word in zip(grp.elements, grp.words):
+            m = np.eye(M.rank, dtype=np.int64)
+            for gi in word:
+                m = (m @ M._gen_mats[grp.gens[gi]]) % N
+            assert np.array_equal(M.action(g), m), (M.name, g)
+        assert not any(np.shares_memory(M.action(g), M._gen_mats[g]) for g in grp.gens)
 
 
 def test_invariants_jbar_sl2_3_by_enumeration():

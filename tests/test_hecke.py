@@ -1,5 +1,6 @@
 """Hecke algebra: double-coset oracle, tensor functor, splitness."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -114,13 +115,12 @@ def test_table_build_against_loop_oracle(p, e):
 
 
 def test_table_build_against_loop_oracle_at_p7(monkeypatch):
-    # p = 7 stays refused: the build runs once, uncached, without its dense laws
+    # p = 7 stays refused: the build, its laws and its verification run once, uncached
     monkeypatch.setattr(hecke, "HECKE_PRIMES", (*hecke.HECKE_PRIMES, 7))
-    monkeypatch.setattr(hecke, "_algebra_laws", lambda ring, struct, unit: {})
-    monkeypatch.setattr(hecke, "_verify_algebra", lambda alg: None)
     cached = build_hecke.cache_info().currsize
     alg = build_hecke.__wrapped__(7)
     assert alg.dim == 2 * 6**2
+    assert alg.laws == {"associative": True, "unit_laws": True}
     assert_matches_loop_oracle(alg, 7, 1)
     assert build_hecke.cache_info().currsize == cached
 
@@ -168,7 +168,7 @@ def test_equivariance_check_requires_permutation_generators():
 
 
 def test_suite_evaluates_the_algebra_laws_once(monkeypatch):
-    # the exhaustive d^4 associativity tensor is taken at build; check_assoc reports it
+    # the exhaustive associativity check runs at build; check_assoc reports it
     calls = []
     original = hecke._algebra_laws
 
@@ -199,6 +199,41 @@ def bumped(struct, where, N):
     return out
 
 
+def dense_laws_oracle(ring, struct, unit):
+    """Associativity and unit laws by two dense einsums over all basis triples."""
+    N = ring.modulus
+    eye = np.eye(struct.shape[0], dtype=np.int64) % N
+    left = np.einsum("uvx,xwy->uvwy", struct, struct) % N
+    right = np.einsum("vwx,uxy->uvwy", struct, struct) % N
+    return {
+        "associative": bool(np.array_equal(left, right)),
+        "unit_laws": bool(
+            np.array_equal(struct[unit] % N, eye) and np.array_equal(struct[:, unit, :] % N, eye)
+        ),
+    }
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (3, 3)])
+def test_algebra_laws_against_dense_oracle(p, e):
+    alg = build_hecke(p, e)
+    laws = hecke._algebra_laws(alg.ring, alg.struct, alg.unit)
+    assert laws == dense_laws_oracle(alg.ring, alg.struct, alg.unit) == {"associative": True, "unit_laws": True}
+    assert all(type(x) is bool for x in laws.values())
+
+
+def test_algebra_laws_read_at_most_d_cubed_entries_at_once():
+    # the dense laws hold two d^4 int64 tensors, 8 MiB each at p = 5
+    alg = build_hecke(5)
+    d = alg.dim
+    tracemalloc.start()
+    try:
+        hecke._algebra_laws(alg.ring, alg.struct, alg.unit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d**4 * 8
+
+
 def test_associativity_reads_false_on_each_bumped_structure_constant():
     # off the unit rows every bump keeps the unit laws and breaks associativity
     alg = build_hecke(3)
@@ -206,14 +241,32 @@ def test_associativity_reads_false_on_each_bumped_structure_constant():
     off_unit = [tuple(x) for x in np.argwhere(alg.struct) if alg.unit not in x[:2]]
     assert len(off_unit) == 65
     for where in off_unit:
-        laws = hecke._algebra_laws(alg.ring, bumped(alg.struct, where, N), alg.unit)
-        assert laws == {"associative": False, "unit_laws": True}, where
+        struct = bumped(alg.struct, where, N)
+        laws = hecke._algebra_laws(alg.ring, struct, alg.unit)
+        assert laws == dense_laws_oracle(alg.ring, struct, alg.unit) == {"associative": False, "unit_laws": True}, where
 
 
 def test_unit_laws_read_false_on_a_bumped_unit_row():
     alg = build_hecke(3)
-    laws = hecke._algebra_laws(alg.ring, bumped(alg.struct, alg.unit, alg.ring.modulus), alg.unit)
+    struct = bumped(alg.struct, alg.unit, alg.ring.modulus)
+    laws = hecke._algebra_laws(alg.ring, struct, alg.unit)
+    assert laws == dense_laws_oracle(alg.ring, struct, alg.unit)
     assert laws["unit_laws"] is False
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_algebra_laws_on_a_bump_that_lengthens_the_longest_product(p):
+    # a new term in a product that already has the most terms raises K by one
+    alg = build_hecke(p)
+    N = alg.ring.modulus
+    terms = (alg.struct != 0).sum(axis=-1)
+    u, v = np.argwhere((terms == terms.max()) & (np.arange(alg.dim) != alg.unit)[:, None])[0]
+    w = np.flatnonzero(alg.struct[u, v] == 0)[0]
+    struct = bumped(alg.struct, (u, v, w), N)
+    assert (struct != 0).sum(axis=-1).max() == terms.max() + 1
+    laws = hecke._algebra_laws(alg.ring, struct, alg.unit)
+    assert laws == dense_laws_oracle(alg.ring, struct, alg.unit)
+    assert laws["associative"] is False
 
 
 @pytest.mark.parametrize("where", ["off_unit", "unit"])
@@ -222,6 +275,7 @@ def test_check_assoc_fails_on_the_laws_of_a_bumped_tensor(monkeypatch, where):
     off_unit = next(tuple(x) for x in np.argwhere(real.struct) if real.unit not in x[:2])
     struct = bumped(real.struct, off_unit if where == "off_unit" else real.unit, real.ring.modulus)
     laws = hecke._algebra_laws(real.ring, struct, real.unit)
+    assert laws == dense_laws_oracle(real.ring, struct, real.unit)
     monkeypatch.setattr(hecke, "build_hecke", lambda p, e=1: replace(real, struct=struct, laws=laws))
     rep = check_assoc(3)
     assert rep.status == FAIL
