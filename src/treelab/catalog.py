@@ -14,12 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .exactalg import RingSpec, RowSolver, VerificationBug
+from .exactalg import RingSpec, VerificationBug
 from .grouprep import (
     GModule,
     build_group,
     decompose_jbar,
-    generated_submodule,
+    invariants,
     is_irreducible,
     jbar,
     quotient_gmodule,
@@ -32,15 +32,13 @@ CATALOG_SCHEMA = "treelab.catalog.v1"
 def steinberg(ps0: GModule) -> GModule:
     """The length-1 quotient of ps0, the trivial-character summand of jbar.
 
-    The constant functions form a line inside that summand; the quotient
-    has dimension p and is checked to be irreducible at build time.
+    The constants are the only invariants of jbar, so they are the one
+    invariant line of ps0; the quotient by it has dimension p and is
+    checked to be irreducible at build time.
     """
-    eig = ps0.eigenbasis  # type: ignore[attr-defined]
-    ones = np.ones(eig.ncols, dtype=np.int64)
-    coords = RowSolver(ps0.ring, eig.mat).solve(ones)
-    if coords is None:
-        raise VerificationBug("constants must lie in the trivial-character summand")
-    const_line = generated_submodule(ps0, coords)
+    const_line = invariants(ps0, ps0.group.gens)
+    if const_line.nrows != 1:
+        raise VerificationBug("the trivial-character summand must hold exactly one invariant line")
     st = quotient_gmodule(ps0, const_line, name="steinberg")
     if st.rank != ps0.group.p or not is_irreducible(st):
         raise VerificationBug("steinberg quotient is not irreducible of dimension p")

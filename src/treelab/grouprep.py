@@ -79,6 +79,8 @@ class GroupData:
     upper_unipotent: tuple[Elem, ...]
     lower_unipotent: tuple[Elem, ...]
     opp_radicals: tuple[frozenset[Elem], ...]
+    coset_reps: np.ndarray  # (n, 2, 2): least element of each coset U g, in increasing order
+    coset_index: np.ndarray  # coset of the matrix coded a p^3 + b p^2 + c p + d; -1 off the group
 
     @property
     def order(self) -> int:
@@ -89,6 +91,11 @@ class GroupData:
 
     def inv(self, x: Elem) -> Elem:
         return elem_inv(x, self.p)
+
+    def coset_of(self, X: np.ndarray) -> np.ndarray:
+        """Coset index of each matrix of X, an integer array of shape (..., 2, 2)."""
+        X = np.asarray(X, dtype=np.int64) % self.p
+        return self.coset_index[X.reshape(*X.shape[:-2], 4) @ self.p ** np.arange(3, -1, -1)]
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +156,16 @@ def build_group(kind: str, p: int) -> GroupData:
             radicals.append(conj)
     opp = tuple(radicals)
 
+    # the cosets U g, numbered by their least element (elements are sorted by code)
+    code = p ** np.arange(3, -1, -1)
+    mats = np.array(elements, dtype=np.int64).reshape(-1, 2, 2)
+    translates = (np.array(upper, dtype=np.int64).reshape(-1, 1, 2, 2) @ mats) % p
+    least, of_elem = np.unique((translates.reshape(p, -1, 4) @ code).min(axis=0), return_inverse=True)
+    coset_index = np.full(p**4, -1, dtype=np.int64)
+    coset_index[mats.reshape(-1, 4) @ code] = of_elem
+    coset_reps = mats[np.searchsorted(mats.reshape(-1, 4) @ code, least)]
+    coset_index.flags.writeable = coset_reps.flags.writeable = False
+
     grp = GroupData(
         kind=kind,
         p=p,
@@ -162,6 +179,8 @@ def build_group(kind: str, p: int) -> GroupData:
         upper_unipotent=upper,
         lower_unipotent=lower,
         opp_radicals=opp,
+        coset_reps=coset_reps,
+        coset_index=coset_index,
     )
     _spot_verify(grp)
     return grp
@@ -283,35 +302,15 @@ def direct_sum(modules: Sequence[GModule], name: str = "") -> GModule:
 def jbar(group: GroupData, ring: RingSpec) -> GModule:
     """The permutation module on cosets of the upper unipotent subgroup.
 
-    Basis: the cosets ordered by their minimal element; the group acts
+    Basis: the group's coset table, ordered by least element; the group acts
     by right coset translation.  The indicator of the identity coset is
     marked as "base_coset"; it is fixed by the inducing subgroup and
     generates the module.
     """
-    p = group.p
-    upper = group.upper_unipotent
-    seen: dict[Elem, int] = {}
-    reps: list[Elem] = []
-    for g in group.elements:
-        if g in seen:
-            continue
-        coset = sorted(elem_mul(n, g, p) for n in upper)
-        for x in coset:
-            seen[x] = len(reps)
-        reps.append(coset[0])
-    n_cosets = len(reps)
-    mats = {}
-    for g in group.gens:
-        m = np.zeros((n_cosets, n_cosets), dtype=np.int64)
-        for i, rep in enumerate(reps):
-            m[i, seen[elem_mul(rep, g, p)]] = 1
-        mats[g] = m
-    indicator = np.zeros(n_cosets, dtype=np.int64)
-    indicator[seen[IDENT]] = 1
-    mod = GModule(group, ring, mats, name="jbar", marked={"base_coset": indicator})
-    mod.coset_reps = reps  # type: ignore[attr-defined]
-    mod.coset_of = seen  # type: ignore[attr-defined]
-    return mod
+    eye = np.eye(len(group.coset_reps), dtype=np.int64)
+    mats = {g: eye[group.coset_of(group.coset_reps @ np.reshape(g, (2, 2)))] for g in group.gens}
+    indicator = eye[group.coset_of(np.reshape(IDENT, (2, 2)))]
+    return GModule(group, ring, mats, name="jbar", marked={"base_coset": indicator})
 
 
 def invariants(M: GModule, subgroup: Iterable[Elem]) -> CanonicalBasis:
@@ -475,17 +474,6 @@ def h1_procyclic(ring: RingSpec, operator: np.ndarray, p: int) -> ProcyclicH1:
     return ProcyclicH1(ring, op.shape[0], rel, op)
 
 
-def left_torus_translation(J: GModule, t: Elem) -> np.ndarray:
-    """Matrix of left translation by a torus element on the coset basis."""
-    p = J.group.p
-    reps = J.coset_reps  # type: ignore[attr-defined]
-    of = J.coset_of  # type: ignore[attr-defined]
-    m = np.zeros((len(reps), len(reps)), dtype=np.int64)
-    for i, rep in enumerate(reps):
-        m[i, of[elem_mul(t, rep, p)]] = 1
-    return m
-
-
 def submodule_gmodule(M: GModule, basis: CanonicalBasis, name: str = "") -> GModule:
     """Action-stable submodule as a module in its own coordinates (e = 1)."""
     if not M.ring.is_field:
@@ -526,19 +514,17 @@ def decompose_jbar(group: GroupData, ring: RingSpec) -> list[GModule]:
     p = group.p
     z = primitive_root(p)
     t0: Elem = (z % p, 0, 0, pow(z, -1, p)) if p > 2 else IDENT
-    L = left_torus_translation(J, t0)
+    eye = np.eye(J.rank, dtype=np.int64)
+    L = eye[group.coset_of(np.reshape(t0, (2, 2)) @ group.coset_reps)]  # U g -> U t0 g
     for g in group.gens:
         if not np.array_equal((L @ J.action(g)) % p, (J.action(g) @ L) % p):
             raise VerificationBug("left torus translation must commute with the action")
-    eye = np.eye(J.rank, dtype=np.int64)
     summands = []
     total = 0
     for i in range(p - 1):
         lam = pow(z, i, p)
         eig = kernel_array(ring, (L - lam * eye) % p)
-        sub = submodule_gmodule(J, eig, name=f"ps:{i}")
-        sub.eigenbasis = eig  # type: ignore[attr-defined]
-        summands.append(sub)
+        summands.append(submodule_gmodule(J, eig, name=f"ps:{i}"))
         total += eig.nrows
     if total != J.rank:
         raise VerificationBug("eigenspace dimensions do not fill jbar")

@@ -99,41 +99,39 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     generator, and T_w sends coset i to the sum of tab[x, i] over x in w.
     """
     if p not in HECKE_PRIMES:
-        raise ValueError("supported primes for the Hecke algebra: 2, 3, 5")
+        raise ValueError(f"supported primes for the Hecke algebra: {', '.join(map(str, HECKE_PRIMES))}")
     ring = RingSpec(p, e)
     N = ring.modulus
     group = build_group("gl2", p)
     J = jbar(group, ring)
-    of = J.coset_of  # type: ignore[attr-defined]
-    reps = np.array(J.coset_reps, dtype=np.int64).reshape(-1, 2, 2)  # type: ignore[attr-defined]
+    reps = group.coset_reps
     n = len(reps)
     # numbering the orbits by their least coset lists them in index order
-    step = J.action(group.upper_gen).argmax(axis=1)  # U g -> U g upper_gen
+    step = group.coset_of(reps @ np.reshape(group.upper_gen, (2, 2)))  # U g -> U g upper_gen
     iterates = [np.arange(n)]
     for _ in range(p - 1):
         iterates.append(step[iterates[-1]])
-    least, dc_of, sizes = np.unique(np.min(iterates, axis=0), return_inverse=True, return_counts=True)
+    least, dc_of = np.unique(np.min(iterates, axis=0), return_inverse=True)
     d = len(least)
     if d != 2 * (p - 1) ** 2:
         raise VerificationBug(f"double coset count {d} != 2(p-1)^2")
     double_cosets = [np.flatnonzero(dc_of == w).tolist() for w in range(d)]
 
-    # each product (a, b, c, d) is coded as a p^3 + b p^2 + c p + d and looked up
-    code = p ** np.arange(3, -1, -1)
-    coset_of_code = np.full(p**4, -1, dtype=np.int64)
-    coset_of_code[np.array(list(of), dtype=np.int64) @ code] = list(of.values())
-    tab = coset_of_code[((reps[:, None] @ reps[None]) % p).reshape(n, n, 4) @ code]
+    tab = group.coset_of(reps[:, None] @ reps[None])
     ops = np.zeros((d, n, n), dtype=np.int64)
     np.add.at(ops, (dc_of[:, None], np.arange(n), tab), 1)
     ops %= N
-    base_coset_idx = of[IDENT]
+    base_coset_idx = int(group.coset_of(np.reshape(IDENT, (2, 2))))
     unit = int(dc_of[base_coset_idx])
     z = primitive_root(p)
-    gens = tuple(sorted({int(dc_of[of[g]]) for g in ((z, 0, 0, 1), (1, 0, 0, z), group.weyl)} - {unit}))
+    torus_and_weyl = group.coset_of(np.reshape([(z, 0, 0, 1), (1, 0, 0, z), group.weyl], (-1, 2, 2)))
+    gens = tuple(sorted(set(dc_of[torus_and_weyl].tolist()) - {unit}))
 
     # img[u, v], the marked coset under T_u * T_v: T_v sends it (its rep is the
-    # identity) to the indicator of v, and T_u to the sum of the rows of ops[u] over v
-    img = np.add.reduceat(ops[:, np.argsort(dc_of, kind="stable")], np.cumsum(sizes) - sizes, axis=1) % N
+    # identity) to the indicator of v, and T_u sends coset i of v to tab[x, i] over x in u
+    img = np.zeros((d, d, n), dtype=np.int64)
+    np.add.at(img, (dc_of[:, None], dc_of, tab), 1)
+    img %= N
     struct = img[:, :, least]
     if not np.array_equal(struct[:, :, dc_of], img):
         raise VerificationBug("composite image is not double-coset invariant")
@@ -178,13 +176,13 @@ def _verify_algebra(alg: HeckeAlgebra) -> None:
     # operators commute with the group action and compose per the tensor;
     # a generator acts by a permutation A = I[perm], so A @ m is m[perm]
     # and m @ A is m with its columns permuted by the inverse of perm
-    ops = alg.basis_mats
     for g in alg.J.group.gens:
         A = alg.J.action(g)
         perm = A.argmax(axis=1)
         if not (np.array_equal(A, np.eye(len(A), dtype=np.int64)[perm]) and (A.sum(axis=0) == 1).all()):
             raise VerificationBug("group generator does not act on J by a permutation")
-        if not np.array_equal(ops[:, :, np.argsort(perm)], ops[:, perm, :]):
+        inv = np.argsort(perm)
+        if not all(np.array_equal(m[:, inv], m[perm]) for m in alg.basis_mats):
             raise VerificationBug("basis operator is not equivariant")
     rng = np.random.default_rng(alg.p)
     for _ in range(20):

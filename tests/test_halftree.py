@@ -696,6 +696,17 @@ def test_corrpro_injective_and_landing_read_false_past_the_build():
     assert rep.verdicts["lands_in_fixed_part"] is False
 
 
+def test_corrpro_onto_and_dims_read_false_with_an_identity_twist():
+    # an identity twist fixes every class of H0, so the fixed part outgrows
+    # the upper invariants
+    cc = build_complex(get_module(3, 1, "jbar"), 3)
+    twist = np.eye(cc.spec.twist.shape[0], dtype=np.int64)
+    rep = check_corrpro(ChainComplexData(replace(cc.spec, twist=twist), 3))
+    assert rep.status == FAIL
+    assert rep.verdicts["onto_fixed_part"] is False and rep.verdicts["dims_equal"] is False
+    assert rep.dims["dim_h0_fixed"] == 20 and rep.dims["dim_inv_upper"] == 4
+
+
 def test_presentation_verdicts_rest_on_the_injective_rho_gate(monkeypatch):
     # build_coeff_spec refuses a rho that is not injective, so a built
     # complex has t boundary rows per non-root vertex, dim C1 in all:

@@ -58,6 +58,45 @@ def test_dimension_by_double_coset_enumeration(p, expected):
     assert check_dim(p).status == PASS
 
 
+def loop_cosets_oracle(group):
+    """The cosets U g by a loop over the elements: (reps, coset of each element).
+
+    The reps are the least elements, in increasing order.
+    """
+    p = group.p
+    upper = group.upper_unipotent
+    seen = {}
+    reps = []
+    for g in group.elements:
+        if g in seen:
+            continue
+        coset = sorted(elem_mul(n, g, p) for n in upper)
+        for x in coset:
+            seen[x] = len(reps)
+        reps.append(coset[0])
+    return reps, seen
+
+
+@pytest.mark.parametrize("kind", ["sl2", "gl2"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coset_table_against_loop_oracle(kind, p):
+    group = build_group(kind, p)
+    reps, of = loop_cosets_oracle(group)
+    assert group.coset_reps.dtype == np.int64
+    assert np.array_equal(group.coset_reps, np.array(reps).reshape(-1, 2, 2))
+    elements = np.array(group.elements).reshape(-1, 2, 2)
+    assert np.array_equal(group.coset_of(elements), [of[g] for g in group.elements])
+    assert not group.coset_index.flags.writeable and not group.coset_reps.flags.writeable
+    assert (group.coset_index >= 0).sum() == group.order
+    J = jbar(group, RingSpec(p, 1))
+    for g in group.gens:
+        m = np.zeros((len(reps), len(reps)), dtype=np.int64)
+        for i, rep in enumerate(reps):
+            m[i, of[elem_mul(rep, g, p)]] = 1
+        assert np.array_equal(J.action(g), m)
+    assert np.flatnonzero(J.marked["base_coset"]).tolist() == [of[IDENT]]
+
+
 def loop_build_oracle(p, e):
     """Double cosets, basis operators and structure constants by loops.
 
@@ -69,8 +108,7 @@ def loop_build_oracle(p, e):
     ring = RingSpec(p, e)
     N = ring.modulus
     group = build_group("gl2", p)
-    J = jbar(group, ring)
-    reps, of = J.coset_reps, J.coset_of
+    reps, of = loop_cosets_oracle(group)
     n = len(reps)
     dc_of = [-1] * n
     double_cosets = []
@@ -125,6 +163,14 @@ def test_table_build_against_loop_oracle_at_p7(monkeypatch):
     assert build_hecke.cache_info().currsize == cached
 
 
+def test_refusal_names_the_supported_primes(monkeypatch):
+    with pytest.raises(ValueError, match=r"Hecke algebra: 2, 3, 5$"):
+        build_hecke.__wrapped__(7)
+    monkeypatch.setattr(hecke, "HECKE_PRIMES", (2, 3))
+    with pytest.raises(ValueError, match=r"Hecke algebra: 2, 3$"):
+        build_hecke.__wrapped__(5)
+
+
 @pytest.mark.parametrize("p,gens", [(2, (0,)), (3, (1, 5, 6)), (5, (3, 17, 20))])
 def test_closed_form_generators_fill_the_algebra(p, gens):
     # T_s and the torus operators, without the unit
@@ -132,7 +178,8 @@ def test_closed_form_generators_fill_the_algebra(p, gens):
     grp = alg.J.group
     assert alg.gens == gens
     assert alg.unit not in alg.gens
-    weyl_dc = next(w for w, o in enumerate(alg.double_cosets) if alg.J.coset_of[grp.weyl] in o)
+    weyl_coset = int(grp.coset_of(np.reshape(grp.weyl, (2, 2))))
+    weyl_dc = next(w for w, o in enumerate(alg.double_cosets) if weyl_coset in o)
     assert weyl_dc in alg.gens
     assert alg._generated_subalgebra_full(alg.gens)
 

@@ -132,11 +132,11 @@ def test_lemma22_jbar_to_steinberg():
     grp = build_group("sl2", 3)
     ring = RingSpec(3, 1)
     J = jbar(grp, ring)
-    from treelab.grouprep import left_torus_translation, primitive_root
+    from treelab.grouprep import primitive_root
 
     z = primitive_root(3)
     t0 = (z, 0, 0, pow(z, -1, 3))
-    L = left_torus_translation(J, t0)
+    L = np.eye(J.rank, dtype=np.int64)[grp.coset_of(np.reshape(t0, (2, 2)) @ grp.coset_reps)]
     from treelab.exactalg import kernel_array
 
     eig_other = kernel_array(ring, (L - pow(z, 1, 3) * np.eye(J.rank, dtype=np.int64)) % 3)
