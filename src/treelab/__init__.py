@@ -17,7 +17,6 @@ from .grouprep import (  # noqa: F401
     GModule,
     build_group,
     coinvariants,
-    composition_length,
     decompose_jbar,
     generated_submodule,
     h1_procyclic,

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .catalog import builtin_catalog, emit_catalog, select_modules
 from .exactalg import MAX_E, SUPPORTED_PRIMES
+from .grouprep import GModule
 from .halftree import (
     build_complex,
     parse_rho,
@@ -135,9 +136,8 @@ class RunConfig:
         }
 
 
-def _tree_reports(cfg: RunConfig, lemmas: tuple[str, ...]) -> list[LemmaReport]:
-    """Every selected module's report of the first lemma, then of the next."""
-    mods = select_modules(cfg.p, 1, cfg.module)
+def _tree_reports(cfg: RunConfig, mods: list[GModule], lemmas: tuple[str, ...]) -> list[LemmaReport]:
+    """Every module's report of the first lemma, then of the next."""
     per_module = [tree_reports(W, cfg.depth, cfg.rho, cfg.twist, lemmas) for W in mods]
     return [reps[i] for i in range(len(lemmas)) for reps in per_module]
 
@@ -148,19 +148,21 @@ def run_suite(cfg: RunConfig) -> dict:
     t0 = time.monotonic()
     seed = cfg.seed if cfg.seed is not None else 0
     checks = tuple(cfg.checks.split(","))
+    # one build of the selected catalog modules serves every suite that reads --module
+    mods = select_modules(cfg.p, 1, cfg.module) if "module" in READS[cfg.command] else []
     if cfg.command == "lemma21":
-        reports = lemma21_suite(cfg.p, 1, cfg.module, seed, cfg.n_random)
+        reports = lemma21_suite(cfg.p, mods, seed, cfg.n_random)
     elif cfg.command == "lemma22":
         reports = lemma22_suite(cfg.p, cfg.e, seed, cfg.n_random)
     elif cfg.command in ("corrpro", "presentation", "cogtri"):
-        reports = _tree_reports(cfg, (cfg.command,))
+        reports = _tree_reports(cfg, mods, (cfg.command,))
     elif cfg.command == "hecke":
         reports = hecke_suite(cfg.p, cfg.e, checks, seed, cfg.n_random)
     elif cfg.command == "all":
         tasks = [
-            lambda: lemma21_suite(cfg.p, 1, cfg.module, seed, cfg.n_random),
+            lambda: lemma21_suite(cfg.p, mods, seed, cfg.n_random),
             lambda: lemma22_suite(cfg.p, cfg.e, seed, cfg.n_random),
-            lambda: _tree_reports(cfg, ("corrpro", "presentation", "cogtri")),
+            lambda: _tree_reports(cfg, mods, ("corrpro", "presentation", "cogtri")),
         ]
         if cfg.p in HECKE_PRIMES:
             tasks.append(lambda: hecke_suite(cfg.p, cfg.e, checks, seed, min(cfg.n_random, 5)))

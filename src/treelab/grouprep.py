@@ -78,7 +78,6 @@ class GroupData:
     weyl: Elem
     upper_unipotent: tuple[Elem, ...]
     lower_unipotent: tuple[Elem, ...]
-    opp_radicals: tuple[frozenset[Elem], ...]
     coset_reps: np.ndarray  # (n, 2, 2): least element of each coset U g, in increasing order
     coset_index: np.ndarray  # coset of the matrix coded a p^3 + b p^2 + c p + d; -1 off the group
 
@@ -149,12 +148,6 @@ def build_group(kind: str, p: int) -> GroupData:
 
     upper = tuple(sorted((1, t, 0, 1) for t in range(p)))
     lower = tuple(sorted((1, 0, t, 1) for t in range(p)))
-    radicals = []
-    for n2 in upper:
-        conj = frozenset(elem_mul(elem_mul(n2, x, p), elem_inv(n2, p), p) for x in lower)
-        if conj not in radicals:
-            radicals.append(conj)
-    opp = tuple(radicals)
 
     # the cosets U g, numbered by their least element (elements are sorted by code)
     code = p ** np.arange(3, -1, -1)
@@ -178,7 +171,6 @@ def build_group(kind: str, p: int) -> GroupData:
         weyl=weyl,
         upper_unipotent=upper,
         lower_unipotent=lower,
-        opp_radicals=opp,
         coset_reps=coset_reps,
         coset_index=coset_index,
     )
@@ -191,15 +183,13 @@ def _spot_verify(grp: GroupData) -> None:
     expected = p * (p * p - 1) if grp.kind == "sl2" else (p * p - 1) * (p * p - p)
     if grp.order != expected:
         raise VerificationBug(f"group order {grp.order} != {expected}")
-    if len(grp.upper_unipotent) != p or len(grp.opp_radicals) != p:
+    if len(grp.upper_unipotent) != p:
         raise VerificationBug("unipotent subgroup bookkeeping broken")
     conj = frozenset(
         elem_mul(elem_mul(grp.weyl, x, p), elem_inv(grp.weyl, p), p) for x in grp.lower_unipotent
     )
     if conj != frozenset(grp.upper_unipotent):
         raise VerificationBug("weyl does not conjugate the lower radical onto the upper one")
-    if frozenset(grp.upper_unipotent) in grp.opp_radicals:
-        raise VerificationBug("opposite radicals must exclude the upper one")
     rng = np.random.default_rng(p)
     idx = rng.integers(0, grp.order, size=(40, 3))
     for i, j, k in idx:
@@ -224,12 +214,10 @@ class GModule:
         ring: RingSpec,
         gen_mats: dict[Elem, np.ndarray],
         name: str = "",
-        marked: Optional[dict[str, np.ndarray]] = None,
     ):
         self.group = group
         self.ring = ring
         self.name = name
-        self.marked = dict(marked or {})
         mats = {}
         rank = None
         for g in group.gens:
@@ -303,14 +291,13 @@ def jbar(group: GroupData, ring: RingSpec) -> GModule:
     """The permutation module on cosets of the upper unipotent subgroup.
 
     Basis: the group's coset table, ordered by least element; the group acts
-    by right coset translation.  The indicator of the identity coset is
-    marked as "base_coset"; it is fixed by the inducing subgroup and
-    generates the module.
+    by right coset translation.  The indicator of the base coset, the one
+    of the identity (`group.coset_of(IDENT)`), is fixed by the inducing
+    subgroup and generates the module.
     """
     eye = np.eye(len(group.coset_reps), dtype=np.int64)
     mats = {g: eye[group.coset_of(group.coset_reps @ np.reshape(g, (2, 2)))] for g in group.gens}
-    indicator = eye[group.coset_of(np.reshape(IDENT, (2, 2)))]
-    return GModule(group, ring, mats, name="jbar", marked={"base_coset": indicator})
+    return GModule(group, ring, mats, name="jbar")
 
 
 def invariants(M: GModule, subgroup: Iterable[Elem]) -> CanonicalBasis:
@@ -531,7 +518,7 @@ def decompose_jbar(group: GroupData, ring: RingSpec) -> list[GModule]:
     return summands
 
 
-def _fixed_lines(M: GModule, perm_seed: Optional[int] = None) -> list[np.ndarray]:
+def _fixed_lines(M: GModule) -> list[np.ndarray]:
     """All lines of the fixed space of the upper unipotent subgroup (e = 1)."""
     p = M.ring.p
     fix = invariants(M, [M.group.upper_gen])
@@ -549,14 +536,10 @@ def _fixed_lines(M: GModule, perm_seed: Optional[int] = None) -> list[np.ndarray
             continue
         seen.add(vn)
         lines.append(np.array(vn, dtype=np.int64))
-    if perm_seed is not None:
-        rng = np.random.default_rng(perm_seed)
-        order = rng.permutation(len(lines))
-        lines = [lines[i] for i in order]
     return lines
 
 
-def is_irreducible(M: GModule, perm_seed: Optional[int] = None) -> bool:
+def is_irreducible(M: GModule) -> bool:
     """Irreducibility over k: every nonzero fixed line must generate.
 
     Sufficient because any nonzero submodule contains a nonzero vector
@@ -567,26 +550,10 @@ def is_irreducible(M: GModule, perm_seed: Optional[int] = None) -> bool:
     if M.rank == 0:
         return False
     full = howell_array(M.ring, np.eye(M.rank, dtype=np.int64))
-    for v in _fixed_lines(M, perm_seed):
+    for v in _fixed_lines(M):
         if generated_submodule(M, v) != full:
             return False
     return True
-
-
-def composition_length(M: GModule, perm_seed: Optional[int] = None) -> int:
-    """Length of a composition chain found by drilling along fixed lines."""
-    if not M.ring.is_field:
-        raise ValueError("composition length requires e = 1")
-    if M.rank == 0:
-        return 0
-    full = howell_array(M.ring, np.eye(M.rank, dtype=np.int64))
-    for v in _fixed_lines(M, perm_seed):
-        sub = generated_submodule(M, v)
-        if sub != full:
-            S = submodule_gmodule(M, sub)
-            Q = quotient_gmodule(M, sub)
-            return composition_length(S, perm_seed) + composition_length(Q, perm_seed)
-    return 1
 
 
 @dataclass(frozen=True, eq=False)

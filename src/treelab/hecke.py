@@ -2,7 +2,7 @@
 
 The algebra is realized concretely as the equivariant endomorphisms of
 the permutation module on cosets of the upper unipotent subgroup: one
-basis operator per double coset, sending the marked coset indicator to
+basis operator per double coset, sending the base coset indicator to
 the indicator sum of its double coset.  The algebra product is operator
 composition (apply the right factor first); module elements are rows,
 so a right module multiplies coefficient vectors by its action matrices
@@ -127,7 +127,7 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     torus_and_weyl = group.coset_of(np.reshape([(z, 0, 0, 1), (1, 0, 0, z), group.weyl], (-1, 2, 2)))
     gens = tuple(sorted(set(dc_of[torus_and_weyl].tolist()) - {unit}))
 
-    # img[u, v], the marked coset under T_u * T_v: T_v sends it (its rep is the
+    # img[u, v], the base coset under T_u * T_v: T_v sends it (its rep is the
     # identity) to the indicator of v, and T_u sends coset i of v to tab[x, i] over x in u
     img = np.zeros((d, d, n), dtype=np.int64)
     np.add.at(img, (dc_of[:, None], dc_of, tab), 1)

@@ -23,7 +23,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .catalog import select_modules
 from .exactalg import (
     CanonicalBasis, RingSpec, howell_array, image_and_preimage, kernel_array, preimage_kernel, span_sum
 )
@@ -333,13 +332,9 @@ def random_injections(seed: int, p: int, e: int, count: int) -> Iterator[Injecti
         yield InjectionInstance(f"inj:p{p}:e{e}:s{seed}:{i}", base, rel, sub)
 
 
-def lemma21_suite(
-    p: int, e: int = 1, module: str = "all", seed: int = 0, n_random: int = 0
-) -> list[LemmaReport]:
-    """The comparison-map suite over the selected catalog modules plus random ones."""
-    mods = select_modules(p, e, module)
-    mods.extend(random_modules(seed, p, n_random))
-    return [r for W in mods for r in lemma21_reports(W)]
+def lemma21_suite(p: int, mods: list[GModule], seed: int = 0, n_random: int = 0) -> list[LemmaReport]:
+    """The comparison-map suite over the given modules plus seeded random ones."""
+    return [r for W in [*mods, *random_modules(seed, p, n_random)] for r in lemma21_reports(W)]
 
 
 def lemma22_suite(p: int, e: int, seed: int = 0, n_random: int = 0) -> list[LemmaReport]:

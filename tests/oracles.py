@@ -1,0 +1,131 @@
+"""Reference implementations that only the tests call.
+
+`howell_array_sparse` computes the Howell form (Storjohann, *Algorithms
+for Matrix Canonical Forms*, 2000) on a dict-of-columns row layout with
+gcd merges, independently of the dense elimination `exactalg._howell`;
+the two must produce identical canonical forms.  `composition_length`
+drills a composition chain along fixed lines; its optional seed shuffles
+the lines, so tests can check that the length does not depend on the
+order in which they are tried.
+"""
+
+from math import gcd
+from typing import Optional
+
+import numpy as np
+
+from treelab.exactalg import CanonicalBasis, RingSpec, _empty_basis, howell_array
+from treelab.grouprep import (
+    GModule,
+    _fixed_lines,
+    generated_submodule,
+    quotient_gmodule,
+    submodule_gmodule,
+)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, s, t) with s*a + t*b = g = gcd(a, b)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def howell_array_sparse(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
+    """Howell form computed on a dict-of-columns row layout.
+
+    Independent of the dense path; must produce identical canonical
+    forms.  Used to cross-check the dense implementation.
+    """
+    N = ring.modulus
+    A = np.atleast_2d(ring.reduce(A))
+    ncols = A.shape[1]
+    piv: dict[int, dict[int, int]] = {}
+
+    def lead(row: dict[int, int]) -> int:
+        return min(row)
+
+    queue = []
+    for r in A:
+        row = {int(j): int(r[j]) for j in np.nonzero(r)[0]}
+        if row:
+            queue.append(row)
+    while queue:
+        row = queue.pop()
+        row = {j: x % N for j, x in row.items() if x % N}
+        if not row:
+            continue
+        j = lead(row)
+        if j not in piv:
+            a = row[j]
+            g = gcd(a, N)
+            u = pow(a // g, -1, N)
+            row = {c: (x * u) % N for c, x in row.items() if (x * u) % N}
+            piv[j] = row
+            if g > 1:
+                k = N // g
+                queue.append({c: (x * k) % N for c, x in row.items()})
+            continue
+        r0 = piv[j]
+        a, b = r0[j], row[j]
+        if b % a == 0:
+            q = b // a
+            merged = dict(row)
+            for c, x in r0.items():
+                merged[c] = (merged.get(c, 0) - q * x) % N
+            queue.append(merged)
+            continue
+        d, s, t = _xgcd(a, b)
+        new: dict[int, int] = {}
+        for c in set(r0) | set(row):
+            new[c] = (s * r0.get(c, 0) + t * row.get(c, 0)) % N
+        new = {c: x for c, x in new.items() if x}
+        piv[j] = new
+        for old, coeff in ((r0, a // d), (row, b // d)):
+            rem = dict(old)
+            for c, x in new.items():
+                rem[c] = (rem.get(c, 0) - coeff * x) % N
+            queue.append(rem)
+        if d > 1:
+            k = N // d
+            queue.append({c: (x * k) % N for c, x in new.items()})
+    cols = sorted(piv)
+    if not cols:
+        return _empty_basis(ring, ncols)
+    M = np.zeros((len(cols), ncols), dtype=np.int64)
+    for i, c in enumerate(cols):
+        for cc, x in piv[c].items():
+            M[i, cc] = x
+    for i, c in enumerate(cols):
+        g = int(M[i, c])
+        if i > 0:
+            q = M[:i, c] // g
+            if np.any(q):
+                M[:i] = (M[:i] - np.outer(q, M[i])) % N
+    pivots = tuple((c, int(M[i, c])) for i, c in enumerate(cols))
+    return CanonicalBasis(ring, ncols, M, pivots)
+
+
+def composition_length(M: GModule, perm_seed: Optional[int] = None) -> int:
+    """Length of a composition chain found by drilling along fixed lines."""
+    if not M.ring.is_field:
+        raise ValueError("composition length requires e = 1")
+    if M.rank == 0:
+        return 0
+    full = howell_array(M.ring, np.eye(M.rank, dtype=np.int64))
+    lines = _fixed_lines(M)
+    if perm_seed is not None:
+        lines = [lines[i] for i in np.random.default_rng(perm_seed).permutation(len(lines))]
+    for v in lines:
+        sub = generated_submodule(M, v)
+        if sub != full:
+            S = submodule_gmodule(M, sub)
+            Q = quotient_gmodule(M, sub)
+            return composition_length(S, perm_seed) + composition_length(Q, perm_seed)
+    return 1

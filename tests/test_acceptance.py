@@ -12,12 +12,14 @@ import time
 import numpy as np
 
 from treelab.catalog import builtin_catalog
-from treelab.exactalg import RingSpec, howell_array, howell_array_sparse
-from treelab.grouprep import build_group, composition_length, decompose_jbar, invariants, jbar
+from treelab.exactalg import RingSpec, howell_array
+from treelab.grouprep import build_group, decompose_jbar, invariants, jbar
 from treelab.halftree import build_complex, reduce_chain, sample_fixed_class, tree_reports
 from treelab.hecke import hecke_suite
 from treelab.lemmas import lemma21_suite, lemma22_suite
 from treelab.report import PASS, RECORDED
+
+from oracles import composition_length, howell_array_sparse
 
 GRID3 = {2: (1, 2, 3, 4, 5, 6), 3: (1, 2, 3, 4), 5: (1, 2, 3)}
 
@@ -50,7 +52,7 @@ def test_criterion_1_lemma21_suite():
     t0 = time.monotonic()
     total = 0
     for p in (2, 3, 5):
-        reports = lemma21_suite(p, e=1, module="all", seed=2024, n_random=50)
+        reports = lemma21_suite(p, builtin_catalog(p, 1), seed=2024, n_random=50)
         total += len(reports)
         bad = [r for r in reports if r.status != PASS]
         assert not bad, bad[0].to_dict()

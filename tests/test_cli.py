@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from treelab import halftree
+from treelab import catalog, halftree
 from treelab.catalog import builtin_catalog
 from treelab.cli import RunConfig, build_parser, main, run_suite
 from treelab.grouprep import invariants
@@ -206,6 +206,21 @@ def test_verify_all_builds_each_complex_once(monkeypatch):
     assert doc["aggregate"] == "pass"
     # cogtri reads the spec of the same build as corrpro and presentation
     assert calls == specs == [W.name for W in builtin_catalog(3, 1)]
+
+
+def test_verify_all_builds_the_catalog_once(monkeypatch):
+    # lemma21 and the tree suites read the same selection; lemma22 and hecke read none
+    calls = []
+    original = catalog.builtin_catalog
+
+    def counted(p, e):
+        calls.append((p, e))
+        return original(p, e)
+
+    monkeypatch.setattr(catalog, "builtin_catalog", counted)
+    doc = run_suite(RunConfig(command="all", p=3, depth=1, seed=1))
+    assert doc["aggregate"] == "pass"
+    assert calls == [(3, 1)]
 
 
 @pytest.mark.parametrize("rho", ["twist:1", "scalar:1"])

@@ -10,7 +10,6 @@ from treelab.exactalg import (
     RingSpec,
     RowSolver,
     howell_array,
-    howell_array_sparse,
     image_and_preimage,
     kernel_array,
     preimage_kernel,
@@ -18,6 +17,8 @@ from treelab.exactalg import (
     split_test,
 )
 from treelab.grouprep import QuotientPresentation
+
+from oracles import howell_array_sparse
 
 
 def all_vectors(modulus, n):

@@ -94,7 +94,7 @@ def test_coset_table_against_loop_oracle(kind, p):
         for i, rep in enumerate(reps):
             m[i, of[elem_mul(rep, g, p)]] = 1
         assert np.array_equal(J.action(g), m)
-    assert np.flatnonzero(J.marked["base_coset"]).tolist() == [of[IDENT]]
+    assert int(group.coset_of(np.reshape(IDENT, (2, 2)))) == of[IDENT]
 
 
 def loop_build_oracle(p, e):
@@ -103,7 +103,7 @@ def loop_build_oracle(p, e):
     One right translation of a coset by U gives its double coset, scanned
     in index order; the operator of a double coset sends coset i to the
     sum of the cosets of rep_x * rep_i over its cosets x; struct[u, v] is
-    read off the image of the marked coset under T_v, then T_u.
+    read off the image of the base coset under T_v, then T_u.
     """
     ring = RingSpec(p, e)
     N = ring.modulus

@@ -8,7 +8,9 @@ import pytest
 from treelab.catalog import builtin_catalog, get_module
 from treelab import grouprep, lemmas
 from treelab.exactalg import RingSpec, howell_array, preimage_kernel, span_sum
-from treelab.grouprep import QuotientPresentation, build_group, generated_submodule, invariants, jbar, trivial_module
+from treelab.grouprep import (
+    IDENT, QuotientPresentation, build_group, generated_submodule, invariants, jbar, trivial_module
+)
 from treelab.lemmas import (
     InjectionInstance,
     SurjectionInstance,
@@ -94,7 +96,7 @@ def test_rejection_is_a_distinct_state():
     assert lemma21_reports(J2)[0].status == REJECTED  # wrong ring
     J = jbar(grp, ring1)
     zero = howell_array(ring1, np.zeros((1, J.rank), dtype=np.int64))
-    sub = generated_submodule(J, J.marked["base_coset"])
+    sub = generated_submodule(J, np.eye(J.rank, dtype=np.int64)[grp.coset_of(np.reshape(IDENT, (2, 2)))])
     # rel_source not inside rel_target: not a surjection
     rep = check_invariant_surjectivity(SurjectionInstance("bad", J, sub, zero))
     assert rep.status == REJECTED
@@ -196,8 +198,8 @@ def test_random_module_rank_bound():
 
 
 def test_suites_pass_and_are_seed_stable():
-    r1 = lemma21_suite(3, seed=11, n_random=5)
-    r2 = lemma21_suite(3, seed=11, n_random=5)
+    r1 = lemma21_suite(3, builtin_catalog(3, 1), seed=11, n_random=5)
+    r2 = lemma21_suite(3, builtin_catalog(3, 1), seed=11, n_random=5)
     assert [x.to_dict()["instance"] for x in r1] == [x.to_dict()["instance"] for x in r2]
     assert all(x.status != FAIL for x in r1)
     q = lemma22_suite(2, 2, seed=11, n_random=5)
@@ -213,7 +215,7 @@ def test_lemma21_suite_decides_the_hypothesis_once_per_module(monkeypatch):
         return original(W)
 
     monkeypatch.setattr(lemmas, "generated_by_lower_invariants", counted)
-    reports = lemma21_suite(3, seed=1, n_random=3)
+    reports = lemma21_suite(3, builtin_catalog(3, 1), seed=1, n_random=3)
     assert len(calls) == len(reports) // 2 == len(builtin_catalog(3, 1)) + 3
     assert len(set(calls)) == len(calls)
 
@@ -227,7 +229,7 @@ def test_lemma21_suite_takes_the_coinvariants_once_per_module(monkeypatch):
         return original(W, subgroup)
 
     monkeypatch.setattr(lemmas, "coinvariants", counted)
-    reports = lemma21_suite(3, seed=1, n_random=3)
+    reports = lemma21_suite(3, builtin_catalog(3, 1), seed=1, n_random=3)
     assert len(calls) == len(reports) // 2 == len(builtin_catalog(3, 1)) + 3
     assert len(set(calls)) == len(calls)
 
@@ -267,6 +269,17 @@ def test_inv_to_coinv_reads_false_off_the_lower_invariants():
     rep = check_comparison_map(replace(em, inv=units))
     assert rep.status == FAIL
     assert rep.verdicts["inv_to_coinv_bijective"] is False
+
+
+def test_min_generators_reads_false_without_the_coinvariant_relations():
+    # past build_comparison: with no relations the "coinvariants" are all of jbar
+    J = jbar(build_group("sl2", 3), RingSpec(3, 1))
+    em = build_comparison(J)
+    zero_span = howell_array(J.ring, np.zeros((1, J.rank), dtype=np.int64))
+    rep = check_minimal_generators(replace(em, coin=QuotientPresentation(J.ring, J.rank, zero_span)))
+    assert rep.status == FAIL
+    assert rep.verdicts["min_generators_equal_lower_invariants"] is False
+    assert rep.dims == {"min_generators": 8, "inv_lower": 4}
 
 
 def test_inherited_generation_reads_false_on_a_unit_row():

@@ -30,11 +30,12 @@ from treelab.exactalg import (  # noqa: E402
     RingSpec,
     RowSolver,
     howell_array,
-    howell_array_sparse,
     kernel_array,
     span_closure,
 )
 from treelab.hecke import build_hecke  # noqa: E402
+
+from oracles import howell_array_sparse  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
