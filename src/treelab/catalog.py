@@ -113,29 +113,33 @@ def _as_int(x) -> int:
 def load_catalog(doc_or_path) -> list[GModule]:
     """Parse a catalog document back into verified modules.
 
-    Re-serializing the result reproduces the document bit-exactly.
+    Re-serializing the result reproduces the document bit-exactly; a
+    malformed document raises ValueError.
     """
     if isinstance(doc_or_path, (str, bytes)):
         with open(doc_or_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
         doc = doc_or_path
+    if not isinstance(doc, dict):
+        raise ValueError("a catalog document is a JSON object")
     if doc.get("schema") != CATALOG_SCHEMA:
         raise ValueError(f"unknown catalog schema {doc.get('schema')!r}")
-    p = _as_int(doc["ring"]["p"])
-    e = _as_int(doc["ring"]["e"])
-    ring = RingSpec(p, e)
-    out = []
-    for entry in doc["modules"]:
-        kind = entry["kind"]
-        group = build_group(kind, p)
-        rank = _as_int(entry["rank"])
-        mats = {}
-        for gen in entry["generators"]:
-            elem = tuple(_as_int(x) for x in gen["element"])
-            flat = np.array([_as_int(x) for x in gen["matrix"]], dtype=np.int64)
-            mats[elem] = flat.reshape(rank, rank)
-        mod = GModule(group, ring, mats, name=entry["name"])
-        mod.verify_action(samples=20, seed=0)
-        out.append(mod)
+    try:
+        p = _as_int(doc["ring"]["p"])
+        ring = RingSpec(p, _as_int(doc["ring"]["e"]))
+        out = []
+        for entry in doc["modules"]:
+            group = build_group(entry["kind"], p)
+            rank = _as_int(entry["rank"])
+            mats = {}
+            for gen in entry["generators"]:
+                elem = tuple(_as_int(x) for x in gen["element"])
+                flat = np.array([_as_int(x) for x in gen["matrix"]], dtype=np.int64)
+                mats[elem] = flat.reshape(rank, rank)
+            mod = GModule(group, ring, mats, name=entry["name"])
+            mod.verify_action(samples=20, seed=0)
+            out.append(mod)
+    except KeyError as err:
+        raise ValueError(f"catalog document lacks the field {err.args[0]!r}") from None
     return out

@@ -14,7 +14,8 @@ multiplication, so `kernel_array` and `RowSolver.solve` are left-sided
 one Howell form of [[A | I], [rel | 0]], split at the column of I: the
 rows pivoting in A give span(A) + span(rel), the others give
 {x : x @ A in span(rel)}.  `kernel_array`, `preimage_kernel`,
-`image_and_preimage` and `RowSolver` each read that one split.
+`image_and_preimage` and `RowSolver` each read that one split.  Rows are
+reduced against a Howell basis in one place, `CanonicalBasis.quotients`.
 """
 
 from __future__ import annotations
@@ -100,34 +101,40 @@ class CanonicalBasis:
             and np.array_equal(self.mat, other.mat)
         )
 
-    def reduce_rows(self, X: np.ndarray) -> np.ndarray:
-        """Canonical residues of the rows of X modulo the span."""
+    def quotients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(residues, Q) with X = residues + Q @ mat mod N, the residues canonical.
+
+        Row i of Q holds the multiples of the basis rows that the Howell
+        reduction order subtracts from row i of X.
+        """
         N = self.ring.modulus
         X = np.atleast_2d(np.asarray(X, dtype=np.int64)) % N
         if self.nrows == 0 or X.size == 0:
-            return X
-        if self.ring.is_field:
+            return X, np.zeros((X.shape[0], self.nrows), dtype=np.int64)
+        if self.ring.is_field:  # every pivot is 1
             # only the pivot rows X touches contribute to X[:, pivcols] @ mat
             Q = X[:, [c for c, _ in self.pivots]]
             hit = np.flatnonzero(Q.any(axis=0))
-            return (X - Q[:, hit] @ self.mat[hit]) % N
-        X = X.copy()
+            return (X - Q[:, hit] @ self.mat[hit]) % N, Q
+        Q = np.zeros((X.shape[0], self.nrows), dtype=np.int64)
         for i, (c, g) in enumerate(self.pivots):
             q = X[:, c] // g
-            if np.any(q):
+            if q.any():
+                Q[:, i] = q
                 X = (X - np.outer(q, self.mat[i])) % N
-        return X
+        return X, Q
+
+    def reduce_rows(self, X: np.ndarray) -> np.ndarray:
+        """Canonical residues of the rows of X modulo the span."""
+        return self.quotients(X)[0]
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        return self.reduce_rows(np.asarray(v, dtype=np.int64).reshape(1, -1))[0]
+        return self.reduce_rows(v)[0]
 
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
 
     def contains_rows(self, X) -> bool:
-        X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-        if X.shape[0] == 0:
-            return True
         return not np.any(self.reduce_rows(X))
 
     def is_subspace_of(self, other: "CanonicalBasis") -> bool:
@@ -305,7 +312,6 @@ class RowSolver:
         A = np.atleast_2d(ring.reduce(A))
         self.m, self.n = A.shape
         self.image, self.umat, self.kernel = _split(ring, A)
-        self._pivcols = [c for c, _ in self.image.pivots]
 
     def solve(self, b) -> Optional[np.ndarray]:
         X, ok = self.solve_rows(np.asarray(b).reshape(1, -1))
@@ -317,22 +323,12 @@ class RowSolver:
         Returns (X, ok): where ok[i], X[i] is the solution `solve` gives
         for row i; where row i is outside the row space, X[i] is zero.
         """
-        N = self.ring.modulus
-        B = np.atleast_2d(np.asarray(B, dtype=np.int64)) % N
+        B = np.atleast_2d(np.asarray(B, dtype=np.int64))
         if B.shape[1] != self.n:
             raise ValueError("dimension mismatch")
-        if self.ring.is_field:  # every pivot is 1
-            Q = B[:, self._pivcols]
-            ok = ~((B - Q @ self.image.mat) % N).any(axis=1)
-            X = (Q @ self.umat) % N
-        else:
-            X = np.zeros((B.shape[0], self.m), dtype=np.int64)
-            for i, (c, g) in enumerate(self.image.pivots):
-                q = B[:, c] // g
-                if q.any():
-                    B = (B - np.outer(q, self.image.mat[i])) % N
-                    X = (X + np.outer(q, self.umat[i])) % N
-            ok = ~B.any(axis=1)
+        residues, Q = self.image.quotients(B)
+        ok = ~residues.any(axis=1)
+        X = (Q @ self.umat) % self.ring.modulus
         X[~ok] = 0
         return X, ok
 

@@ -24,7 +24,6 @@ from .exactalg import (
     SUPPORTED_PRIMES,
     CanonicalBasis,
     RingSpec,
-    RowSolver,
     VerificationBug,
     howell_array,
     image_and_preimage,
@@ -84,12 +83,6 @@ class GroupData:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def mul(self, x: Elem, y: Elem) -> Elem:
-        return elem_mul(x, y, self.p)
-
-    def inv(self, x: Elem) -> Elem:
-        return elem_inv(x, self.p)
 
     def coset_of(self, X: np.ndarray) -> np.ndarray:
         """Coset index of each matrix of X, an integer array of shape (..., 2, 2)."""
@@ -194,9 +187,9 @@ def _spot_verify(grp: GroupData) -> None:
     idx = rng.integers(0, grp.order, size=(40, 3))
     for i, j, k in idx:
         x, y, zz = grp.elements[i], grp.elements[j], grp.elements[k]
-        if grp.mul(grp.mul(x, y), zz) != grp.mul(x, grp.mul(y, zz)):
+        if elem_mul(elem_mul(x, y, p), zz, p) != elem_mul(x, elem_mul(y, zz, p), p):
             raise VerificationBug("associativity spot check failed")
-        if grp.mul(x, grp.inv(x)) != IDENT:
+        if elem_mul(x, elem_inv(x, p), p) != IDENT:
             raise VerificationBug("inverse spot check failed")
 
 
@@ -249,9 +242,6 @@ class GModule:
         self._cache[g] = m
         return m
 
-    def act_rows(self, X: np.ndarray, g: Elem) -> np.ndarray:
-        return (np.atleast_2d(X) @ self.action(g)) % self.ring.modulus
-
     def verify_action(self, samples: int = 100, seed: int = 0) -> None:
         """Spot-check action(g) @ action(h) = action(gh) and invertibility."""
         rng = np.random.default_rng(seed)
@@ -260,7 +250,7 @@ class GModule:
             g = self.group.elements[int(rng.integers(0, n))]
             h = self.group.elements[int(rng.integers(0, n))]
             lhs = (self.action(g) @ self.action(h)) % self.ring.modulus
-            if not np.array_equal(lhs, self.action(self.group.mul(g, h))):
+            if not np.array_equal(lhs, self.action(elem_mul(g, h, self.group.p))):
                 raise VerificationBug(f"action law fails at {g}, {h} on {self.name or 'module'}")
         for g in self.group.gens:
             if howell_array(self.ring, self.action(g)).span_log_size() != self.ring.e * self.rank:
@@ -447,10 +437,6 @@ class ProcyclicH1(QuotientPresentation):
             raise ValueError("map does not intertwine the designated operators")
         return f
 
-    def induced_map(self, f: np.ndarray, target: "ProcyclicH1") -> tuple[bool, bool]:
-        """(injective, surjective) for the map induced by f on the two quotients."""
-        return target.map_verdicts(self.intertwined(f, target), self.rel)
-
 
 def h1_procyclic(ring: RingSpec, operator: np.ndarray, p: int) -> ProcyclicH1:
     """H^1(Z_p, M) = coker(c - 1) for the operator c of p-power order."""
@@ -465,12 +451,12 @@ def submodule_gmodule(M: GModule, basis: CanonicalBasis, name: str = "") -> GMod
     """Action-stable submodule as a module in its own coordinates (e = 1)."""
     if not M.ring.is_field:
         raise ValueError("coordinate submodules require e = 1")
-    # the Howell rows are independent at e = 1, so the coordinates are unique
-    solver = RowSolver(M.ring, basis.mat)
+    # at e = 1 the Howell rows have unit pivots and vanish at each other's
+    # pivot columns, so the quotients of an image are its unique coordinates
     mats = {}
     for g in M.group.gens:
-        mats[g], ok = solver.solve_rows(M.act_rows(basis.mat, g))
-        if not ok.all():
+        residue, mats[g] = basis.quotients(basis.mat @ M.action(g))
+        if residue.any():
             raise ValueError("basis is not action-stable")
     return GModule(M.group, M.ring, mats, name=name)
 
@@ -480,7 +466,7 @@ def quotient_gmodule(M: GModule, rel: CanonicalBasis, name: str = "") -> GModule
     if not M.ring.is_field:
         raise ValueError("coordinate quotients require e = 1")
     for g in M.group.gens:
-        if not rel.contains_rows(M.act_rows(rel.mat, g)):
+        if not rel.contains_rows(rel.mat @ M.action(g)):
             raise ValueError("relation span is not action-stable")
     mats = {g: rel.section_action(M.action(g)) for g in M.group.gens}
     return GModule(M.group, M.ring, mats, name=name)
@@ -500,7 +486,7 @@ def decompose_jbar(group: GroupData, ring: RingSpec) -> list[GModule]:
     J = jbar(group, ring)
     p = group.p
     z = primitive_root(p)
-    t0: Elem = (z % p, 0, 0, pow(z, -1, p)) if p > 2 else IDENT
+    t0: Elem = (z, 0, 0, pow(z, -1, p))  # the identity at p = 2, where z = 1
     eye = np.eye(J.rank, dtype=np.int64)
     L = eye[group.coset_of(np.reshape(t0, (2, 2)) @ group.coset_reps)]  # U g -> U t0 g
     for g in group.gens:
@@ -555,20 +541,3 @@ def is_irreducible(M: GModule) -> bool:
             return False
     return True
 
-
-@dataclass(frozen=True, eq=False)
-class PresentedModule(QuotientPresentation):
-    """A module presented as (free carrier with action) / (relation span).
-
-    Works over any e; all operations stay in the ambient coordinates of
-    the carrier, so no free section is ever needed.
-    """
-
-    base: GModule
-
-    def generated_span(self, pre: CanonicalBasis) -> CanonicalBasis:
-        """Ambient preimage of the submodule that the classes of pre generate.
-
-        pre must contain the relations, as every ambient preimage does.
-        """
-        return generated_submodule(self.base, pre.mat)

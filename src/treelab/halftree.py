@@ -87,17 +87,11 @@ def resolve_rho(W: GModule, rho_choice: str, inv_lower: CanonicalBasis) -> np.nd
     base = (inv_lower.mat @ W.action(group.weyl)) % N
     if kind == "w0":
         return base
+    z = primitive_root(p)  # 1 at p = 2, where both choices are the identity
     if kind == "twist":
-        z = primitive_root(p)
-        t: Elem = (z % p, 0, 0, pow(z, -1, p)) if p > 2 else (1, 0, 0, 1)
-        power = k % max(p - 1, 1)
-        out = base
-        for _ in range(power):
-            out = (out @ W.action(t)) % N
-        return out
-    z = primitive_root(p) if p > 2 else 1
-    lam = pow(z, k, p) if p > 2 else 1
-    return (lam * base) % N
+        t: Elem = (z, 0, 0, pow(z, -1, p))
+        return (base @ _matpow(W.action(t), k % (p - 1), N)) % N
+    return (pow(z, k, p) * base) % N
 
 
 def build_coeff_spec(W: GModule, rho_choice: str = "w0", twist_u: int = 1) -> CoeffSystemSpec:
@@ -457,7 +451,7 @@ def check_cogtri_hypothesis(spec: CoeffSystemSpec) -> LemmaReport:
     p = W.group.p
     src = h1_procyclic(W.ring, block_shift(p, spec.inv_lower.nrows), p)
     tgt = h1_procyclic(W.ring, spec.twist, p)
-    inj, surj = src.induced_map(spec.down_stack, tgt)
+    inj, surj = tgt.map_verdicts(src.intertwined(spec.down_stack, tgt), src.rel)
     dims = {"source_coker": src.dim, "target_coker": tgt.dim}
     verdicts = {"h1_injective": inj, "h1_bijective": inj and surj}
     return LemmaReport("cogtri", desc, verdicts=verdicts, dims=dims)

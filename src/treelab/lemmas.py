@@ -28,7 +28,6 @@ from .exactalg import (
 )
 from .grouprep import (
     GModule,
-    PresentedModule,
     QuotientPresentation,
     _matpow,
     block_shift,
@@ -191,12 +190,6 @@ class SurjectionInstance:
     rel_source: CanonicalBasis
     rel_target: CanonicalBasis
 
-    def source(self) -> PresentedModule:
-        return PresentedModule(self.base.ring, self.base.rank, self.rel_source, self.base)
-
-    def target(self) -> PresentedModule:
-        return PresentedModule(self.base.ring, self.base.rank, self.rel_target, self.base)
-
 
 @dataclass(frozen=True, eq=False)
 class InjectionInstance:
@@ -221,10 +214,10 @@ def check_invariant_surjectivity(inst: SurjectionInstance) -> LemmaReport:
     desc = _lemma22_desc(inst.name, base)
     if not inst.rel_source.is_subspace_of(inst.rel_target):
         return rejected("lemma22.i", desc, "map is not surjective")
-    src, tgt = inst.source(), inst.target()
-    k_src, k_tgt = src.fixed_preimage(upper), tgt.fixed_preimage(upper)
+    rels = (inst.rel_source, inst.rel_target)
+    k_src, k_tgt = (QuotientPresentation(ring, base.rank, rel).fixed_preimage(upper) for rel in rels)
     full = ring.e * base.rank
-    if not all(M.generated_span(k).span_log_size() == full for M, k in ((src, k_src), (tgt, k_tgt))):
+    if not all(generated_submodule(base, k.mat).span_log_size() == full for k in (k_src, k_tgt)):
         return rejected("lemma22.i", desc, "generation hypothesis fails")
     image = span_sum(ring, [k_src.mat, inst.rel_target.mat])
     dims = {
@@ -245,15 +238,15 @@ def check_inherited_generation(inst: InjectionInstance) -> LemmaReport:
     desc = _lemma22_desc(inst.name, base)
     if not inst.rel.is_subspace_of(inst.sub_pre):
         return rejected("lemma22.ii", desc, "not a submodule")
-    W = PresentedModule(ring, base.rank, inst.rel, base)
-    if W.generated_span(W.fixed_preimage([upper])).span_log_size() != ring.e * base.rank:
+    fixed = QuotientPresentation(ring, base.rank, inst.rel).fixed_preimage([upper])
+    if generated_submodule(base, fixed.mat).span_log_size() != ring.e * base.rank:
         return rejected("lemma22.ii", desc, "ambient generation hypothesis fails")
     # classes of V fixed by the subgroup: {x in sub_pre : x (a - 1) in rel}
     B = inst.sub_pre.mat
     blk = (upper - np.eye(base.rank, dtype=np.int64)) % ring.modulus
     cond = preimage_kernel(ring, [(B @ blk) % ring.modulus], inst.rel)
     inv_pre = span_sum(ring, [(cond.mat @ B) % ring.modulus, inst.rel.mat])
-    closed = W.generated_span(inv_pre)
+    closed = generated_submodule(base, inv_pre.mat)
     return LemmaReport(
         "lemma22.ii",
         desc,

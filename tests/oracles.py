@@ -3,7 +3,10 @@
 `howell_array_sparse` computes the Howell form (Storjohann, *Algorithms
 for Matrix Canonical Forms*, 2000) on a dict-of-columns row layout with
 gcd merges, independently of the dense elimination `exactalg._howell`;
-the two must produce identical canonical forms.  `composition_length`
+the two must produce identical canonical forms.  `solve_rows_oracle`
+solves x @ A = b by back-substitution one image pivot at a time,
+independently of the batched reduction `CanonicalBasis.quotients` that
+`RowSolver.solve_rows` reads.  `composition_length`
 drills a composition chain along fixed lines; its optional seed shuffles
 the lines, so tests can check that the length does not depend on the
 order in which they are tried.
@@ -14,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from treelab.exactalg import CanonicalBasis, RingSpec, _empty_basis, howell_array
+from treelab.exactalg import CanonicalBasis, RingSpec, RowSolver, _empty_basis, howell_array
 from treelab.grouprep import (
     GModule,
     _fixed_lines,
@@ -110,6 +113,21 @@ def howell_array_sparse(ring: RingSpec, A: np.ndarray) -> CanonicalBasis:
                 M[:i] = (M[:i] - np.outer(q, M[i])) % N
     pivots = tuple((c, int(M[i, c])) for i, c in enumerate(cols))
     return CanonicalBasis(ring, ncols, M, pivots)
+
+
+def solve_rows_oracle(solver: RowSolver, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, ok) for x @ A = b on every row b of B, one image pivot at a time."""
+    N = solver.ring.modulus
+    B = np.atleast_2d(np.asarray(B, dtype=np.int64)) % N
+    X = np.zeros((B.shape[0], solver.m), dtype=np.int64)
+    for i, (c, g) in enumerate(solver.image.pivots):
+        q = B[:, c] // g
+        if q.any():
+            B = (B - np.outer(q, solver.image.mat[i])) % N
+            X = (X + np.outer(q, solver.umat[i])) % N
+    ok = ~B.any(axis=1)
+    X[~ok] = 0
+    return X, ok
 
 
 def composition_length(M: GModule, perm_seed: Optional[int] = None) -> int:

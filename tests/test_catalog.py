@@ -77,6 +77,25 @@ def test_loader_rejects_unknown_schema():
         load_catalog(doc)
 
 
+@pytest.mark.parametrize("path", [("ring",), ("modules",), ("modules", 0, "generators", 0, "matrix")])
+def test_loader_names_a_missing_field(path):
+    doc = catalog_document(3, 1)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    with pytest.raises(ValueError, match=f"lacks the field '{path[-1]}'"):
+        load_catalog(doc)
+
+
+def test_loader_rejects_a_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([catalog_document(2, 1)]))
+    for doc in ([catalog_document(2, 1)], str(path)):
+        with pytest.raises(ValueError, match="JSON object"):
+            load_catalog(doc)
+
+
 def test_unknown_module_name():
     with pytest.raises(ValueError, match="unknown module"):
         get_module(3, 1, "nope")

@@ -77,7 +77,7 @@ def test_action_law_random_triples(kind, p):
         g = grp.elements[int(rng.integers(0, grp.order))]
         h = grp.elements[int(rng.integers(0, grp.order))]
         lhs = (J.action(g) @ J.action(h)) % p
-        assert np.array_equal(lhs, J.action(grp.mul(g, h)))
+        assert np.array_equal(lhs, J.action(elem_mul(g, h, p)))
     assert np.array_equal(J.action(IDENT), np.eye(J.rank, dtype=np.int64))
 
 

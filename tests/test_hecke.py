@@ -46,7 +46,7 @@ def double_cosets_oracle(p):
         count += 1
         for n1 in upper:
             for n2 in upper:
-                seen.add(grp.mul(grp.mul(n1, g), n2))
+                seen.add(elem_mul(elem_mul(n1, g, grp.p), n2, grp.p))
     return count
 
 

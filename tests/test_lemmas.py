@@ -293,6 +293,24 @@ def test_inherited_generation_reads_false_on_a_unit_row():
     assert rep.verdicts["submodule_generated_by_invariants"] is False
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 1)])
+def test_invariant_surjectivity_reads_false_on_relations_that_are_not_action_stable(p, e):
+    # the span of x0 (upper - 1) passes both gates (it contains the zero
+    # source relations, and both fixed preimages generate jbar), but it is
+    # not action-stable: x0 is then a fixed class of the target that no
+    # fixed vector of the source reaches
+    J = jbar(build_group("sl2", p), RingSpec(p, e))
+    N = J.ring.modulus
+    upper = J.action(J.group.upper_gen)
+    x0 = np.random.default_rng(0).integers(0, N, size=(1, J.rank))
+    rel = howell_array(J.ring, x0 @ (upper - np.eye(J.rank, dtype=np.int64)) % N)
+    assert not rel.contains_rows(rel.mat @ J.action(J.group.lower_gen))
+    zero = howell_array(J.ring, np.zeros((1, J.rank), dtype=np.int64))
+    rep = check_invariant_surjectivity(SurjectionInstance("unstable", J, zero, rel))
+    assert rep.status == FAIL
+    assert rep.verdicts["invariants_surjective"] is False
+
+
 def test_comparison_map_takes_map_verdicts_once_per_pair_of_relation_spans(monkeypatch):
     calls = []
     original = QuotientPresentation.map_verdicts
@@ -344,15 +362,15 @@ def test_fixed_preimage_and_generated_span_already_contain_the_relations(e):
     # equals its sum with the relations
     ring = RingSpec(3, e)
     J = jbar(build_group("sl2", 3), ring)
-    presented = [M for inst in random_surjections(7, 3, e, 4) for M in (inst.source(), inst.target())]
-    for inst in random_injections(8, 3, e, 4):
-        presented.append(grouprep.PresentedModule(ring, inst.base.rank, inst.rel, inst.base))
-    presented.append(grouprep.PresentedModule(ring, J.rank, howell_array(ring, np.zeros((1, J.rank))), J))
-    for M in presented:
-        upper = M.base.action(M.base.group.upper_gen)
-        eye = np.eye(M.ambient, dtype=np.int64)
-        pre = preimage_kernel(ring, [(upper - eye) % ring.modulus], M.rel)
-        fixed = M.fixed_preimage([upper])
-        assert fixed == span_sum(ring, [pre.mat, M.rel.mat])
-        gen = generated_submodule(M.base, fixed.mat)
-        assert M.generated_span(fixed) == span_sum(ring, [gen.mat, M.rel.mat])
+    surj = random_surjections(7, 3, e, 4)
+    presented = [(inst.base, rel) for inst in surj for rel in (inst.rel_source, inst.rel_target)]
+    presented += [(inst.base, inst.rel) for inst in random_injections(8, 3, e, 4)]
+    presented.append((J, howell_array(ring, np.zeros((1, J.rank)))))
+    for base, rel in presented:
+        upper = base.action(base.group.upper_gen)
+        eye = np.eye(base.rank, dtype=np.int64)
+        pre = preimage_kernel(ring, [(upper - eye) % ring.modulus], rel)
+        fixed = QuotientPresentation(ring, base.rank, rel).fixed_preimage([upper])
+        assert fixed == span_sum(ring, [pre.mat, rel.mat])
+        gen = generated_submodule(base, fixed.mat)
+        assert gen == span_sum(ring, [gen.mat, rel.mat])

@@ -3,7 +3,9 @@
 Random matrices for p in {2, 3, 5} and e in {1, 2, 3}: the dense Howell
 form against the independent sparse one, the kernel and the row solver
 against their defining equations, the batched row solve against the
-one-row solve, the batched reduction modulo a span against the full
+one-row solve, the batched solve and the shared reduction
+`CanonicalBasis.quotients` against the pivot-by-pivot solve oracle at
+each e, the batched reduction modulo a span against the full
 pivot product (e = 1) and a pivot-by-pivot reduction, and the shared
 span closure against a naive fixpoint loop kept here as the oracle (also
 on the Hecke subalgebra closure and on a round that only lowers a pivot
@@ -35,7 +37,7 @@ from treelab.exactalg import (  # noqa: E402
 )
 from treelab.hecke import build_hecke  # noqa: E402
 
-from oracles import howell_array_sparse  # noqa: E402
+from oracles import howell_array_sparse, solve_rows_oracle  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -204,6 +206,25 @@ def test_zero_column_kernel_is_the_left_annihilator(case):
 @given(zero_column_cases, st.data())
 def test_zero_column_row_solver_solves_exactly_the_span(case, data):
     check_row_solver(*case, data)
+
+
+@SETTINGS
+@pytest.mark.parametrize("e", [1, 2, 3])
+@given(data=st.data())
+def test_solve_rows_and_quotients_match_the_pivot_oracle(e, data):
+    cases = st.one_of(ring_and_matrix(), sparse_cases, zero_column_cases)
+    ring, A = data.draw(cases.filter(lambda case: case[0].e == e))
+    N = ring.modulus
+    spanned = (data.draw(matrices(ring, 2, A.shape[0])) @ A) % N
+    X = np.concatenate([data.draw(matrices(ring, 3, A.shape[1])), spanned])
+    solver = RowSolver(ring, A)
+    got, ok = solver.solve_rows(X)
+    want, want_ok = solve_rows_oracle(solver, X)
+    assert np.array_equal(got, want) and np.array_equal(ok, want_ok)
+    H = howell_array(ring, A)
+    residues, Q = H.quotients(X)
+    assert np.array_equal(residues, H.reduce_rows(X))
+    assert np.array_equal((residues + Q @ H.mat) % N, X)
 
 
 def sequential_residue(H, x):

@@ -6,9 +6,11 @@ and `build_hecke` are memoized) hides a call.  The functions defined in
 `treelab` that none of them calls must equal `UNREACHED`, each listed
 with the reason it stays; code that no command reaches either joins a
 suite or leaves the package.  Run this file directly to print the
-functions the commands never call.
+functions the commands never call.  A second test parses each module of
+the package and fails on a name it imports but never reads.
 """
 
+import ast
 import contextlib
 import inspect
 import io
@@ -105,6 +107,26 @@ def test_every_package_function_is_reached_or_pinned():
     run = subprocess.run([sys.executable, __file__], capture_output=True, text=True, timeout=600, env=env)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == sorted(UNREACHED)
+
+
+def unused_imports(path: Path) -> list:
+    """The names a module imports and never reads (`from __future__` aside)."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_package_module_imports_a_name_it_never_uses():
+    modules = sorted(Path(treelab.__file__).parent.glob("*.py"))
+    unused = {path.name: unused_imports(path) for path in modules if path.name != "__init__.py"}
+    assert len(unused) > 1
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 if __name__ == "__main__":
