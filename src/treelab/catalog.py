@@ -125,17 +125,27 @@ def load_catalog(doc_or_path) -> list[GModule]:
         raise ValueError("a catalog document is a JSON object")
     if doc.get("schema") != CATALOG_SCHEMA:
         raise ValueError(f"unknown catalog schema {doc.get('schema')!r}")
+
+    def typed(kind: type, value, field: str):
+        """value, checked to be a JSON object (kind dict) or array (kind list)."""
+        if not isinstance(value, kind):
+            raise ValueError(f"catalog field {field!r} is not a JSON {'object' if kind is dict else 'array'}")
+        return value
+
     try:
-        p = _as_int(doc["ring"]["p"])
-        ring = RingSpec(p, _as_int(doc["ring"]["e"]))
+        ring_doc = typed(dict, doc["ring"], "ring")
+        p = _as_int(ring_doc["p"])
+        ring = RingSpec(p, _as_int(ring_doc["e"]))
         out = []
-        for entry in doc["modules"]:
+        for entry in typed(list, doc["modules"], "modules"):
+            entry = typed(dict, entry, "modules")
             group = build_group(entry["kind"], p)
             rank = _as_int(entry["rank"])
             mats = {}
-            for gen in entry["generators"]:
-                elem = tuple(_as_int(x) for x in gen["element"])
-                flat = np.array([_as_int(x) for x in gen["matrix"]], dtype=np.int64)
+            for gen in typed(list, entry["generators"], "generators"):
+                gen = typed(dict, gen, "generators")
+                elem = tuple(_as_int(x) for x in typed(list, gen["element"], "element"))
+                flat = np.array([_as_int(x) for x in typed(list, gen["matrix"], "matrix")], dtype=np.int64)
                 mats[elem] = flat.reshape(rank, rank)
             mod = GModule(group, ring, mats, name=entry["name"])
             mod.verify_action(samples=20, seed=0)

@@ -472,12 +472,49 @@ def quotient_gmodule(M: GModule, rel: CanonicalBasis, name: str = "") -> GModule
     return GModule(M.group, M.ring, mats, name=name)
 
 
+def torus_idempotents(ring: RingSpec, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Joint eigen-idempotents of commuting operators whose orders divide p - 1.
+
+    For a character chi = (i_1, ..., i_M) the idempotent is
+    e_chi = prod_m (p - 1)^-1 sum_k w^(-i_m k) op_m^k, the projector onto
+    the joint eigenspace where op_m acts as w^(i_m).  Here w = z^(p^(e-1))
+    is the Teichmueller lift of the primitive root z: x^(p-1) - 1 has
+    p - 1 simple roots mod p, so by Hensel's lemma each lifts to exactly
+    one root in Z/p^e, and w is a primitive (p - 1)-th root of unity that
+    reduces to z.  Returns the ((p-1)^M, m, m) stack in itertools.product
+    order of chi; the operators are checked to commute, and the projectors
+    of each one to be orthogonal idempotents that sum to the identity.
+    """
+    p, N = ring.p, ring.modulus
+    q = p - 1
+    w = pow(primitive_root(p), p ** (ring.e - 1), N)
+    eye = np.eye(len(ops[0]), dtype=np.int64)
+    if any(((a @ b - b @ a) % N).any() for a, b in itertools.combinations(ops, 2)):
+        raise VerificationBug("torus operators do not commute")
+    # coef[i, k] = (p - 1)^-1 w^(-ik), the weight of op^k in the projector of w^i
+    coef = np.array([[pow(q * pow(w, i * k, N), -1, N) for k in range(q)] for i in range(q)], dtype=np.int64)
+    E = eye[None]
+    for op in ops:
+        proj = np.tensordot(coef, np.stack([_matpow(op, k, N) for k in range(q)]), axes=1) % N
+        # the projectors of commuting operators commute, so products of two
+        # orthogonal families that sum to 1 are again such a family
+        for i, Pi in enumerate(proj):
+            prods = Pi @ proj % N
+            prods[i] -= Pi
+            if prods.any():
+                raise VerificationBug("torus idempotents are not orthogonal idempotents")
+        if not np.array_equal(proj.sum(axis=0) % N, eye):
+            raise VerificationBug("torus idempotents do not sum to the identity")
+        E = (E[:, None] @ proj[None]).reshape(-1, *eye.shape) % N
+    return E
+
+
 def decompose_jbar(group: GroupData, ring: RingSpec) -> list[GModule]:
     """Split jbar into its principal-series summands (e = 1, sl2 only).
 
-    Simultaneous eigenspaces of the left torus translation, which
-    commutes with the module action; the torus has order p - 1, so all
-    eigenvalues live in F_p and the operator is semisimple.
+    The summands are the images of the eigen-idempotents of the left
+    torus translation, which commutes with the module action: summand i
+    is the row space of the projector onto the eigenvalue z^i.
     """
     if group.kind != "sl2":
         raise ValueError("decompose_jbar expects the sl2 group")
@@ -492,16 +529,10 @@ def decompose_jbar(group: GroupData, ring: RingSpec) -> list[GModule]:
     for g in group.gens:
         if not np.array_equal((L @ J.action(g)) % p, (J.action(g) @ L) % p):
             raise VerificationBug("left torus translation must commute with the action")
-    summands = []
-    total = 0
-    for i in range(p - 1):
-        lam = pow(z, i, p)
-        eig = kernel_array(ring, (L - lam * eye) % p)
-        summands.append(submodule_gmodule(J, eig, name=f"ps:{i}"))
-        total += eig.nrows
-    if total != J.rank:
-        raise VerificationBug("eigenspace dimensions do not fill jbar")
-    return summands
+    return [
+        submodule_gmodule(J, howell_array(ring, E), name=f"ps:{i}")
+        for i, E in enumerate(torus_idempotents(ring, [L]))
+    ]
 
 
 def _fixed_lines(M: GModule) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -30,12 +30,12 @@ from .exactalg import (
     VerificationBug,
     howell_array,
     image_and_preimage,
-    kernel_array,
     span_closure,
     span_sum,
     split_test,
 )
 from .grouprep import IDENT, GModule, QuotientPresentation, build_group, invariants, jbar, primitive_root
+from .grouprep import torus_idempotents
 from .report import RECORDED, LemmaReport, timed
 
 
@@ -281,17 +281,20 @@ class TensorModule(QuotientPresentation):
 
 
 def _module_generators(
-    ring: RingSpec, candidates: np.ndarray, ops: list[np.ndarray]
+    ring: RingSpec, candidates: np.ndarray, ops: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 ) -> tuple[list[int], np.ndarray]:
     """Greedy module generators among the candidate rows, and the presentation.
 
     The candidates span a module, and a module is spanned by the images
     v @ op of its elements, so each candidate outside the span reached so
     far is kept together with its orbit, until the orbits fill the
-    candidates' span.  Returns (indices of the kept candidates, P), where
-    P maps the free module onto that span: row (k, w) is candidate k @ ops[w].
+    candidates' span.  ops is a stacked (k, m, m) array of operators, or
+    a callable that returns the (k, m) images of a row in one product.
+    Returns (indices of the kept candidates, P), where P maps the free
+    module onto that span: row (j, w) is kept candidate j @ ops[w].
     """
     N = ring.modulus
+    stack = None if callable(ops) else np.asarray(ops)
     target = howell_array(ring, candidates).span_log_size()
     chosen: list[int] = []
     orbits = [np.zeros((0, candidates.shape[1]), dtype=np.int64)]
@@ -302,11 +305,21 @@ def _module_generators(
         if not np.any(v) or span.contains(v):
             continue
         chosen.append(i)
-        orbits.append(np.stack([v @ op for op in ops]) % N)
+        orbits.append((ops(v) if stack is None else v @ stack) % N)
         span = span_sum(ring, [orbits[-1], span.mat])
     if span.span_log_size() != target:
         raise VerificationBug("module generator search failed")
     return chosen, np.concatenate(orbits)
+
+
+def _free_orbit(struct: np.ndarray, r: int) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> the rows v @ kron(I_r, struct[u]) over every u, from one product.
+
+    With struct = alg.struct the rows are T_u . v on H^r; with
+    struct.transpose(1, 0, 2) they are v . T_u.
+    """
+    d = struct.shape[0]
+    return lambda v: (v.reshape(r, d) @ struct).reshape(d, -1)
 
 
 def _preimages(solver: RowSolver) -> np.ndarray:
@@ -371,8 +384,7 @@ def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
 
     solver = RowSolver(ring, P)
     Q = solver.kernel.mat
-    free_ops = [np.kron(np.eye(s, dtype=np.int64), alg.right_regular(u)) for u in range(d)]
-    rel_gens, _ = _module_generators(ring, Q, free_ops)
+    rel_gens, _ = _module_generators(ring, Q, _free_orbit(alg.struct.transpose(1, 0, 2), s))
     rel = span_sum(ring, [np.zeros((0, s * n), dtype=np.int64)] + [pairing(q) for q in Q[rel_gens]])
     base_pairing = np.stack([pairing(z)[alg.base_coset_idx] for z in _preimages(solver)])
     return TensorModule(ring, s * n, rel, alg, _carrier_action(alg, s), base_pairing, "generators")
@@ -407,12 +419,11 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     is flat iff some (equivalently any) surjection H^r -> J splits as a
     module map.  Small instances go through the generic dense
     split_test; larger ones solve the equivalent generator-relation
-    system by its r-fold block structure, at every e: one relation
-    kernel shared by the r components, then one r.v x r.n section
-    system (480 x 480 at p = 5).  Any section found is re-verified by
-    the exact section and intertwining identities.  `method` forces one
-    route ("split_test" or "presentation"); the two must agree wherever
-    both run.
+    system one central torus block of the algebra at a time, at every e
+    (ten blocks at p = 5, of at most 100 x 180).  Any section found is
+    re-verified by the exact section and intertwining identities.
+    `method` forces one route ("split_test" or "presentation"); the two
+    must agree wherever both run.
     """
     alg = build_hecke(p, e)
     ring = alg.ring
@@ -454,47 +465,87 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     return LemmaReport("flatness", desc, verdicts={"flat": section is not None}, dims=dims, details=details)
 
 
+def torus_blocks(alg: HeckeAlgebra) -> np.ndarray:
+    """The central idempotents e_O of the algebra, one coefficient row each.
+
+    The torus elements T_t (t diagonal) multiply as the torus does, so the
+    left-regular operators of diag(z, 1) and diag(1, z) are commuting
+    operators of order dividing p - 1; the element e_chi of a character
+    chi = (i, j) is row `unit` of its joint eigen-idempotent.  T_s e_chi =
+    e_(chi^s) T_s, so summing over each Weyl orbit O = {(i, j), (j, i)}
+    gives an idempotent that commutes with T_s and the torus, which
+    generate the algebra (Vigneras); checked here on the generators.
+    """
+    N = alg.ring.modulus
+    q = alg.p - 1
+    z = primitive_root(alg.p)
+    cosets = alg.J.group.coset_of(np.reshape([(z, 0, 0, 1), (1, 0, 0, z)], (-1, 2, 2))).tolist()
+    torus = [next(w for w, dc in enumerate(alg.double_cosets) if c in dc) for c in cosets]
+    e_chi = torus_idempotents(alg.ring, [alg.left_regular(t) for t in torus])[:, alg.unit].reshape(q, q, -1)
+    orbits = [(i, j) for i in range(q) for j in range(i, q)]
+    blocks = np.stack([(e_chi[i, j] + e_chi[j, i]) % N if i != j else e_chi[i, i] for i, j in orbits])
+    for g in alg.gens:
+        if not np.array_equal(blocks @ alg.struct[g] % N, blocks @ alg.struct[:, g, :] % N):
+            raise VerificationBug("a torus block idempotent is not central")
+    return blocks
+
+
 def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarray) -> Optional[np.ndarray]:
-    """Solve for a module-map section through the presentation of J.
+    """Solve for a module-map section through the presentation of J, one torus block at a time.
 
     A module map out of J is pinned by its values y_k in H^r on the module
-    generators, subject to killing every relation among them, and it is a
-    section iff y_k @ P = x_k.  The relation for a q is a q times the
-    relation for q, so module generators q of ker P give the same
-    solutions as all of ker P.  Each relation block is kron(I_r, L(q_k)),
-    so every component z_j = (y_1^j, ..., y_r^j) of the unknowns lies in
-    one space V, the left kernel of R = [vstack_k L(q_k)] over q.  With
-    z_j = a_j @ Bv for the Howell basis Bv of V, the section equations
-    read a @ S = x, block (j, k) of S being Bv_k @ P_j.  The returned y is
-    the canonical residue of the expanded solution modulo the expanded
-    ker S, the kernel of the whole system: it depends on no elimination
-    order, and at e = 1 it is what one RowSolver on the whole system
-    returns.
+    generators x_k: it kills every relation, sum_k q_k . y_k = 0, and it
+    is a section iff y_k @ P = x_k.  Module generators q of ker P give the
+    same solutions as all of ker P, since the relation for a.q is a times
+    the one for q.  A central idempotent e_O splits the system: the parts
+    y^O in e_O H solve it with right-hand side e_O x_k, and they add up to
+    the solutions.  In block O the unknowns are coordinates on the Howell
+    basis of e_O H, and an equation whose sides lie in e_O H (or e_O J)
+    is kept at the pivot columns of its Howell form, which decide it.
+    The returned y is the canonical residue of the summed solution modulo
+    the summed kernels, the kernel of the whole system: it depends on no
+    elimination order, and at e = 1 it is what one RowSolver on the whole
+    system returns.
     """
     ring = alg.ring
     N = ring.modulus
     n = alg.basis_mats[0].shape[0]
     d = alg.dim
     r = len(chosen)
-    left_ops = [np.kron(np.eye(r, dtype=np.int64), alg.left_regular(u)) for u in range(d)]
     P_solver = RowSolver(ring, P)
     K = P_solver.kernel.mat
-    rel_gens, _ = _module_generators(ring, K, left_ops)
-    # R[(k, a), (q, b)] = L(q_k)[a, b], where L(c) = sum_u c_u struct[u] is x -> c * x
-    R = np.einsum("gku,uab->kagb", K[rel_gens].reshape(-1, r, d), alg.struct).reshape(r * d, -1) % N
-    Bv = kernel_array(ring, R).mat.reshape(-1, r, d)  # Bv[:, k] is Bv_k
-    v = Bv.shape[0]
-    S = np.einsum("vkx,jxc->jvkc", Bv, P.reshape(r, d, n)).reshape(r * v, r * n) % N
-    solver = RowSolver(ring, S)
-    a = solver.solve(np.eye(n, dtype=np.int64)[chosen].reshape(-1))
-    if a is None:
-        return None
-    # rows a -> Y = [y_1 | ... | y_r] with y_k^j = a_j @ Bv_k: the solution, then ker S
-    Y = np.einsum("tjv,vkx->tkjx", np.vstack([a, solver.kernel.mat]).reshape(-1, r, v), Bv) % N
-    y = howell_array(ring, Y[1:].reshape(-1, r * r * d)).reduce(Y[0].reshape(-1))
+    rel_gens, _ = _module_generators(ring, K, _free_orbit(alg.struct, r))
+    # Lq[g, k] = L(q_k) for relation generator g, where L(c) = sum_u c_u struct[u] is x -> c * x
+    Lq = np.tensordot(K[rel_gens].reshape(-1, r, d), alg.struct, axes=1) % N
+    Pj = P.reshape(r, d, n)  # Pj[j] sends c in H to c . x_j
+    eye_r = np.eye(r, dtype=np.int64)
+    particular = np.zeros(r * r * d, dtype=np.int64)
+    kernels: list[np.ndarray] = []
+    for e_O in torus_blocks(alg):
+        B = howell_array(ring, np.tensordot(e_O, alg.struct, axes=1) % N)  # rows e_O T_v span e_O H
+        BP = np.einsum("bv,jvx->jbx", B.mat, Pj) % N  # the rows B @ P_j span e_O J
+        hcols = [c for c, _ in B.pivots]
+        jcols = [c for c, _ in howell_array(ring, BP.reshape(-1, n)).pivots]
+        b = B.nrows
+        # unknowns a[k, j, beta] with y_k^j = a[k, j] @ B; relation column (g, j', c)
+        # reads component j' of sum_k q_k . y_k, section column (k', c) reads y_k' @ P
+        rel = np.einsum("bv,gkvc,jJ->kjbgJc", B.mat, Lq[..., hcols], eye_r).reshape(r * r * b, -1)
+        sect = np.einsum("jbc,kK->kjbKc", BP[..., jcols], eye_r).reshape(r * r * b, -1)
+        solver = RowSolver(ring, np.concatenate([rel, sect], axis=1))
+        rhs = np.zeros(rel.shape[1] + sect.shape[1], dtype=np.int64)
+        # e_O x_k = x_k @ sum_u e_O[u] basis_mats[u], at the pivot columns
+        rhs[rel.shape[1] :] = np.tensordot(e_O, alg.basis_mats[:, chosen][..., jcols], axes=1).reshape(-1) % N
+        a = solver.solve(rhs)
+        if a is None:
+            return None
+        # rows a -> y[k, j] = a[k, j] @ B, flattened in (k, j, coefficient) order
+        Y = np.vstack([a, solver.kernel.mat]).reshape(-1, r, r, b) @ B.mat % N
+        particular = (particular + Y[0].reshape(-1)) % N
+        kernels.append(Y[1:].reshape(-1, r * r * d))
+    y = howell_array(ring, np.concatenate(kernels)).reduce(particular)
     # the section on J through deterministic preimages: row j is
-    # sum_k z_jk . y_k, and (T_w . y_k) is y_k @ left_ops[w]
-    acted = np.stack([yk @ op for yk in y.reshape(r, -1) for op in left_ops]) % N
+    # sum_k z_jk . y_k, and row (k, w) of acted is T_w . y_k
+    acted = (y.reshape(r, 1, r, d) @ alg.struct).reshape(r * d, r * d) % N
     return (_preimages(P_solver) @ acted) % N
 
 

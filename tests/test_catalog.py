@@ -88,6 +88,20 @@ def test_loader_names_a_missing_field(path):
         load_catalog(doc)
 
 
+@pytest.mark.parametrize(
+    "path,bad,field",
+    [(("ring",), [2, 1], "ring"), (("modules",), {"trivial": 1}, "modules"), (("modules", 0, "generators"), 3, "generators")],
+)
+def test_loader_names_a_field_of_the_wrong_json_type(path, bad, field):
+    doc = catalog_document(2, 1)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bad
+    with pytest.raises(ValueError, match=f"field '{field}' is not a JSON"):
+        load_catalog(doc)
+
+
 def test_loader_rejects_a_document_that_is_not_an_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text(json.dumps([catalog_document(2, 1)]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treelab.catalog import builtin_catalog
-from treelab.exactalg import RingSpec, howell_array
+from treelab.exactalg import RingSpec, VerificationBug, howell_array, kernel_array
 from treelab.grouprep import (
     IDENT,
     QuotientPresentation,
@@ -21,8 +21,10 @@ from treelab.grouprep import (
     invariants,
     is_irreducible,
     jbar,
+    primitive_root,
     quotient_gmodule,
     submodule_gmodule,
+    torus_idempotents,
     trivial_module,
 )
 
@@ -248,6 +250,46 @@ def test_decompose_jbar_summands(p, count, dim):
     assert len(summands) == count
     assert all(s.rank == dim for s in summands)
     assert sum(s.rank for s in summands) == grp.order // p
+
+
+def left_torus_translation(grp):
+    """U g -> U t0 g for t0 = diag(z, 1/z), as a permutation matrix on the cosets."""
+    p = grp.p
+    z = primitive_root(p)
+    t0 = np.reshape((z, 0, 0, pow(z, -1, p)), (2, 2))
+    return np.eye(len(grp.coset_reps), dtype=np.int64)[grp.coset_of(t0 @ grp.coset_reps)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_decompose_jbar_summands_are_the_eigenspaces(p):
+    # summand i is the kernel of L - z^i, in the coordinates of its Howell basis
+    grp = build_group("sl2", p)
+    ring = RingSpec(p, 1)
+    J = jbar(grp, ring)
+    L = left_torus_translation(grp)
+    eye = np.eye(J.rank, dtype=np.int64)
+    summands = decompose_jbar(grp, ring)
+    assert len(summands) == p - 1
+    for i, S in enumerate(summands):
+        eig = submodule_gmodule(J, kernel_array(ring, (L - pow(primitive_root(p), i, p) * eye) % p))
+        assert all(np.array_equal(S.action(g), eig.action(g)) for g in grp.gens)
+
+
+def test_torus_idempotents_reject_an_operator_of_order_p():
+    grp = build_group("sl2", 3)
+    J = jbar(grp, RingSpec(3, 1))
+    with pytest.raises(VerificationBug, match="not orthogonal idempotents"):
+        torus_idempotents(J.ring, [J.action(grp.upper_gen)])
+
+
+def test_torus_idempotents_reject_operators_that_do_not_commute():
+    grp = build_group("sl2", 5)
+    J = jbar(grp, RingSpec(5, 2))
+    L = left_torus_translation(grp)
+    swap = np.eye(J.rank, dtype=np.int64)[[1, 0, *range(2, J.rank)]]  # of order 2, which divides p - 1
+    assert ((L @ swap - swap @ L) % J.ring.modulus).any()
+    with pytest.raises(VerificationBug, match="do not commute"):
+        torus_idempotents(J.ring, [L, swap])
 
 
 def test_decompose_requires_sl2_and_field():

@@ -492,29 +492,57 @@ def test_flatness_methods_agree(p, e):
 
 
 def test_flatness_presentation_relations_by_module_generators(monkeypatch):
-    # one relation block per module generator of ker P: the 64 kernel rows
-    # would make the shared relation system 160 x (64 * 32); the section
-    # system is r.v x r.n = 480 x 480, where the whole system was 800 x 1440
-    solver_shapes, kernel_shapes = [], []
+    # one RowSolver on P (r.d x n = 160 x 96), then one per central torus
+    # block: r^2.b unknowns against the relations of the 6 module generators
+    # of ker P (6 r b columns) and the section equations (r c columns), where
+    # b = 4 or 2 and c = 12 or 6 are the ranks of e_O H and e_O J.  With all
+    # 64 kernel rows as relations a 4-block would have 64 r b + r c = 1340
+    # columns; the dense route solved one 480 x 480 section system
+    solver_shapes = []
     original_init = exactalg.RowSolver.__init__
-    original_kernel = hecke.kernel_array
 
     def recorded_init(self, ring, A):
         solver_shapes.append(np.shape(A))
         original_init(self, ring, A)
 
-    def recorded_kernel(ring, A):
-        kernel_shapes.append(np.shape(A))
-        return original_kernel(ring, A)
-
     monkeypatch.setattr(exactalg.RowSolver, "__init__", recorded_init)
-    monkeypatch.setattr(hecke, "kernel_array", recorded_kernel)
     rep = check_flatness(5, 1, "presentation")
     assert rep.verdicts["flat"] is True
-    assert max(rows for rows, _ in solver_shapes) <= 480
-    assert max(solver_shapes, key=lambda shape: shape[0] * shape[1]) == (480, 480)
-    assert (160, 6 * 32) in kernel_shapes
-    assert max(cols for _, cols in kernel_shapes) < 64 * 32
+    assert sorted(solver_shapes) == sorted([(160, 96)] + [(100, 6 * 5 * 4 + 5 * 12)] * 6 + [(50, 6 * 5 * 2 + 5 * 6)] * 4)
+
+
+def test_flatness_at_p5_traces_at_most_6_mb():
+    # the dense route held 32 block-diagonal 160 x 160 operators and
+    # eliminated one 480 x 960 system: a 16-18 MB traced peak
+    build_hecke(5, 1)
+    tracemalloc.start()
+    try:
+        check_flatness(5, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_torus_blocks_are_central_orthogonal_idempotents(p, e):
+    alg = build_hecke(p, e)
+    ring = alg.ring
+    N = ring.modulus
+    blocks = hecke.torus_blocks(alg)
+    assert len(blocks) == {3: 3, 5: 10}[p]
+    # a * b has the coefficients b @ L(a), with L(a) = sum_u a_u struct[u]
+    L = np.tensordot(blocks, alg.struct, axes=1) % N
+    prods = np.einsum("jv,ivw->ijw", blocks, L) % N
+    assert np.array_equal(prods, np.eye(len(blocks), dtype=np.int64)[:, :, None] * blocks[None])
+    assert np.array_equal(blocks.sum(axis=0) % N, np.eye(alg.dim, dtype=np.int64)[alg.unit])
+    for u in range(alg.dim):
+        assert np.array_equal(blocks @ alg.struct[u] % N, blocks @ alg.struct[:, u, :] % N)
+    # e_O H and e_O J have p^(e.rank) elements, of rank 2 or 4 and p + 1 or 2(p + 1)
+    rank_h = [howell_array(ring, m).span_log_size() for m in L]
+    rank_j = [howell_array(ring, alg.left_action(b)).span_log_size() for b in blocks]
+    assert set(rank_h) == {2 * e, 4 * e} and sum(rank_h) == e * alg.dim
+    assert set(rank_j) == {(p + 1) * e, 2 * (p + 1) * e} and sum(rank_j) == e * len(alg.basis_mats[0])
 
 
 def dense_presentation_section(alg, chosen, P):
