@@ -43,6 +43,10 @@ from .report import RECORDED, LemmaReport, timed
 class HeckeAlgebra:
     """Basis by double cosets, structure constants, and the J-realization.
 
+    dc_table[i, j] is the double coset of rep_j * rep_i^-1: the operator
+    of double coset w on J is (dc_table == w), an element with
+    coefficients c acts as c[dc_table], and row base_coset_idx lists the
+    double coset of each coset.
     gens are the double cosets of T_s and of the torus generators
     diag(z, 1), diag(1, z).  They generate the algebra: the torus
     operators multiply as the torus does, and T_{st} = T_s * T_t.
@@ -51,8 +55,7 @@ class HeckeAlgebra:
     ring: RingSpec
     p: int
     J: GModule
-    basis_mats: np.ndarray  # (d, n, n): operator of each double coset on J
-    double_cosets: list[list[int]]  # coset indices per double coset
+    dc_table: np.ndarray  # (n, n): T_w sends coset i to the cosets j with dc_table[i, j] == w
     struct: np.ndarray  # struct[u, v, w]: coefficient of w in T_u * T_v
     unit: int
     base_coset_idx: int
@@ -61,14 +64,17 @@ class HeckeAlgebra:
 
     @property
     def dim(self) -> int:
-        return len(self.basis_mats)
+        return len(self.struct)
 
     def left_action(self, coeffs: np.ndarray) -> np.ndarray:
         """Operator on J of the algebra element with the given coefficients."""
-        N = self.ring.modulus
-        c = np.asarray(coeffs, dtype=np.int64) % N
-        nz = np.flatnonzero(c)
-        return np.tensordot(c[nz], self.basis_mats[nz], axes=1) % N
+        return np.asarray(coeffs, dtype=np.int64)[self.dc_table] % self.ring.modulus
+
+    def orbit(self, v: np.ndarray) -> np.ndarray:
+        """The rows v @ T_w on J over every w, from one scatter on the table."""
+        img = np.zeros((self.dim, len(v)), dtype=np.int64)
+        np.add.at(img, (self.dc_table, np.arange(len(v))), v[:, None])
+        return img % self.ring.modulus
 
     def left_regular(self, u: int) -> np.ndarray:
         """Coefficient matrix of x -> T_u * x."""
@@ -97,6 +103,9 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     All of it is read off one table, tab[x, i] = the coset of rep_x * rep_i.
     U is cyclic, so U g U is the orbit of the coset U g under the upper
     generator, and T_w sends coset i to the sum of tab[x, i] over x in w.
+    Right translation by rep_i permutes the cosets, so tab[x, i] = j for
+    exactly one x, the coset of rep_j * rep_i^-1: T_w has a one at (i, j)
+    when that x lies in w, which is the double-coset table.
     """
     if p not in HECKE_PRIMES:
         raise ValueError(f"supported primes for the Hecke algebra: {', '.join(map(str, HECKE_PRIMES))}")
@@ -115,12 +124,13 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     d = len(least)
     if d != 2 * (p - 1) ** 2:
         raise VerificationBug(f"double coset count {d} != 2(p-1)^2")
-    double_cosets = [np.flatnonzero(dc_of == w).tolist() for w in range(d)]
 
     tab = group.coset_of(reps[:, None] @ reps[None])
-    ops = np.zeros((d, n, n), dtype=np.int64)
-    np.add.at(ops, (dc_of[:, None], np.arange(n), tab), 1)
-    ops %= N
+    if not (np.sort(tab, axis=0) == np.arange(n)[:, None]).all():
+        raise VerificationBug("right translation by a coset representative does not permute the cosets")
+    dc_table = np.empty((n, n), dtype=np.int64)
+    dc_table[np.arange(n), tab] = dc_of[:, None]
+    dc_table.flags.writeable = False
     base_coset_idx = int(group.coset_of(np.reshape(IDENT, (2, 2))))
     unit = int(dc_of[base_coset_idx])
     z = primitive_root(p)
@@ -128,15 +138,15 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     gens = tuple(sorted(set(dc_of[torus_and_weyl].tolist()) - {unit}))
 
     # img[u, v], the base coset under T_u * T_v: T_v sends it (its rep is the
-    # identity) to the indicator of v, and T_u sends coset i of v to tab[x, i] over x in u
+    # identity) to the indicator of v, and T_u sends coset i of v to each j with dc_table[i, j] = u
     img = np.zeros((d, d, n), dtype=np.int64)
-    np.add.at(img, (dc_of[:, None], dc_of, tab), 1)
+    np.add.at(img, (dc_table, dc_of[:, None], np.arange(n)), 1)
     img %= N
     struct = img[:, :, least]
     if not np.array_equal(struct[:, :, dc_of], img):
         raise VerificationBug("composite image is not double-coset invariant")
     laws = _algebra_laws(ring, struct, unit)
-    alg = HeckeAlgebra(ring, p, J, ops, double_cosets, struct, unit, base_coset_idx, gens, laws)
+    alg = HeckeAlgebra(ring, p, J, dc_table, struct, unit, base_coset_idx, gens, laws)
     _verify_algebra(alg)
     return alg
 
@@ -174,21 +184,21 @@ def _verify_algebra(alg: HeckeAlgebra) -> None:
     if not alg._generated_subalgebra_full(alg.gens):
         raise VerificationBug("T_s and the torus do not generate the algebra")
     # operators commute with the group action and compose per the tensor;
-    # a generator acts by a permutation A = I[perm], so A @ m is m[perm]
-    # and m @ A is m with its columns permuted by the inverse of perm
+    # a generator acts by a permutation A = I[perm], and A commutes with
+    # every T_w = (dc_table == w) iff A dc_table A^-1, the table with its
+    # rows and columns permuted by perm, is the table
     for g in alg.J.group.gens:
         A = alg.J.action(g)
         perm = A.argmax(axis=1)
         if not (np.array_equal(A, np.eye(len(A), dtype=np.int64)[perm]) and (A.sum(axis=0) == 1).all()):
             raise VerificationBug("group generator does not act on J by a permutation")
-        inv = np.argsort(perm)
-        if not all(np.array_equal(m[:, inv], m[perm]) for m in alg.basis_mats):
+        if not np.array_equal(alg.dc_table[np.ix_(perm, perm)], alg.dc_table):
             raise VerificationBug("basis operator is not equivariant")
     rng = np.random.default_rng(alg.p)
     for _ in range(20):
         u, v = int(rng.integers(0, d)), int(rng.integers(0, d))
-        idx, val = _nonzeros(alg.basis_mats[v])
-        lhs = np.einsum("ik,ikm->im", val, alg.basis_mats[u][idx]) % N  # basis_mats[v] @ basis_mats[u]
+        idx, val = _nonzeros(alg.dc_table == v)
+        lhs = (val[..., None] & (alg.dc_table[idx] == u)).sum(axis=1) % N  # T_v @ T_u
         rhs = alg.left_action(alg.struct[u, v])
         if not np.array_equal(lhs, rhs):
             raise VerificationBug("structure constants disagree with composition")
@@ -349,28 +359,19 @@ def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
     """
     alg = M.alg
     ring = alg.ring
-    n = alg.basis_mats[0].shape[0]
+    n = len(alg.dc_table)
     if presentation == "auto":
         presentation = "balancing" if M.rank * n <= 256 else "generators"
     if presentation == "balancing":
         r = M.rank
         eye_r = np.eye(r, dtype=np.int64)
         eye_n = np.eye(n, dtype=np.int64)
-        rel_rows = []
-        for u in alg.gens:
-            Ra = M.action[u]
-            La = alg.basis_mats[u]
-            rel_rows.append((np.kron(Ra, eye_n) - np.kron(eye_r, La)) % ring.modulus)
-        rel = howell_array(ring, np.concatenate(rel_rows, axis=0))
-        base_pairing = np.zeros((r, r * n), dtype=np.int64)
-        for i in range(r):
-            base_pairing[i, i * n + alg.base_coset_idx] = 1
+        rel_rows = [np.kron(M.action[u], eye_n) - np.kron(eye_r, alg.dc_table == u) for u in alg.gens]
+        rel = howell_array(ring, np.concatenate(rel_rows) % ring.modulus)
+        base_pairing = np.kron(eye_r, eye_n[alg.base_coset_idx])  # row i is e_i (x) the base coset
         return TensorModule(ring, r * n, rel, alg, _carrier_action(alg, r), base_pairing, "balancing")
     if presentation != "generators":
         raise ValueError(f"unknown presentation {presentation!r}")
-    if M.rank == 0:
-        empty = np.zeros((0, 0), dtype=np.int64)
-        return TensorModule(ring, 0, howell_array(ring, empty), alg, _carrier_action(alg, 0), empty, "generators")
     candidates = np.eye(M.rank, dtype=np.int64)
     if M.cyclic is not None:
         candidates = np.concatenate([np.atleast_2d(M.cyclic) % ring.modulus, candidates])
@@ -378,15 +379,16 @@ def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
     s = len(chosen)
     d = alg.dim
 
-    def pairing(q: np.ndarray) -> np.ndarray:
-        """Row x is sum_k e_k (x) (q_k x), for q in the free module H^s."""
-        return np.concatenate([alg.left_action(c) for c in q.reshape(s, d)], axis=1)
+    def pairing(qs: np.ndarray, cosets: np.ndarray) -> np.ndarray:
+        """Row (q, x) is sum_k e_k (x) (q_k x), for q in the free module H^s, one gather."""
+        rows = qs.reshape(len(qs), s, d)[:, :, alg.dc_table[cosets]].transpose(0, 2, 1, 3)
+        return rows.reshape(len(qs) * len(cosets), s * n) % ring.modulus
 
     solver = RowSolver(ring, P)
     Q = solver.kernel.mat
     rel_gens, _ = _module_generators(ring, Q, _free_orbit(alg.struct.transpose(1, 0, 2), s))
-    rel = span_sum(ring, [np.zeros((0, s * n), dtype=np.int64)] + [pairing(q) for q in Q[rel_gens]])
-    base_pairing = np.stack([pairing(z)[alg.base_coset_idx] for z in _preimages(solver)])
+    rel = span_sum(ring, [pairing(Q[rel_gens], np.arange(n))])
+    base_pairing = pairing(_preimages(solver), np.array([alg.base_coset_idx]))
     return TensorModule(ring, s * n, rel, alg, _carrier_action(alg, s), base_pairing, "generators")
 
 
@@ -427,22 +429,20 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     """
     alg = build_hecke(p, e)
     ring = alg.ring
-    n = alg.basis_mats[0].shape[0]
+    n = len(alg.dc_table)
     d = alg.dim
     desc = {"p": p, "e": e, "dim_algebra": d, "dim_j": n}
 
     # left-module generators of J over the algebra
-    chosen, P = _module_generators(ring, np.eye(n, dtype=np.int64), alg.basis_mats)
+    chosen, P = _module_generators(ring, np.eye(n, dtype=np.int64), alg.orbit)
     r = len(chosen)
-
-    def blockdiag(mat: np.ndarray) -> np.ndarray:
-        return np.kron(np.eye(r, dtype=np.int64), mat)
 
     if method == "auto":
         method = "split_test" if n * r * d <= 4096 else "presentation"
     section: Optional[np.ndarray] = None
     if method == "split_test":
-        constraints = [(alg.basis_mats[u], blockdiag(alg.left_regular(u))) for u in alg.gens]
+        eye_r = np.eye(r, dtype=np.int64)
+        constraints = [(alg.dc_table == u, np.kron(eye_r, alg.left_regular(u))) for u in alg.gens]
         section = split_test(ring, P, constraints)
     elif method == "presentation":
         section = _section_via_presentation(alg, chosen, P)
@@ -454,8 +454,8 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
         if not np.array_equal((section @ P) % N, np.eye(n, dtype=np.int64)):
             raise VerificationBug("section identity fails")
         for u in alg.gens:
-            lhs = (alg.basis_mats[u] @ section) % N
-            rhs = (section @ blockdiag(alg.left_regular(u))) % N
+            lhs = ((alg.dc_table == u) @ section) % N
+            rhs = (section.reshape(n, r, d) @ alg.struct[u]).reshape(n, -1) % N  # section @ kron(I_r, L_u)
             if not np.array_equal(lhs, rhs):
                 raise VerificationBug("section is not a module map")
     dims = {"generators": r, "dim_algebra": d, "dim_j": n}
@@ -479,8 +479,7 @@ def torus_blocks(alg: HeckeAlgebra) -> np.ndarray:
     N = alg.ring.modulus
     q = alg.p - 1
     z = primitive_root(alg.p)
-    cosets = alg.J.group.coset_of(np.reshape([(z, 0, 0, 1), (1, 0, 0, z)], (-1, 2, 2))).tolist()
-    torus = [next(w for w, dc in enumerate(alg.double_cosets) if c in dc) for c in cosets]
+    torus = alg.dc_table[alg.base_coset_idx, alg.J.group.coset_of(np.reshape([(z, 0, 0, 1), (1, 0, 0, z)], (-1, 2, 2)))]
     e_chi = torus_idempotents(alg.ring, [alg.left_regular(t) for t in torus])[:, alg.unit].reshape(q, q, -1)
     orbits = [(i, j) for i in range(q) for j in range(i, q)]
     blocks = np.stack([(e_chi[i, j] + e_chi[j, i]) % N if i != j else e_chi[i, i] for i, j in orbits])
@@ -509,7 +508,7 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
     """
     ring = alg.ring
     N = ring.modulus
-    n = alg.basis_mats[0].shape[0]
+    n = len(alg.dc_table)
     d = alg.dim
     r = len(chosen)
     P_solver = RowSolver(ring, P)
@@ -533,8 +532,8 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
         sect = np.einsum("jbc,kK->kjbKc", BP[..., jcols], eye_r).reshape(r * r * b, -1)
         solver = RowSolver(ring, np.concatenate([rel, sect], axis=1))
         rhs = np.zeros(rel.shape[1] + sect.shape[1], dtype=np.int64)
-        # e_O x_k = x_k @ sum_u e_O[u] basis_mats[u], at the pivot columns
-        rhs[rel.shape[1] :] = np.tensordot(e_O, alg.basis_mats[:, chosen][..., jcols], axes=1).reshape(-1) % N
+        # e_O x_k is row x_k of the operator of e_O, at the pivot columns
+        rhs[rel.shape[1] :] = alg.left_action(e_O)[chosen][:, jcols].reshape(-1)
         a = solver.solve(rhs)
         if a is None:
             return None

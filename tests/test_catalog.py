@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from treelab import catalog
 from treelab.catalog import (
     builtin_catalog,
     catalog_document,
@@ -12,7 +13,7 @@ from treelab.catalog import (
     load_catalog,
     steinberg,
 )
-from treelab.exactalg import RingSpec
+from treelab.exactalg import RingSpec, VerificationBug
 from treelab.grouprep import build_group, decompose_jbar, invariants, is_irreducible
 
 
@@ -39,6 +40,21 @@ def test_steinberg_is_irreducible_of_dimension_p(p):
     assert is_irreducible(st)
     grp = build_group("sl2", p)
     assert invariants(st, [grp.upper_gen]).nrows == 1
+
+
+def test_steinberg_refuses_a_summand_with_more_than_one_invariant_line():
+    # ps:1 at p = 5 is a principal series summand of a nontrivial character
+    ps1 = decompose_jbar(build_group("sl2", 5), RingSpec(5, 1))[1]
+    assert ps1.name == "ps:1"
+    with pytest.raises(VerificationBug, match="must hold exactly one invariant line"):
+        steinberg(ps1)
+
+
+def test_steinberg_refuses_a_reducible_quotient(monkeypatch):
+    ps0 = decompose_jbar(build_group("sl2", 5), RingSpec(5, 1))[0]
+    monkeypatch.setattr(catalog, "is_irreducible", lambda M: False)
+    with pytest.raises(VerificationBug, match="not irreducible"):
+        steinberg(ps0)
 
 
 def test_roundtrip_is_bit_exact(tmp_path):

@@ -137,13 +137,21 @@ def loop_build_oracle(p, e):
     return double_cosets, mats, struct
 
 
+def dense_operators(alg):
+    """The (d, n, n) stack of basis operators T_w = (dc_table == w)."""
+    return (alg.dc_table == np.arange(alg.dim)[:, None, None]).astype(np.int64)
+
+
 def assert_matches_loop_oracle(alg, p, e):
     double_cosets, mats, struct = loop_build_oracle(p, e)
-    assert alg.double_cosets == double_cosets
-    assert all(type(x) is int for orbit in alg.double_cosets for x in orbit)
+    base_row = alg.dc_table[alg.base_coset_idx]
+    assert [np.flatnonzero(base_row == w).tolist() for w in range(alg.dim)] == double_cosets
     assert type(alg.unit) is int and all(type(g) is int for g in alg.gens)
-    assert alg.basis_mats.dtype == struct.dtype == alg.struct.dtype == np.int64
-    assert np.array_equal(alg.basis_mats, np.stack(mats))
+    assert alg.dc_table.dtype == struct.dtype == alg.struct.dtype == np.int64
+    assert not alg.dc_table.flags.writeable
+    assert len(mats) == alg.dim
+    for w, m in enumerate(mats):
+        assert np.array_equal((alg.dc_table == w).astype(np.int64), m), w
     assert np.array_equal(alg.struct, struct)
 
 
@@ -153,14 +161,40 @@ def test_table_build_against_loop_oracle(p, e):
 
 
 def test_table_build_against_loop_oracle_at_p7(monkeypatch):
-    # p = 7 stays refused: the build, its laws and its verification run once, uncached
+    # p = 7 stays refused: the build, its laws and its verification run once,
+    # uncached.  With the group cached, a build that kept the dense
+    # (d, n, n) operator stack retained 52.9 MiB and peaked at 83.6 MiB;
+    # the (n, n) double-coset table retains 7.9 MiB and peaks at 38.6 MiB
     monkeypatch.setattr(hecke, "HECKE_PRIMES", (*hecke.HECKE_PRIMES, 7))
     cached = build_hecke.cache_info().currsize
-    alg = build_hecke.__wrapped__(7)
+    tracemalloc.start()
+    try:
+        alg = build_hecke.__wrapped__(7)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 11 * 2**20 and peak <= 48 * 2**20
     assert alg.dim == 2 * 6**2
     assert alg.laws == {"associative": True, "unit_laws": True}
     assert_matches_loop_oracle(alg, 7, 1)
     assert build_hecke.cache_info().currsize == cached
+
+
+def test_build_raises_when_right_translation_does_not_permute_the_cosets(monkeypatch):
+    # a coset lookup that sends the products landing in coset 1 to coset 0
+    group = build_group("gl2", 3)
+
+    class Collapsed:
+        def __getattr__(self, name):
+            return getattr(group, name)
+
+        def coset_of(self, g):
+            out = group.coset_of(g)
+            return np.where(out == 1, 0, out) if np.ndim(out) == 2 else out
+
+    monkeypatch.setattr(hecke, "build_group", lambda kind, p: Collapsed())
+    with pytest.raises(VerificationBug, match="does not permute the cosets"):
+        build_hecke.__wrapped__(3)
 
 
 def test_refusal_names_the_supported_primes(monkeypatch):
@@ -179,7 +213,7 @@ def test_closed_form_generators_fill_the_algebra(p, gens):
     assert alg.gens == gens
     assert alg.unit not in alg.gens
     weyl_coset = int(grp.coset_of(np.reshape(grp.weyl, (2, 2))))
-    weyl_dc = next(w for w, o in enumerate(alg.double_cosets) if weyl_coset in o)
+    weyl_dc = alg.dc_table[alg.base_coset_idx, weyl_coset]
     assert weyl_dc in alg.gens
     assert alg._generated_subalgebra_full(alg.gens)
 
@@ -199,11 +233,51 @@ def test_suite_checks_the_generators_once(monkeypatch):
 
 
 def test_tampered_basis_operator_fails_the_equivariance_check():
+    # moving one coset pair to another double coset changes two operators
     alg = build_hecke(3)
-    mats = alg.basis_mats.copy()
-    mats[1][0, 0] = (mats[1][0, 0] + 1) % alg.ring.modulus
+    table = alg.dc_table.copy()
+    table[0, 1] = (table[0, 1] + 1) % alg.dim
     with pytest.raises(VerificationBug, match="basis operator is not equivariant"):
-        hecke._verify_algebra(replace(alg, basis_mats=mats))
+        hecke._verify_algebra(replace(alg, dc_table=table))
+
+
+@pytest.mark.parametrize("law,match", [("unit_laws", "unit laws fail"), ("associative", "associativity fails")])
+def test_verify_algebra_raises_on_a_failed_law(law, match):
+    alg = build_hecke(3)
+    with pytest.raises(VerificationBug, match=match):
+        hecke._verify_algebra(replace(alg, laws={**alg.laws, law: False}))
+
+
+def test_verify_algebra_raises_on_structure_constants_that_disagree_with_composition():
+    # bump the coefficient of the unit in the first sampled product; the
+    # laws stay as evaluated at build, and the bumped tensor still
+    # generates the algebra, so only the composition check sees it
+    alg = build_hecke(3)
+    rng = np.random.default_rng(alg.p)
+    u, v = int(rng.integers(0, alg.dim)), int(rng.integers(0, alg.dim))
+    struct = bumped(alg.struct, (u, v, alg.unit), alg.ring.modulus)
+    with pytest.raises(VerificationBug, match="structure constants disagree with composition"):
+        hecke._verify_algebra(replace(alg, struct=struct))
+
+
+def test_verify_algebra_raises_when_the_generators_do_not_fill_the_algebra():
+    alg = build_hecke(3)
+    with pytest.raises(VerificationBug, match="do not generate the algebra"):
+        hecke._verify_algebra(replace(alg, gens=alg.gens[:1]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gather_and_scatter_against_dense_operators(p):
+    # c[dc_table] is sum_w c_w T_w, and orbit(v) stacks the rows v @ T_w
+    alg = build_hecke(p)
+    N = alg.ring.modulus
+    ops = dense_operators(alg)
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        c = rng.integers(-N, N, alg.dim)
+        v = rng.integers(0, N, len(alg.dc_table))
+        assert np.array_equal(alg.left_action(c), np.tensordot(c, ops, axes=1) % N)
+        assert np.array_equal(alg.orbit(v), v @ ops % N)
 
 
 def test_equivariance_check_requires_permutation_generators():
@@ -233,7 +307,7 @@ def test_suite_evaluates_the_algebra_laws_once(monkeypatch):
 
 def test_dim_and_jbar_star_read_false_on_a_missing_basis_operator(monkeypatch):
     real = hecke.build_hecke
-    monkeypatch.setattr(hecke, "build_hecke", lambda p, e=1: replace(real(p, e), basis_mats=real(p, e).basis_mats[:-1]))
+    monkeypatch.setattr(hecke, "build_hecke", lambda p, e=1: replace(real(p, e), struct=real(p, e).struct[:-1]))
     dim, star = check_dim(3), invariants_jbar_star(3)
     assert dim.status == star.status == FAIL
     assert dim.verdicts["dim_matches"] is False
@@ -345,9 +419,10 @@ def test_associativity_and_units_exhaustive(p, e):
 def test_basis_operators_realize_structure_constants(p):
     alg = build_hecke(p, 1)
     N = alg.ring.modulus
+    ops = dense_operators(alg)
     for u in range(alg.dim):
         for v in range(alg.dim):
-            lhs = (alg.basis_mats[v] @ alg.basis_mats[u]) % N
+            lhs = (ops[v] @ ops[u]) % N
             rhs = alg.left_action(alg.struct[u, v])
             assert np.array_equal(lhs, rhs)
 
@@ -366,6 +441,32 @@ def test_free_module_axioms_exhaustive(p):
     free_module(alg, 2).verify_axioms(exhaustive=True)
 
 
+@pytest.mark.parametrize("which,match", [("unit", "unit does not act as the identity"), ("gen", "right-module law fails")])
+def test_module_axioms_raise_on_a_tampered_action(which, match):
+    # T_u + I in place of the action of one basis element
+    alg = build_hecke(3)
+    free = free_module(alg, 1)
+    w = alg.unit if which == "unit" else alg.gens[0]
+    action = list(free.action)
+    action[w] = (action[w] + np.eye(free.rank, dtype=np.int64)) % alg.ring.modulus
+    with pytest.raises(VerificationBug, match=match):
+        replace(free, action=action).verify_axioms(exhaustive=True)
+
+
+def test_coordinate_quotient_refuses_e_above_1():
+    alg = build_hecke(2, 2)
+    free = free_module(alg, 1)
+    with pytest.raises(ValueError, match="require e = 1"):
+        quotient_module(free, howell_array(alg.ring, np.eye(alg.dim, dtype=np.int64)[:1]))
+
+
+def test_unknown_presentation_and_method_are_refused():
+    with pytest.raises(ValueError, match="unknown presentation 'dense'"):
+        tensor_K(free_module(build_hecke(2), 1), "dense")
+    with pytest.raises(ValueError, match="unknown method 'dense'"):
+        check_flatness(2, 1, "dense")
+
+
 def test_tensor_unit_is_permutation_module():
     # K(H) = J: rank (p^2 - 1)(p - 1), and the two presentations agree
     for p in (2, 3):
@@ -377,13 +478,19 @@ def test_tensor_unit_is_permutation_module():
 
 
 def test_tensor_zero_module():
+    # the generators route finds no module generator and tensors an empty presentation
     alg = build_hecke(2, 1)
     free = free_module(alg, 1)
     full = span_closure(alg.ring, np.eye(alg.dim, dtype=np.int64), free.action)
     zero = quotient_module(free, full, name="zero")
     assert zero.rank == 0
-    K = tensor_K(zero, "balancing")
-    assert K.log_size() == 0
+    for presentation in ("balancing", "generators"):
+        K = tensor_K(zero, presentation)
+        assert K.presentation == presentation
+        assert K.log_size() == 0
+        rep = check_vytastra(zero, presentation)
+        assert rep.status == PASS
+        assert rep.dims == {"module_log": 0, "invariants_log": 0, "tensor_log": 0}
 
 
 def test_tensor_additive_on_free_modules():
@@ -422,12 +529,10 @@ def test_tensor_unit_canonical_map_is_equivariant_isomorphism():
     for p in (2, 3):
         alg = build_hecke(p, 1)
         K = tensor_K(free_module(alg, 1), "balancing")
-        n = alg.basis_mats[0].shape[0]
         ring = alg.ring
         N = ring.modulus
-        ev = np.zeros((alg.dim * n, n), dtype=np.int64)
-        for i in range(alg.dim):
-            ev[i * n : (i + 1) * n] = alg.basis_mats[i]
+        n = len(alg.dc_table)
+        ev = dense_operators(alg).reshape(alg.dim * n, n)
         assert not np.any((K.rel.mat @ ev) % N)  # relations die
         # bijective: the quotient has the size of J and ev is onto
         assert K.log_size() == n
@@ -491,6 +596,56 @@ def test_flatness_methods_agree(p, e):
     assert a.verdicts == b.verdicts
 
 
+def test_flatness_reads_false_on_a_non_central_block(monkeypatch):
+    # the basis vector T_3 in place of the first torus block is no central
+    # idempotent, and its block system has no solution
+    real = hecke.torus_blocks
+
+    def tampered(alg):
+        blocks = real(alg).copy()
+        blocks[0] = np.eye(alg.dim, dtype=np.int64)[3]
+        return blocks
+
+    monkeypatch.setattr(hecke, "torus_blocks", tampered)
+    rep = check_flatness(5, 1, "presentation")
+    assert rep.verdicts == {"flat": False}
+    assert rep.status == FAIL
+    assert "section" not in rep.details
+
+
+def test_flatness_raises_when_a_torus_block_is_missing(monkeypatch):
+    # without the first block the summed solution misses that block's part of each x_k
+    real = hecke.torus_blocks
+    monkeypatch.setattr(hecke, "torus_blocks", lambda alg: real(alg)[1:])
+    with pytest.raises(VerificationBug, match="section identity fails"):
+        check_flatness(5, 1, "presentation")
+
+
+def test_flatness_raises_on_a_section_that_is_no_module_map(monkeypatch):
+    # a left-kernel vector of P added to row 0 keeps the section identity,
+    # and T_u moves that row to the other cosets of its double coset
+    real = hecke._section_via_presentation
+
+    def shifted(alg, chosen, P):
+        section = real(alg, chosen, P).copy()
+        section[0] = (section[0] + kernel_array(alg.ring, P).mat[0]) % alg.ring.modulus
+        return section
+
+    monkeypatch.setattr(hecke, "_section_via_presentation", shifted)
+    with pytest.raises(VerificationBug, match="section is not a module map"):
+        check_flatness(5, 1, "presentation")
+
+
+def test_torus_blocks_raise_on_a_non_central_block(monkeypatch):
+    # every character's element e_chi replaced by the basis vector T_3
+    alg = build_hecke(5)
+    fake = np.zeros((16, alg.dim, alg.dim), dtype=np.int64)
+    fake[:, alg.unit, 3] = 1
+    monkeypatch.setattr(hecke, "torus_idempotents", lambda ring, ops: fake)
+    with pytest.raises(VerificationBug, match="not central"):
+        hecke.torus_blocks(alg)
+
+
 def test_flatness_presentation_relations_by_module_generators(monkeypatch):
     # one RowSolver on P (r.d x n = 160 x 96), then one per central torus
     # block: r^2.b unknowns against the relations of the 6 module generators
@@ -542,7 +697,7 @@ def test_torus_blocks_are_central_orthogonal_idempotents(p, e):
     rank_h = [howell_array(ring, m).span_log_size() for m in L]
     rank_j = [howell_array(ring, alg.left_action(b)).span_log_size() for b in blocks]
     assert set(rank_h) == {2 * e, 4 * e} and sum(rank_h) == e * alg.dim
-    assert set(rank_j) == {(p + 1) * e, 2 * (p + 1) * e} and sum(rank_j) == e * len(alg.basis_mats[0])
+    assert set(rank_j) == {(p + 1) * e, 2 * (p + 1) * e} and sum(rank_j) == e * len(alg.dc_table)
 
 
 def dense_presentation_section(alg, chosen, P):
@@ -555,7 +710,7 @@ def dense_presentation_section(alg, chosen, P):
     system's kernel.
     """
     ring = alg.ring
-    n = alg.basis_mats[0].shape[0]
+    n = len(alg.dc_table)
     d = alg.dim
     r = len(chosen)
     m = r * d
@@ -600,8 +755,10 @@ def test_block_section_against_dense_oracle(p, e):
     # the block solve returns the canonical residue of the solution set, the
     # dense solve at e = 1 (and, as it happens, at p <= 3) as well
     alg = build_hecke(p, e)
-    n = alg.basis_mats[0].shape[0]
-    chosen, P = hecke._module_generators(alg.ring, np.eye(n, dtype=np.int64), alg.basis_mats)
+    n = len(alg.dc_table)
+    chosen, P = hecke._module_generators(alg.ring, np.eye(n, dtype=np.int64), dense_operators(alg))
+    scattered, P_scattered = hecke._module_generators(alg.ring, np.eye(n, dtype=np.int64), alg.orbit)
+    assert scattered == chosen and np.array_equal(P_scattered, P)
     raw, residue = dense_presentation_section(alg, chosen, P)
     section = hecke._section_via_presentation(alg, chosen, P)
     assert np.array_equal(section, section_from_unknowns(alg, P, residue))
