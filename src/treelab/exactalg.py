@@ -10,12 +10,18 @@ submodule equality, membership and quotient bookkeeping bit-exact.
 
 Vectors are rows throughout; a linear map is a matrix acting by right
 multiplication, so `kernel_array` and `RowSolver.solve` are left-sided
-(x @ A = 0 and x @ A = b).  Kernels, preimages and images all come from
-one Howell form of [[A | I], [rel | 0]], split at the column of I: the
-rows pivoting in A give span(A) + span(rel), the others give
-{x : x @ A in span(rel)}.  `kernel_array`, `preimage_kernel`,
-`image_and_preimage` and `RowSolver` each read that one split.  Rows are
-reduced against a Howell basis in one place, `CanonicalBasis.quotients`.
+(x @ A = 0 and x @ A = b).  Kernels, preimages and images come from one
+Howell form of [[A | I], [rel | 0]], split at the column of I: the rows
+pivoting in A give span(A) + span(rel), the others give
+{x : x @ A in span(rel)}.  `kernel_array` and `RowSolver` read that one
+split at every e, and so do `preimage_kernel` and `image_and_preimage`
+at e > 1.  At e = 1 a Howell form is an RREF, and the quotient by its
+span is free on its section columns S (the columns without a pivot), so
+questions about the quotient are asked there: the preimage and the image
+of A come from one elimination of s = |S| rows (`_section_split`),
+membership in the span is one product at S (`contains_rows`), and a span
+grows by eliminating only the new residues (`extend`).  Rows are reduced
+against a Howell basis in one place, `CanonicalBasis.quotients`.
 """
 
 from __future__ import annotations
@@ -132,18 +138,56 @@ class CanonicalBasis:
         return self.reduce_rows(v)[0]
 
     def contains(self, v) -> bool:
-        return not np.any(self.reduce(v))
+        return self.contains_rows(v)
 
     def contains_rows(self, X) -> bool:
-        return not np.any(self.reduce_rows(X))
+        """Whether every row of X lies in the span.
+
+        At e = 1 a row's residue vanishes at the pivot columns, and at the
+        section columns it is x[S] - x[pivots] @ mat[:, S].
+        """
+        if not self.ring.is_field:
+            return not np.any(self.reduce_rows(X))
+        N = self.ring.modulus
+        X = np.atleast_2d(np.asarray(X, dtype=np.int64)) % N
+        piv = self.pivot_mask()
+        R = X[:, piv] @ self.mat[:, ~piv]  # updated in place: fewer temporaries, lower peak RSS
+        R -= X[:, ~piv]
+        R %= N
+        return not R.any()
 
     def is_subspace_of(self, other: "CanonicalBasis") -> bool:
         return other.contains_rows(self.mat)
 
+    def extend(self, X: np.ndarray) -> "CanonicalBasis":
+        """Howell basis of the span plus the rows of X; only their nonzero residues are eliminated.
+
+        At e = 1 the RREF of the residues is zero at the old pivot
+        columns, so clearing its pivot columns from the old rows (one
+        product) and merging both by pivot column gives the RREF of the
+        sum.  At e > 1 the old rows and the residues are eliminated together.
+        """
+        res = self.reduce_rows(X)
+        res = res[res.any(axis=1)]
+        if not res.shape[0]:
+            return self
+        if not self.ring.is_field:
+            return howell_array(self.ring, np.concatenate([self.mat, res]))
+        new = howell_array(self.ring, res)
+        old = self.mat[:, [c for c, _ in new.pivots]] @ new.mat
+        np.subtract(self.mat, old, out=old)
+        old %= self.ring.modulus
+        return _merge(self.ring, (old, self.pivots), (new.mat, new.pivots))
+
+    def pivot_mask(self) -> np.ndarray:
+        """Boolean mask of the pivot columns."""
+        mask = np.zeros(self.ncols, dtype=bool)
+        mask[[c for c, _ in self.pivots]] = True
+        return mask
+
     def section_cols(self) -> list[int]:
         """Columns without a pivot: a section basis of the quotient (e = 1)."""
-        pivset = {c for c, _ in self.pivots}
-        return [j for j in range(self.ncols) if j not in pivset]
+        return np.flatnonzero(~self.pivot_mask()).tolist()
 
     def section_action(self, A: np.ndarray) -> np.ndarray:
         """Matrix of x -> x @ A on the quotient by the span, in section coordinates (e = 1).
@@ -157,6 +201,14 @@ class CanonicalBasis:
 
 def _empty_basis(ring: RingSpec, ncols: int) -> CanonicalBasis:
     return CanonicalBasis(ring, ncols, np.zeros((0, ncols), dtype=np.int64), ())
+
+
+def _merge(ring: RingSpec, *parts: tuple[np.ndarray, Sequence[tuple[int, int]]]) -> CanonicalBasis:
+    """One RREF basis from RREF row sets, each zero at the others' pivot columns (e = 1)."""
+    pivots = [pv for _, pvs in parts for pv in pvs]
+    order = np.argsort([c for c, _ in pivots])  # the pivot columns are distinct
+    rows = np.concatenate([mat for mat, _ in parts])[order]
+    return CanonicalBasis(ring, rows.shape[1], rows, tuple(pivots[i] for i in order))
 
 
 def _howell(ring: RingSpec, A: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -246,11 +298,10 @@ def span_closure(ring: RingSpec, seed: np.ndarray, ops: Sequence[np.ndarray]) ->
     """Smallest span containing the rows of seed and stable under x -> x @ op.
 
     Semi-naive fixpoint: each round maps only a frontier through the
-    operators and reduces the images modulo the current span; when every
-    residue is zero the span is stable and no elimination is needed.
-    Otherwise [span; residues] is eliminated once, and the next frontier
-    is the rows of the new Howell form whose (column, pivot value) is not
-    a pivot of the old one.  By the Howell property such an old-pivot row
+    operators and extends the span by the images; when every residue is
+    zero the span is stable and no elimination is needed.  Otherwise the
+    next frontier is the rows of the new Howell form whose (column, pivot
+    value) is not a pivot of the old one.  By the Howell property such an old-pivot row
     differs from the old span's row with that pivot by a vector zero up
     to its column, so the frontier spans the new span modulo the old one
     at every e.  The first frontier is the Howell basis of the seed.
@@ -258,12 +309,8 @@ def span_closure(ring: RingSpec, seed: np.ndarray, ops: Sequence[np.ndarray]) ->
     span = howell_array(ring, np.atleast_2d(seed))
     front = span.mat
     while len(ops) and front.shape[0]:
-        res = span.reduce_rows(np.concatenate([front @ op for op in ops]))
-        res = res[res.any(axis=1)]
-        if not res.shape[0]:
-            break
         old = set(span.pivots)
-        span = howell_array(ring, np.concatenate([span.mat, res]))
+        span = span.extend(np.concatenate([front @ op for op in ops]))
         front = span.mat[[i for i, pv in enumerate(span.pivots) if pv not in old]]
     return span
 
@@ -333,13 +380,74 @@ class RowSolver:
         return X, ok
 
 
+def _null_rref(ring: RingSpec, R: np.ndarray, pivcols: list[int], width: int) -> CanonicalBasis:
+    """RREF basis of {x : R @ x[::-1] = 0} for an RREF matrix R with the given pivot columns (e = 1).
+
+    The null space of R has one vector per free column f: e_f minus
+    column f of R at the pivot columns, which lie before f.  Reversed,
+    that vector leads with 1 at width - 1 - f and is zero at every other
+    reversed free column, so the reversed vectors are an RREF basis.
+    """
+    free = np.ones(width, dtype=bool)
+    free[pivcols] = False
+    f = np.flatnonzero(free)[::-1]
+    K = np.zeros((len(f), width), dtype=np.int64)
+    K[np.arange(len(f)), width - 1 - f] = 1
+    K[:, width - 1 - np.asarray(pivcols, dtype=np.int64)] = -R[:, f].T % ring.modulus
+    return CanonicalBasis(ring, width, K, tuple((int(c), 1) for c in width - 1 - f))
+
+
+def _section_split(
+    ring: RingSpec, blocks: list[np.ndarray], rel: CanonicalBasis
+) -> tuple[CanonicalBasis, CanonicalBasis]:
+    """image_and_preimage at e = 1, asked at the section columns S of rel.
+
+    Over F_p the quotient by span(rel) is free on S: a row x has the
+    coordinates x[S] - x[pivots] @ rel[:, S] there.  With B the
+    coordinates of the rows of [M_1 | M_2 | ...], block by block, the
+    preimage is the left kernel of B and the image is span(B), lifted
+    to S, plus rel in every block.  One Howell form H of
+    [B.T[:, ::-1] | I[:, ::-1]], with s = |S| rows, gives both: its rows
+    pivoting in the left part are the RREF of the column space of B, in
+    reversed row order, whose null space is the left kernel of B; the
+    other rows, restricted to the right part, are the RREF of the right
+    null space of B in reversed column order, whose null space is span(B).
+    """
+    N = ring.modulus
+    piv = rel.pivot_mask()
+    sec = ~piv
+    B = np.concatenate([M[:, sec] - M[:, piv] @ rel.mat[:, sec] for M in blocks], axis=1) % N
+    m, s = B.shape
+    Is = np.eye(s, dtype=np.int64)[:, ::-1]
+    H = howell_array(ring, np.concatenate([B.T[:, ::-1], Is], axis=1))
+    k = sum(c < m for c, _ in H.pivots)
+    pre = _null_rref(ring, H.mat[:k, :m], [c for c, _ in H.pivots[:k]], m)
+    span_b = _null_rref(ring, H.mat[k:, m:], [c - m for c, _ in H.pivots[k:]], s)
+    # lift span(B) to S in every block and clear its pivot columns from the relations
+    S = (np.flatnonzero(sec) + rel.ncols * np.arange(len(blocks))[:, None]).reshape(-1)
+    lifted = np.zeros((span_b.nrows, rel.ncols * len(blocks)), dtype=np.int64)
+    lifted[:, S] = span_b.mat
+    R = np.kron(np.eye(len(blocks), dtype=np.int64), rel.mat)
+    R = (R - R[:, S[[c for c, _ in span_b.pivots]]] @ lifted) % N
+    rel_pivots = [(c + rel.ncols * b, g) for b in range(len(blocks)) for c, g in rel.pivots]
+    new_pivots = [(int(S[c]), g) for c, g in span_b.pivots]
+    return _merge(ring, (R, rel_pivots), (lifted, new_pivots)), pre
+
+
 def image_and_preimage(
     ring: RingSpec, blocks: Sequence[np.ndarray], rel: Optional[CanonicalBasis] = None
 ) -> tuple[CanonicalBasis, CanonicalBasis]:
-    """(span of [M_1 | M_2 | ...] plus rel in every block, preimage_kernel) from one split."""
+    """(span of [M_1 | M_2 | ...] plus rel in every block, preimage_kernel) from one elimination.
+
+    At e = 1 with relations the question is asked at their section
+    columns (`_section_split`); otherwise it is read off the split of
+    [[M | I], [diag(rel, ...) | 0]].
+    """
     blocks = [np.atleast_2d(ring.reduce(B)) for B in blocks]
     if not blocks:
         raise ValueError("need at least one block")
+    if rel is not None and ring.is_field:
+        return _section_split(ring, blocks, rel)
     R = None if rel is None else np.kron(np.eye(len(blocks), dtype=np.int64), rel.mat)
     image, _, pre = _split(ring, np.concatenate(blocks, axis=1), R)
     return image, pre

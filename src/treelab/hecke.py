@@ -145,6 +145,7 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     struct = img[:, :, least]
     if not np.array_equal(struct[:, :, dc_of], img):
         raise VerificationBug("composite image is not double-coset invariant")
+    del img  # free the (d, d, n) image before the laws, which peak on their own
     laws = _algebra_laws(ring, struct, unit)
     alg = HeckeAlgebra(ring, p, J, dc_table, struct, unit, base_coset_idx, gens, laws)
     _verify_algebra(alg)
@@ -316,7 +317,7 @@ def _module_generators(
             continue
         chosen.append(i)
         orbits.append((ops(v) if stack is None else v @ stack) % N)
-        span = span_sum(ring, [orbits[-1], span.mat])
+        span = span.extend(orbits[-1])
     if span.span_log_size() != target:
         raise VerificationBug("module generator search failed")
     return chosen, np.concatenate(orbits)

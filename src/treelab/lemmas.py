@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .exactalg import (
-    CanonicalBasis, RingSpec, howell_array, image_and_preimage, kernel_array, preimage_kernel, span_sum
+    CanonicalBasis, RingSpec, howell_array, image_and_preimage, preimage_kernel, span_sum
 )
 from .grouprep import (
     GModule,
@@ -47,13 +47,13 @@ from .report import LemmaReport, rejected, timed
 
 @dataclass(frozen=True, eq=False)
 class ComparisonPair:
-    """Multiplication and augmentation maps out of the free carrier.
+    """The multiplication map out of the free carrier.
 
     The source is the free module on the lower-invariant subspace, one
     copy per power of the upper unipotent generator: basis pairs (j, i),
     j-major, with j < p and i indexing the invariant basis inv.  mult
-    sends (j, i) to inv[i] translated j times; aug collapses to the
-    invariant coordinates.  mult intertwines translation on the group
+    sends (j, i) to inv[i] translated j times; the augmentation sends it
+    to e_i (`augmentation_kernel`).  mult intertwines translation on the group
     coordinate with the module action, exactly.  coin is the quotient of
     W by its upper-unipotent coinvariant relations.
     """
@@ -62,7 +62,6 @@ class ComparisonPair:
     inv: CanonicalBasis
     coin: QuotientPresentation
     mult: np.ndarray
-    aug: np.ndarray
 
     @property
     def p(self) -> int:
@@ -86,8 +85,19 @@ def build_comparison(W: GModule) -> ComparisonPair:
     p = group.p
     inv = generated_by_lower_invariants(W)
     mult = translate_stack(W.ring, inv.mat, W.action(group.upper_gen), p)
-    aug = np.tile(np.eye(inv.nrows, dtype=np.int64), (p, 1))
-    return ComparisonPair(W, inv, coinvariants(W, [group.upper_gen]), mult, aug)
+    return ComparisonPair(W, inv, coinvariants(W, [group.upper_gen]), mult)
+
+
+def augmentation_kernel(ring: RingSpec, p: int, t: int) -> CanonicalBasis:
+    """Kernel of the augmentation tile(I_t, (p, 1)), {x : sum_j x_(j,i) = 0}, in closed form (e = 1).
+
+    Its RREF basis is e_(j,i) - e_(p-1,i) for j < p - 1, that is
+    [I_((p-1)t) | (p-1) tile(I_t, (p-1, 1))], one unit pivot per row.
+    """
+    k = (p - 1) * t
+    last = (p - 1) * np.tile(np.eye(t, dtype=np.int64), (p - 1, 1))
+    mat = np.concatenate([np.eye(k, dtype=np.int64), last], axis=1)
+    return CanonicalBasis(ring, p * t, mat, tuple((i, 1) for i in range(k)))
 
 
 def _instance_desc(W: GModule) -> dict:
@@ -118,7 +128,7 @@ def check_comparison_map(em: ComparisonPair) -> LemmaReport:
     image, ker_mult = image_and_preimage(ring, [em.mult])
     verdicts["mult_surjective"] = image.nrows == W.rank
 
-    ker_aug = kernel_array(ring, em.aug)
+    ker_aug = augmentation_kernel(ring, em.p, em.t)
     contained = ker_mult.is_subspace_of(ker_aug)
     verdicts["ker_mult_in_ker_aug"] = contained
     if contained and ker_mult.nrows < ker_aug.nrows:

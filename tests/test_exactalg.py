@@ -310,6 +310,74 @@ def test_each_span_question_eliminates_once(monkeypatch, e):
         assert len(calls) == 1, calls
 
 
+def random_rel(ring, rng, n, kind):
+    """An empty, partial or full relation span in n columns."""
+    if kind == "empty":
+        return howell_array(ring, np.zeros((0, n), dtype=np.int64))
+    if kind == "full":
+        return howell_array(ring, np.eye(n, dtype=np.int64))
+    rows = rng.integers(0, ring.modulus, size=(int(rng.integers(1, n + 1)), n))
+    return howell_array(ring, rows * (rng.random(n) < 0.7))
+
+
+def random_rows(ring, rng, m, n):
+    """Sparse rows, low rank a third of the time."""
+    if m and rng.random() < 0.3:
+        return rng.integers(0, ring.modulus, size=(m, 2)) @ rng.integers(0, ring.modulus, size=(2, n))
+    return rng.integers(0, ring.modulus, size=(m, n)) * (rng.random((m, n)) < rng.random())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("kind", ["empty", "partial", "full"])
+def test_section_route_against_split(p, kind):
+    # at e = 1 image_and_preimage asks at the section columns of rel; the
+    # split of [[A | I], [diag(rel, ...) | 0]] is the oracle, arrays and pivots
+    ring = RingSpec(p, 1)
+    rng = np.random.default_rng(100 * p + len(kind))
+    for _ in range(40):
+        n, m, k = int(rng.integers(1, 8)), int(rng.integers(0, 8)), int(rng.integers(1, 3))
+        rel = random_rel(ring, rng, n, kind)
+        blocks = [random_rows(ring, rng, m, n) for _ in range(k)]
+        image, pre = image_and_preimage(ring, blocks, rel)
+        wide = np.concatenate([ring.reduce(B) for B in blocks], axis=1)
+        oracle_image, _, oracle_pre = exactalg._split(ring, wide, np.kron(np.eye(k, dtype=np.int64), rel.mat))
+        for got, want in ((image, oracle_image), (pre, oracle_pre)):
+            assert got.ncols == want.ncols and got.pivots == want.pivots
+            assert got.mat.shape == want.mat.shape and np.array_equal(got.mat, want.mat)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_extend_against_howell_of_the_concatenation(p, e):
+    ring = RingSpec(p, e)
+    N = ring.modulus
+    rng = np.random.default_rng(7 * p + e)
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        span = howell_array(ring, random_rows(ring, rng, int(rng.integers(0, 6)), n))
+        X = random_rows(ring, rng, int(rng.integers(0, 5)), n) - N * rng.integers(0, 2, size=(1, n))
+        grown = span.extend(X)
+        oracle = howell_array(ring, np.concatenate([span.mat, X]))
+        assert grown.pivots == oracle.pivots and np.array_equal(grown.mat, oracle.mat)
+        if not span.reduce_rows(X).any():
+            assert grown is span
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (2, 3)])
+def test_membership_against_the_residue(p, e):
+    # rows of the span, its negatives and rows outside it, unreduced
+    ring = RingSpec(p, e)
+    rng = np.random.default_rng(11 * p + e)
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        span = howell_array(ring, random_rows(ring, rng, int(rng.integers(0, 6)), n))
+        inside = rng.integers(-9, 9, size=(3, span.nrows)) @ span.mat
+        outside = random_rows(ring, rng, 3, n)
+        for X in (inside, -inside, outside, -outside, np.concatenate([inside, outside])):
+            assert span.contains_rows(X) == (not span.reduce_rows(X).any())
+            assert [span.contains(x) for x in X] == [not span.reduce(x).any() for x in X]
+        assert span.contains_rows(inside) and span.contains_rows(-inside)
+
+
 def test_split_identity_gives_identity_section():
     ring = RingSpec(3, 1)
     s = split_test(ring, np.eye(3, dtype=np.int64))

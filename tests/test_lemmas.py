@@ -7,7 +7,7 @@ import pytest
 
 from treelab.catalog import builtin_catalog, get_module
 from treelab import grouprep, lemmas
-from treelab.exactalg import RingSpec, howell_array, preimage_kernel, span_sum
+from treelab.exactalg import RingSpec, howell_array, kernel_array, preimage_kernel, span_sum
 from treelab.grouprep import (
     IDENT, QuotientPresentation, build_group, generated_submodule, invariants, jbar, trivial_module
 )
@@ -33,10 +33,21 @@ def test_eta_on_trivial_module_equals_augmentation():
     grp = build_group("sl2", 3)
     triv = trivial_module(grp, RingSpec(3, 1))
     em = build_comparison(triv)
-    assert np.array_equal(em.mult, em.aug)
+    assert np.array_equal(em.mult, np.tile(np.eye(em.t, dtype=np.int64), (em.p, 1)))
     rep = check_comparison_map(em)
     assert rep.status == PASS
     assert all(rep.verdicts.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_augmentation_kernel_closed_form(p):
+    ring = RingSpec(p, 1)
+    for t in range(1, 6):
+        aug = np.tile(np.eye(t, dtype=np.int64), (p, 1))
+        closed = lemmas.augmentation_kernel(ring, p, t)
+        oracle = kernel_array(ring, aug)
+        assert closed == oracle and closed.pivots == oracle.pivots
+        assert not ((closed.mat @ aug) % p).any()
 
 
 def test_eta_equivariance_exact():
