@@ -16,7 +16,6 @@ from .exactalg import (  # noqa: F401
 from .grouprep import (  # noqa: F401
     GModule,
     build_group,
-    coinvariants,
     decompose_jbar,
     generated_submodule,
     h1_procyclic,

@@ -27,6 +27,7 @@ from .grouprep import (
 )
 
 CATALOG_SCHEMA = "treelab.catalog.v1"
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
 
 
 def steinberg(ps0: GModule) -> GModule:
@@ -127,9 +128,9 @@ def load_catalog(doc_or_path) -> list[GModule]:
         raise ValueError(f"unknown catalog schema {doc.get('schema')!r}")
 
     def typed(kind: type, value, field: str):
-        """value, checked to be a JSON object (kind dict) or array (kind list)."""
+        """value, checked to be a JSON object (kind dict), array (kind list) or string (kind str)."""
         if not isinstance(value, kind):
-            raise ValueError(f"catalog field {field!r} is not a JSON {'object' if kind is dict else 'array'}")
+            raise ValueError(f"catalog field {field!r} is not a JSON {_JSON_TYPES[kind]}")
         return value
 
     try:
@@ -139,7 +140,7 @@ def load_catalog(doc_or_path) -> list[GModule]:
         out = []
         for entry in typed(list, doc["modules"], "modules"):
             entry = typed(dict, entry, "modules")
-            group = build_group(entry["kind"], p)
+            group = build_group(typed(str, entry["kind"], "kind"), p)
             rank = _as_int(entry["rank"])
             mats = {}
             for gen in typed(list, entry["generators"], "generators"):

@@ -291,13 +291,9 @@ def jbar(group: GroupData, ring: RingSpec) -> GModule:
 
 
 def invariants(M: GModule, subgroup: Iterable[Elem]) -> CanonicalBasis:
-    """Fixed submodule under the listed elements (generators suffice)."""
-    blocks = []
+    """Fixed submodule under the listed elements (generators suffice); the list is not empty."""
     eye = np.eye(M.rank, dtype=np.int64)
-    for h in subgroup:
-        blocks.append((M.action(h) - eye) % M.ring.modulus)
-    if not blocks:
-        return howell_array(M.ring, eye)
+    blocks = [(M.action(h) - eye) % M.ring.modulus for h in subgroup]
     return kernel_array(M.ring, np.concatenate(blocks, axis=1))
 
 
@@ -369,18 +365,6 @@ class QuotientPresentation:
         return inj, surj
 
 
-def coinvariants(M: GModule, subgroup: Sequence[Elem]) -> QuotientPresentation:
-    """Quotient by the span of all v (action(h) - 1); exact cokernel.
-
-    The span of the images of (h - 1) over a generating set, closed
-    under the subgroup action, equals the span over the full subgroup.
-    """
-    eye = np.eye(M.rank, dtype=np.int64)
-    ops = [M.action(h) for h in subgroup]
-    seed = [np.zeros((0, M.rank), dtype=np.int64)] + [(op - eye) % M.ring.modulus for op in ops]
-    return QuotientPresentation(M.ring, M.rank, span_closure(M.ring, np.concatenate(seed), ops))
-
-
 def _ppower_order(ring: RingSpec, op: np.ndarray, p: int, bound: int = 16) -> int:
     """Smallest p-power k with op^k = 1; raises if none within the bound."""
     N = ring.modulus
@@ -414,37 +398,32 @@ def translate_stack(ring: RingSpec, rows: np.ndarray, op: np.ndarray, count: int
     return np.concatenate(blocks, axis=0)
 
 
-def block_shift(p: int, t: int, u: int = 1) -> np.ndarray:
-    """Cyclic shift of p blocks of size t: block j goes to block j + u mod p."""
-    return np.kron(np.roll(np.eye(p, dtype=np.int64), u, axis=1), np.eye(t, dtype=np.int64))
+def augmentation_kernel(ring: RingSpec, p: int, t: int) -> CanonicalBasis:
+    """Kernel of the augmentation tile(I_t, (p, 1)), {x : sum_j x_(j,i) = 0}, in closed form (e = 1).
 
-
-@dataclass(frozen=True, eq=False)
-class ProcyclicH1(QuotientPresentation):
-    """H^1 of a procyclic group with topological generator acting as c.
-
-    Realized as the coinvariants M/(c-1)M; this is the identification
-    used throughout for continuous cohomology of Z_p in characteristic p.
+    Its RREF basis is e_(j,i) - e_(p-1,i) for j < p - 1, that is
+    [I_((p-1)t) | (p-1) tile(I_t, (p-1, 1))], one unit pivot per row.  It
+    is also the row space of s^u - 1 for the cyclic shift s of p blocks of
+    size t and any unit u, so it is the relation span of H^1 of that shift.
     """
-
-    operator: np.ndarray
-
-    def intertwined(self, f: np.ndarray, target: "ProcyclicH1") -> np.ndarray:
-        """f reduced, checked to intertwine the operators, so it sends (c-1)M into the target relations."""
-        ring = self.ring
-        f = ring.reduce(f)
-        if not np.array_equal((self.operator @ f) % ring.modulus, (f @ target.operator) % ring.modulus):
-            raise ValueError("map does not intertwine the designated operators")
-        return f
+    k = (p - 1) * t
+    last = (p - 1) * np.tile(np.eye(t, dtype=np.int64), (p - 1, 1))
+    mat = np.concatenate([np.eye(k, dtype=np.int64), last], axis=1)
+    return CanonicalBasis(ring, p * t, mat, tuple((i, 1) for i in range(k)))
 
 
-def h1_procyclic(ring: RingSpec, operator: np.ndarray, p: int) -> ProcyclicH1:
-    """H^1(Z_p, M) = coker(c - 1) for the operator c of p-power order."""
+def h1_procyclic(ring: RingSpec, operator: np.ndarray, p: int) -> QuotientPresentation:
+    """H^1(Z_p, M) = coker(c - 1) for the operator c of p-power order.
+
+    This is the identification used throughout for continuous cohomology
+    of Z_p in characteristic p.  Any topological generator gives the same
+    quotient: for u prime to p, c^u - 1 and c - 1 are each the other times
+    a polynomial in c, so they have the same row space.
+    """
     op = ring.reduce(operator)
     _ppower_order(ring, op, p)
     eye = np.eye(op.shape[0], dtype=np.int64)
-    rel = howell_array(ring, (op - eye) % ring.modulus)
-    return ProcyclicH1(ring, op.shape[0], rel, op)
+    return QuotientPresentation(ring, op.shape[0], howell_array(ring, (op - eye) % ring.modulus))
 
 
 def submodule_gmodule(M: GModule, basis: CanonicalBasis, name: str = "") -> GModule:

@@ -34,8 +34,9 @@ from .exactalg import (
 from .grouprep import (
     Elem,
     GModule,
+    QuotientPresentation,
     _matpow,
-    block_shift,
+    augmentation_kernel,
     generated_by_lower_invariants,
     h1_procyclic,
     invariants,
@@ -444,14 +445,18 @@ def check_cogtri_hypothesis(spec: CoeffSystemSpec) -> LemmaReport:
     coker(shift - 1) on the stacked child-edge space maps to coker(c - 1)
     on the fiber; injectivity (in fact bijectivity) is the local input
     for the fixed-part correspondence.  It reads no rho: every valid
-    gluing is an isomorphism exactly when w0 is.
+    gluing is an isomorphism exactly when w0 is.  The relations of the
+    source are the augmentation kernel, and `build_coeff_spec` checked
+    that down_stack carries the shift to the twist, so it sends them into
+    the relations of the target.
     """
     W = spec.W
     desc = _tree_desc("cogtri", W, 0, spec.rho_choice, spec.twist_u)
     p = W.group.p
-    src = h1_procyclic(W.ring, block_shift(p, spec.inv_lower.nrows), p)
+    t = spec.inv_lower.nrows
+    src = QuotientPresentation(W.ring, p * t, augmentation_kernel(W.ring, p, t))
     tgt = h1_procyclic(W.ring, spec.twist, p)
-    inj, surj = tgt.map_verdicts(src.intertwined(spec.down_stack, tgt), src.rel)
+    inj, surj = tgt.map_verdicts(spec.down_stack, src.rel)
     dims = {"source_coker": src.dim, "target_coker": tgt.dim}
     verdicts = {"h1_injective": inj, "h1_bijective": inj and surj}
     return LemmaReport("cogtri", desc, verdicts=verdicts, dims=dims)
@@ -496,8 +501,6 @@ def sample_fixed_class(cc: ChainComplexData, rng: np.random.Generator) -> np.nda
     fixed, owner = fixed_classes(cc)
     N = cc.ring.modulus
     out = np.zeros(cc.dim0, dtype=np.int64)
-    if fixed.nrows == 0:
-        return out
     coeffs = rng.integers(0, N, size=fixed.nrows)
     out[cc.boundary_span().section_cols()] = (coeffs @ fixed.mat % N)[owner]
     # add a random boundary so the representative is not already reduced

@@ -24,15 +24,13 @@ from typing import Iterator
 import numpy as np
 
 from .exactalg import (
-    CanonicalBasis, RingSpec, howell_array, image_and_preimage, preimage_kernel, span_sum
+    CanonicalBasis, RingSpec, VerificationBug, howell_array, image_and_preimage, preimage_kernel, span_sum
 )
 from .grouprep import (
     GModule,
     QuotientPresentation,
-    _matpow,
-    block_shift,
+    augmentation_kernel,
     build_group,
-    coinvariants,
     direct_sum,
     generated_by_lower_invariants,
     generated_submodule,
@@ -54,8 +52,8 @@ class ComparisonPair:
     j-major, with j < p and i indexing the invariant basis inv.  mult
     sends (j, i) to inv[i] translated j times; the augmentation sends it
     to e_i (`augmentation_kernel`).  mult intertwines translation on the group
-    coordinate with the module action, exactly.  coin is the quotient of
-    W by its upper-unipotent coinvariant relations.
+    coordinate with the module action, exactly.  coin is H^1 of the upper
+    generator, the quotient of W by its upper-unipotent coinvariant relations.
     """
 
     W: GModule
@@ -71,33 +69,18 @@ class ComparisonPair:
     def t(self) -> int:
         return self.inv.nrows
 
-    def source_shift(self, u: int = 1) -> np.ndarray:
-        """Translation by upper_gen^u on the group coordinate of the source."""
-        return block_shift(self.p, self.t, u)
-
 
 def build_comparison(W: GModule) -> ComparisonPair:
     """The comparison pair of W; raises ValueError when W fails the hypotheses:
-    e = 1, and W generated by its lower-unipotent invariants."""
+    e = 1, W generated by its lower-unipotent invariants, and the upper
+    generator acting with p-power order."""
     if not W.ring.is_field:
         raise ValueError("requires e = 1")
-    group = W.group
-    p = group.p
+    p = W.group.p
+    upper = W.action(W.group.upper_gen)
     inv = generated_by_lower_invariants(W)
-    mult = translate_stack(W.ring, inv.mat, W.action(group.upper_gen), p)
-    return ComparisonPair(W, inv, coinvariants(W, [group.upper_gen]), mult)
-
-
-def augmentation_kernel(ring: RingSpec, p: int, t: int) -> CanonicalBasis:
-    """Kernel of the augmentation tile(I_t, (p, 1)), {x : sum_j x_(j,i) = 0}, in closed form (e = 1).
-
-    Its RREF basis is e_(j,i) - e_(p-1,i) for j < p - 1, that is
-    [I_((p-1)t) | (p-1) tile(I_t, (p-1, 1))], one unit pivot per row.
-    """
-    k = (p - 1) * t
-    last = (p - 1) * np.tile(np.eye(t, dtype=np.int64), (p - 1, 1))
-    mat = np.concatenate([np.eye(k, dtype=np.int64), last], axis=1)
-    return CanonicalBasis(ring, p * t, mat, tuple((i, 1) for i in range(k)))
+    mult = translate_stack(W.ring, inv.mat, upper, p)
+    return ComparisonPair(W, inv, h1_procyclic(W.ring, upper, p), mult)
 
 
 def _instance_desc(W: GModule) -> dict:
@@ -115,7 +98,6 @@ def check_comparison_map(em: ComparisonPair) -> LemmaReport:
     """All four sub-claims of the comparison-map statement, over k."""
     W = em.W
     ring = W.ring
-    group = W.group
     verdicts: dict[str, bool] = {}
     dims = {
         "rank": W.rank,
@@ -139,21 +121,15 @@ def check_comparison_map(em: ComparisonPair) -> LemmaReport:
     dims["ker_mult"] = ker_mult.nrows
     dims["ker_aug"] = ker_aug.nrows
 
-    p = group.p
-    ok_h1 = True
-    by_rels: dict[tuple[bytes, bytes], tuple[bool, bool]] = {}  # twists often share both relation spans
-    for u in range(1, p):
-        src = h1_procyclic(ring, em.source_shift(u), p)
-        tgt = h1_procyclic(ring, _matpow(W.action(group.upper_gen), u, ring.modulus), p)
-        f = src.intertwined(em.mult, tgt)
-        key = (src.rel.mat.tobytes(), tgt.rel.mat.tobytes())
-        if key not in by_rels:
-            by_rels[key] = tgt.map_verdicts(f, src.rel)
-        if not all(by_rels[key]):
-            ok_h1 = False
-            details["h1_failure_twist"] = u
-            break
-    verdicts["h1_bijective_all_twists"] = ok_h1
+    # block j + 1 of mult is block j times upper, wraparound included: mult
+    # sends s - 1, s the block shift of the source, to upper - 1, so the
+    # relations of the source H^1 (ker_aug, the row space of s - 1) into em.coin
+    upper = W.action(W.group.upper_gen)
+    if not np.array_equal(np.roll(em.mult, -em.t, axis=0), em.mult @ upper % ring.modulus):
+        raise VerificationBug("multiplication map is not equivariant")
+    # each twist u gives the same two quotients as u = 1 (see `h1_procyclic`),
+    # so one map decides every topological generator
+    verdicts["h1_bijective_all_twists"] = all(em.coin.map_verdicts(em.mult, ker_aug))
 
     verdicts["inv_to_coinv_bijective"] = all(em.coin.map_verdicts(em.inv.mat))
     dims["coinvariants"] = em.coin.dim

@@ -9,17 +9,22 @@ independently of the batched reduction `CanonicalBasis.quotients` that
 `RowSolver.solve_rows` reads.  `composition_length`
 drills a composition chain along fixed lines; its optional seed shuffles
 the lines, so tests can check that the length does not depend on the
-order in which they are tried.
+order in which they are tried.  `coinvariants` closes the images of
+h - 1 under the subgroup, independently of the single Howell form that
+`h1_procyclic` takes, and `block_shift` is the cyclic shift of the free
+carrier whose H^1 relations `augmentation_kernel` writes in closed form.
 """
 
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from treelab.exactalg import CanonicalBasis, RingSpec, RowSolver, _empty_basis, howell_array
+from treelab.exactalg import CanonicalBasis, RingSpec, RowSolver, _empty_basis, howell_array, span_closure
 from treelab.grouprep import (
+    Elem,
     GModule,
+    QuotientPresentation,
     _fixed_lines,
     generated_submodule,
     quotient_gmodule,
@@ -147,3 +152,20 @@ def composition_length(M: GModule, perm_seed: Optional[int] = None) -> int:
             Q = quotient_gmodule(M, sub)
             return composition_length(S, perm_seed) + composition_length(Q, perm_seed)
     return 1
+
+
+def coinvariants(M: GModule, subgroup: Sequence[Elem]) -> QuotientPresentation:
+    """Quotient by the span of all v (action(h) - 1), closed under the subgroup.
+
+    The span of the images of (h - 1) over a generating set, closed
+    under the subgroup action, equals the span over the full subgroup.
+    """
+    eye = np.eye(M.rank, dtype=np.int64)
+    ops = [M.action(h) for h in subgroup]
+    seed = [np.zeros((0, M.rank), dtype=np.int64)] + [(op - eye) % M.ring.modulus for op in ops]
+    return QuotientPresentation(M.ring, M.rank, span_closure(M.ring, np.concatenate(seed), ops))
+
+
+def block_shift(p: int, t: int, u: int = 1) -> np.ndarray:
+    """Cyclic shift of p blocks of size t: block j goes to block j + u mod p."""
+    return np.kron(np.roll(np.eye(p, dtype=np.int64), u, axis=1), np.eye(t, dtype=np.int64))

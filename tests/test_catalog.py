@@ -106,7 +106,13 @@ def test_loader_names_a_missing_field(path):
 
 @pytest.mark.parametrize(
     "path,bad,field",
-    [(("ring",), [2, 1], "ring"), (("modules",), {"trivial": 1}, "modules"), (("modules", 0, "generators"), 3, "generators")],
+    [
+        (("ring",), [2, 1], "ring"),
+        (("modules",), {"trivial": 1}, "modules"),
+        (("modules", 0, "generators"), 3, "generators"),
+        (("modules", 0, "kind"), ["sl2"], "kind"),
+        (("modules", 0, "kind"), {"sl2": 1}, "kind"),
+    ],
 )
 def test_loader_names_a_field_of_the_wrong_json_type(path, bad, field):
     doc = catalog_document(2, 1)

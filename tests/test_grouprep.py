@@ -11,7 +11,6 @@ from treelab.grouprep import (
     IDENT,
     QuotientPresentation,
     build_group,
-    coinvariants,
     decompose_jbar,
     direct_sum,
     elem_inv,
@@ -28,7 +27,7 @@ from treelab.grouprep import (
     trivial_module,
 )
 
-from oracles import composition_length
+from oracles import coinvariants, composition_length
 
 
 def enumerate_group_order(kind, p):

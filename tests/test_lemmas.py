@@ -7,10 +7,20 @@ import pytest
 
 from treelab.catalog import builtin_catalog, get_module
 from treelab import grouprep, lemmas
-from treelab.exactalg import RingSpec, howell_array, kernel_array, preimage_kernel, span_sum
+from treelab.exactalg import RingSpec, VerificationBug, howell_array, kernel_array, preimage_kernel, span_sum
 from treelab.grouprep import (
-    IDENT, QuotientPresentation, build_group, generated_submodule, invariants, jbar, trivial_module
+    IDENT,
+    GModule,
+    QuotientPresentation,
+    augmentation_kernel,
+    build_group,
+    generated_submodule,
+    h1_procyclic,
+    invariants,
+    jbar,
+    trivial_module,
 )
+from treelab.halftree import build_coeff_spec
 from treelab.lemmas import (
     InjectionInstance,
     SurjectionInstance,
@@ -28,6 +38,8 @@ from treelab.lemmas import (
 )
 from treelab.report import FAIL, PASS, REJECTED
 
+from oracles import block_shift, coinvariants
+
 
 def test_eta_on_trivial_module_equals_augmentation():
     grp = build_group("sl2", 3)
@@ -44,7 +56,7 @@ def test_augmentation_kernel_closed_form(p):
     ring = RingSpec(p, 1)
     for t in range(1, 6):
         aug = np.tile(np.eye(t, dtype=np.int64), (p, 1))
-        closed = lemmas.augmentation_kernel(ring, p, t)
+        closed = augmentation_kernel(ring, p, t)
         oracle = kernel_array(ring, aug)
         assert closed == oracle and closed.pivots == oracle.pivots
         assert not ((closed.mat @ aug) % p).any()
@@ -57,9 +69,46 @@ def test_eta_equivariance_exact():
         em = build_comparison(W)
         A = W.action(W.group.upper_gen)
         for u in (1, 2):
-            lhs = (em.source_shift(u) @ em.mult) % 3
+            lhs = (block_shift(em.p, em.t, u) @ em.mult) % 3
             rhs = (em.mult @ np.linalg.matrix_power(A, u)) % 3
             assert np.array_equal(lhs, rhs), W.name
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_twist_has_the_h1_of_the_generator(p):
+    # c^u - 1 and c - 1 have one row space for every unit u, on the module
+    # side (lemma21, and the cogtri twists twist_u = u) and on the free
+    # carrier, whose relations are the augmentation kernel
+    for W in builtin_catalog(p, 1) + list(random_modules(11, p, 3)):
+        em = build_comparison(W)
+        upper = W.action(W.group.upper_gen)
+        assert em.coin.rel == coinvariants(W, [W.group.upper_gen]).rel, W.name
+        ker_aug = augmentation_kernel(W.ring, p, em.t)
+        for u in range(1, p):
+            assert h1_procyclic(W.ring, np.linalg.matrix_power(upper, u) % p, p).rel == em.coin.rel, (W.name, u)
+            assert h1_procyclic(W.ring, build_coeff_spec(W, twist_u=u).twist, p).rel == em.coin.rel, (W.name, u)
+            assert h1_procyclic(W.ring, block_shift(p, em.t, u), p).rel == ker_aug, (W.name, u)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_comparison_map_refuses_a_multiplication_map_that_is_not_equivariant(p):
+    for name in ("steinberg", "jbar"):
+        em = build_comparison(get_module(p, 1, name))
+        blocks = em.mult.reshape(p, em.t, -1)
+        # translates by upper^-1, and p copies of the untranslated block
+        for bad in (blocks[::-1], np.broadcast_to(blocks[0], blocks.shape)):
+            with pytest.raises(VerificationBug, match="not equivariant"):
+                check_comparison_map(replace(em, mult=bad.reshape(em.mult.shape)))
+
+
+def test_lemma21_rejects_an_upper_action_that_is_not_of_p_power_order():
+    # upper acting by 2 on a line: generated by its lower invariants, but
+    # the H^1 of the upper generator is not defined
+    grp = build_group("sl2", 3)
+    W = GModule(grp, RingSpec(3, 1), {grp.upper_gen: np.array([[2]]), grp.lower_gen: np.array([[1]])}, "bad")
+    reports = lemma21_reports(W)
+    assert [r.status for r in reports] == [REJECTED, REJECTED]
+    assert "p-power order" in reports[0].details["reason"]
 
 
 def test_comparison_map_jbar_dimensions():
@@ -233,16 +282,15 @@ def test_lemma21_suite_decides_the_hypothesis_once_per_module(monkeypatch):
 
 def test_lemma21_suite_takes_the_coinvariants_once_per_module(monkeypatch):
     calls = []
-    original = lemmas.coinvariants
+    original = lemmas.h1_procyclic
 
-    def counted(W, subgroup):
-        calls.append(W.name)
-        return original(W, subgroup)
+    def counted(ring, operator, p):
+        calls.append(operator)
+        return original(ring, operator, p)
 
-    monkeypatch.setattr(lemmas, "coinvariants", counted)
+    monkeypatch.setattr(lemmas, "h1_procyclic", counted)
     reports = lemma21_suite(3, builtin_catalog(3, 1), seed=1, n_random=3)
     assert len(calls) == len(reports) // 2 == len(builtin_catalog(3, 1)) + 3
-    assert len(set(calls)) == len(calls)
 
 
 def test_invariant_surjectivity_takes_each_fixed_preimage_once(monkeypatch):
@@ -340,11 +388,13 @@ def test_comparison_map_takes_map_verdicts_once_per_pair_of_relation_spans(monke
     monkeypatch.setattr(QuotientPresentation, "map_verdicts", counted)
     monkeypatch.setattr(lemmas, "h1_procyclic", built)
     for W in builtin_catalog(5, 1):
+        em = build_comparison(W)
         calls.clear()
         h1.clear()
-        assert check_comparison_map(build_comparison(W)).status == PASS
-        assert len(h1) == 2 * 4, W.name  # both sides of every twist are still built and checked
-        assert len(calls) == 1, W.name  # all four twists share one pair of relation spans at p = 5
+        assert check_comparison_map(em).status == PASS
+        assert h1 == [], W.name  # every twist reads the H^1 that build_comparison took
+        # one H^1 map for all four twists, from the augmentation kernel to the coinvariants
+        assert calls == [(augmentation_kernel(W.ring, 5, em.t).mat.tobytes(), em.coin.rel.mat.tobytes())], W.name
 
 
 def test_random_streams_take_each_carrier_and_its_invariants_once(monkeypatch):
