@@ -398,6 +398,16 @@ def translate_stack(ring: RingSpec, rows: np.ndarray, op: np.ndarray, count: int
     return np.concatenate(blocks, axis=0)
 
 
+def translates_equivariantly(ring: RingSpec, stack: np.ndarray, op: np.ndarray, t: int) -> bool:
+    """Whether block j + 1 of the stack (blocks of t rows) is block j times op, wraparound included.
+
+    This is the statement that the stack carries the cyclic shift of its
+    blocks to op, so it sends the relations of H^1 of that shift into those
+    of H^1 of op.
+    """
+    return np.array_equal(np.roll(stack, -t, axis=0), stack @ op % ring.modulus)
+
+
 def augmentation_kernel(ring: RingSpec, p: int, t: int) -> CanonicalBasis:
     """Kernel of the augmentation tile(I_t, (p, 1)), {x : sum_j x_(j,i) = 0}, in closed form (e = 1).
 

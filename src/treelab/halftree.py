@@ -34,7 +34,6 @@ from .exactalg import (
 from .grouprep import (
     Elem,
     GModule,
-    QuotientPresentation,
     _matpow,
     augmentation_kernel,
     generated_by_lower_invariants,
@@ -42,6 +41,7 @@ from .grouprep import (
     invariants,
     primitive_root,
     translate_stack,
+    translates_equivariantly,
 )
 from .report import LemmaReport, rejected, timed
 
@@ -114,7 +114,7 @@ def build_coeff_spec(W: GModule, rho_choice: str = "w0", twist_u: int = 1) -> Co
     down_stack = translate_stack(ring, inv_lower.mat, twist, p)
     # the boundary is equivariant iff the generator moves child block j to
     # block j + 1 (the twist on wraparound included) and fixes the gluing
-    shifts = np.array_equal(np.roll(down_stack, -inv_lower.nrows, axis=0), down_stack @ twist % N)
+    shifts = translates_equivariantly(ring, down_stack, twist, inv_lower.nrows)
     if not (shifts and np.array_equal(rho @ twist % N, rho)):
         raise VerificationBug("boundary map is not equivariant")
     # the gluing image must be exactly the stabilizer-fixed subspace of the
@@ -454,10 +454,10 @@ def check_cogtri_hypothesis(spec: CoeffSystemSpec) -> LemmaReport:
     desc = _tree_desc("cogtri", W, 0, spec.rho_choice, spec.twist_u)
     p = W.group.p
     t = spec.inv_lower.nrows
-    src = QuotientPresentation(W.ring, p * t, augmentation_kernel(W.ring, p, t))
     tgt = h1_procyclic(W.ring, spec.twist, p)
-    inj, surj = tgt.map_verdicts(spec.down_stack, src.rel)
-    dims = {"source_coker": src.dim, "target_coker": tgt.dim}
+    inj, surj = tgt.map_verdicts(spec.down_stack, augmentation_kernel(W.ring, p, t))
+    # coker of the augmentation kernel in p * t coordinates has dimension t
+    dims = {"source_coker": t, "target_coker": tgt.dim}
     verdicts = {"h1_injective": inj, "h1_bijective": inj and surj}
     return LemmaReport("cogtri", desc, verdicts=verdicts, dims=dims)
 

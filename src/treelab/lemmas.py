@@ -39,6 +39,7 @@ from .grouprep import (
     jbar,
     quotient_gmodule,
     translate_stack,
+    translates_equivariantly,
 )
 from .report import LemmaReport, rejected, timed
 
@@ -121,11 +122,10 @@ def check_comparison_map(em: ComparisonPair) -> LemmaReport:
     dims["ker_mult"] = ker_mult.nrows
     dims["ker_aug"] = ker_aug.nrows
 
-    # block j + 1 of mult is block j times upper, wraparound included: mult
-    # sends s - 1, s the block shift of the source, to upper - 1, so the
-    # relations of the source H^1 (ker_aug, the row space of s - 1) into em.coin
+    # mult carries the block shift s of the source to upper, so it sends
+    # ker_aug, the row space of s - 1, into the relations of em.coin
     upper = W.action(W.group.upper_gen)
-    if not np.array_equal(np.roll(em.mult, -em.t, axis=0), em.mult @ upper % ring.modulus):
+    if not translates_equivariantly(ring, em.mult, upper, em.t):
         raise VerificationBug("multiplication map is not equivariant")
     # each twist u gives the same two quotients as u = 1 (see `h1_procyclic`),
     # so one map decides every topological generator

@@ -281,16 +281,23 @@ def test_lemma21_suite_decides_the_hypothesis_once_per_module(monkeypatch):
 
 
 def test_lemma21_suite_takes_the_coinvariants_once_per_module(monkeypatch):
-    calls = []
-    original = lemmas.h1_procyclic
+    # each h1_procyclic call is tagged with the module being built
+    calls, building = [], []
+    original_build, original_h1 = lemmas.build_comparison, lemmas.h1_procyclic
+
+    def tagged_build(W):
+        building.append(W.name)
+        return original_build(W)
 
     def counted(ring, operator, p):
-        calls.append(operator)
-        return original(ring, operator, p)
+        calls.append(building[-1])
+        return original_h1(ring, operator, p)
 
+    monkeypatch.setattr(lemmas, "build_comparison", tagged_build)
     monkeypatch.setattr(lemmas, "h1_procyclic", counted)
     reports = lemma21_suite(3, builtin_catalog(3, 1), seed=1, n_random=3)
     assert len(calls) == len(reports) // 2 == len(builtin_catalog(3, 1)) + 3
+    assert len(set(calls)) == len(calls)
 
 
 def test_invariant_surjectivity_takes_each_fixed_preimage_once(monkeypatch):
