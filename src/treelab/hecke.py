@@ -30,6 +30,7 @@ from .exactalg import (
     VerificationBug,
     howell_array,
     image_and_preimage,
+    kernel_array,
     span_closure,
     span_sum,
     split_test,
@@ -423,7 +424,8 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
     module map.  Small instances go through the generic dense
     split_test; larger ones solve the equivalent generator-relation
     system one central torus block of the algebra at a time, at every e
-    (ten blocks at p = 5, of at most 100 x 180).  Any section found is
+    (ten blocks at p = 5; each one kernel of at most 20 x 24 and one
+    system of at most 60 x 60).  Any section found is
     re-verified by the exact section and intertwining identities.
     `method` forces one route ("split_test" or "presentation"); the two
     must agree wherever both run.
@@ -455,7 +457,8 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
         if not np.array_equal((section @ P) % N, np.eye(n, dtype=np.int64)):
             raise VerificationBug("section identity fails")
         for u in alg.gens:
-            lhs = ((alg.dc_table == u) @ section) % N
+            idx, val = _nonzeros(alg.dc_table == u)
+            lhs = (val[..., None] * section[idx]).sum(axis=1) % N  # (dc_table == u) @ section
             rhs = (section.reshape(n, r, d) @ alg.struct[u]).reshape(n, -1) % N  # section @ kron(I_r, L_u)
             if not np.array_equal(lhs, rhs):
                 raise VerificationBug("section is not a module map")
@@ -499,13 +502,23 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
     same solutions as all of ker P, since the relation for a.q is a times
     the one for q.  A central idempotent e_O splits the system: the parts
     y^O in e_O H solve it with right-hand side e_O x_k, and they add up to
-    the solutions.  In block O the unknowns are coordinates on the Howell
-    basis of e_O H, and an equation whose sides lie in e_O H (or e_O J)
-    is kept at the pivot columns of its Howell form, which decide it.
+    the solutions.  In block O the unknowns are coordinates a[k, j] on the
+    Howell basis of e_O H (y_k^j = a[k, j] @ B), and an equation whose
+    sides lie in e_O H (or e_O J) is kept at the pivot columns of its
+    Howell form, which decide it.  Component j of the relations reads
+    only a[:, j], through one matrix X, and the section equations of y_k
+    read only a[k], through one matrix Y: so each a[:, j] is a
+    combination lambda_j of the rows Z of ker X, and the system is
+    lambda @ M = rhs with M[(j, t), (k, c)] = sum_beta Z[t, k, beta] Y[(j, beta), c].
     The returned y is the canonical residue of the summed solution modulo
-    the summed kernels, the kernel of the whole system: it depends on no
-    elimination order, and at e = 1 it is what one RowSolver on the whole
-    system returns.
+    the summed kernel W, the kernel of the whole system: it depends only
+    on the solution set, and at e = 1 it is what one RowSolver on the
+    whole system returns.  It is reduced one (k, j) slot s at a time, in
+    order.  Every slot of W_O lies in e_O H and H is the direct sum of
+    the e_O H, so the vectors of W that vanish before s are the sums of
+    those of each W_O, which its Howell rows leading at s or later span.
+    The Howell form of their parts in slot s is unique, and so is the
+    residue reduced at its pivots.
     """
     ring = alg.ring
     N = ring.modulus
@@ -518,31 +531,36 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
     # Lq[g, k] = L(q_k) for relation generator g, where L(c) = sum_u c_u struct[u] is x -> c * x
     Lq = np.tensordot(K[rel_gens].reshape(-1, r, d), alg.struct, axes=1) % N
     Pj = P.reshape(r, d, n)  # Pj[j] sends c in H to c . x_j
-    eye_r = np.eye(r, dtype=np.int64)
-    particular = np.zeros(r * r * d, dtype=np.int64)
-    kernels: list[np.ndarray] = []
+    y = np.zeros(r * r * d, dtype=np.int64)  # the summed solution, in (k, j, coefficient) order
+    kernels = []  # per block: B, its kernel's Howell rows as (row, slot, beta), and their leading slots
     for e_O in torus_blocks(alg):
         B = howell_array(ring, np.tensordot(e_O, alg.struct, axes=1) % N)  # rows e_O T_v span e_O H
         BP = np.einsum("bv,jvx->jbx", B.mat, Pj) % N  # the rows B @ P_j span e_O J
         hcols = [c for c, _ in B.pivots]
         jcols = [c for c, _ in howell_array(ring, BP.reshape(-1, n)).pivots]
         b = B.nrows
-        # unknowns a[k, j, beta] with y_k^j = a[k, j] @ B; relation column (g, j', c)
-        # reads component j' of sum_k q_k . y_k, section column (k', c) reads y_k' @ P
-        rel = np.einsum("bv,gkvc,jJ->kjbgJc", B.mat, Lq[..., hcols], eye_r).reshape(r * r * b, -1)
-        sect = np.einsum("jbc,kK->kjbKc", BP[..., jcols], eye_r).reshape(r * r * b, -1)
-        solver = RowSolver(ring, np.concatenate([rel, sect], axis=1))
-        rhs = np.zeros(rel.shape[1] + sect.shape[1], dtype=np.int64)
+        # relation column (g, j, c) of sum_k q_k . y_k is a[:, j] @ X, section column (k, c) of y_k @ P is a[k] @ Y
+        X = np.einsum("bv,gkvc->kbgc", B.mat, Lq[..., hcols]).reshape(r * b, -1) % N
+        Z = kernel_array(ring, X).mat.reshape(-1, r, b)
+        M = np.einsum("tkb,jbc->jtkc", Z, BP[..., jcols]).reshape(r * len(Z), -1) % N
+        solver = RowSolver(ring, M)
         # e_O x_k is row x_k of the operator of e_O, at the pivot columns
-        rhs[rel.shape[1] :] = alg.left_action(e_O)[chosen][:, jcols].reshape(-1)
-        a = solver.solve(rhs)
-        if a is None:
+        lam = solver.solve(alg.left_action(e_O)[chosen][:, jcols].reshape(-1))
+        if lam is None:
             return None
-        # rows a -> y[k, j] = a[k, j] @ B, flattened in (k, j, coefficient) order
-        Y = np.vstack([a, solver.kernel.mat]).reshape(-1, r, r, b) @ B.mat % N
-        particular = (particular + Y[0].reshape(-1)) % N
-        kernels.append(Y[1:].reshape(-1, r * r * d))
-    y = howell_array(ring, np.concatenate(kernels)).reduce(particular)
+        # rows lambda -> a[k, j] = lambda_j @ Z[:, k]
+        a = np.einsum("ijt,tkb->ikjb", np.vstack([lam, solver.kernel.mat]).reshape(-1, r, len(Z)), Z) % N
+        y = (y + (a[0] @ B.mat).reshape(-1)) % N
+        ker = howell_array(ring, a[1:].reshape(-1, r * r * b))
+        kernels.append((B.mat, ker.mat.reshape(-1, r * r, b), np.array([c // b for c, _ in ker.pivots], dtype=int)))
+    for s in range(r * r):
+        # the kernel rows leading at s, mapped to y from slot s on, are eliminated at slot s
+        # beside the identity, which records each pivot row there as a combination of them
+        rows = np.concatenate([(A[lead == s, s:] @ Bm).reshape(-1, (r * r - s) * d) for Bm, A, lead in kernels]) % N
+        H = howell_array(ring, np.concatenate([rows[:, :d], np.eye(len(rows), dtype=np.int64)], axis=1))
+        k = sum(c < d for c, _ in H.pivots)
+        _, Q = CanonicalBasis(ring, d, H.mat[:k, :d], H.pivots[:k]).quotients(y[s * d : (s + 1) * d])
+        y[s * d :] = (y[s * d :] - (Q @ H.mat[:k, d:] % N) @ rows) % N
     # the section on J through deterministic preimages: row j is
     # sum_k z_jk . y_k, and row (k, w) of acted is T_w . y_k
     acted = (y.reshape(r, 1, r, d) @ alg.struct).reshape(r * d, r * d) % N

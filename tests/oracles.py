@@ -13,6 +13,10 @@ order in which they are tried.  `coinvariants` closes the images of
 h - 1 under the subgroup, independently of the single Howell form that
 `h1_procyclic` takes, and `block_shift` is the cyclic shift of the free
 carrier whose H^1 relations `augmentation_kernel` writes in closed form.
+`stacked_kernel_residue` solves each torus block of the flatness system
+as one generic system and reduces the summed solution modulo the Howell
+form of all block kernels stacked, independently of the Kronecker solve
+and the slot-by-slot reduction of `hecke._section_via_presentation`.
 """
 
 from math import gcd
@@ -30,6 +34,7 @@ from treelab.grouprep import (
     quotient_gmodule,
     submodule_gmodule,
 )
+from treelab.hecke import HeckeAlgebra, _free_orbit, _module_generators, torus_blocks
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -169,3 +174,44 @@ def coinvariants(M: GModule, subgroup: Sequence[Elem]) -> QuotientPresentation:
 def block_shift(p: int, t: int, u: int = 1) -> np.ndarray:
     """Cyclic shift of p blocks of size t: block j goes to block j + u mod p."""
     return np.kron(np.roll(np.eye(p, dtype=np.int64), u, axis=1), np.eye(t, dtype=np.int64))
+
+
+def stacked_kernel_residue(alg: HeckeAlgebra, chosen: list[int], P: np.ndarray) -> Optional[np.ndarray]:
+    """The flatness section's unknowns y, in (k, j, coefficient) order, or None.
+
+    Per torus block e_O, one RowSolver on the whole block system: unknowns
+    a[k, j, beta] with y_k^j = a[k, j] @ B (B the Howell basis of e_O H),
+    relation columns (g, j', c) of sum_k q_k . y_k and section columns
+    (k', c) of y_k' @ P at the pivot columns of e_O H and e_O J.  y is the
+    summed solution reduced modulo the Howell form of the stacked kernels.
+    """
+    ring = alg.ring
+    N = ring.modulus
+    n = len(alg.dc_table)
+    d = alg.dim
+    r = len(chosen)
+    K = RowSolver(ring, P).kernel.mat
+    rel_gens, _ = _module_generators(ring, K, _free_orbit(alg.struct, r))
+    Lq = np.tensordot(K[rel_gens].reshape(-1, r, d), alg.struct, axes=1) % N
+    Pj = P.reshape(r, d, n)
+    eye_r = np.eye(r, dtype=np.int64)
+    particular = np.zeros(r * r * d, dtype=np.int64)
+    kernels: list[np.ndarray] = []
+    for e_O in torus_blocks(alg):
+        B = howell_array(ring, np.tensordot(e_O, alg.struct, axes=1) % N)
+        BP = np.einsum("bv,jvx->jbx", B.mat, Pj) % N
+        hcols = [c for c, _ in B.pivots]
+        jcols = [c for c, _ in howell_array(ring, BP.reshape(-1, n)).pivots]
+        b = B.nrows
+        rel = np.einsum("bv,gkvc,jJ->kjbgJc", B.mat, Lq[..., hcols], eye_r).reshape(r * r * b, -1)
+        sect = np.einsum("jbc,kK->kjbKc", BP[..., jcols], eye_r).reshape(r * r * b, -1)
+        solver = RowSolver(ring, np.concatenate([rel, sect], axis=1))
+        rhs = np.zeros(rel.shape[1] + sect.shape[1], dtype=np.int64)
+        rhs[rel.shape[1] :] = alg.left_action(e_O)[chosen][:, jcols].reshape(-1)
+        a = solver.solve(rhs)
+        if a is None:
+            return None
+        Y = np.vstack([a, solver.kernel.mat]).reshape(-1, r, r, b) @ B.mat % N
+        particular = (particular + Y[0].reshape(-1)) % N
+        kernels.append(Y[1:].reshape(-1, r * r * d))
+    return howell_array(ring, np.concatenate(kernels)).reduce(particular)

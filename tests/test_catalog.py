@@ -124,6 +124,14 @@ def test_loader_names_a_field_of_the_wrong_json_type(path, bad, field):
         load_catalog(doc)
 
 
+def test_loader_names_an_unknown_module_kind():
+    # a string kind passes the type check and reaches build_group, which refuses it
+    doc = catalog_document(2, 1)
+    doc["modules"][0]["kind"] = "sp4"
+    with pytest.raises(ValueError, match="unknown group kind 'sp4'"):
+        load_catalog(doc)
+
+
 def test_loader_rejects_a_document_that_is_not_an_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text(json.dumps([catalog_document(2, 1)]))

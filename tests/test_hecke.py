@@ -33,6 +33,8 @@ from treelab.hecke import (
 )
 from treelab.report import FAIL, PASS, RECORDED
 
+from oracles import stacked_kernel_residue
+
 
 def double_cosets_oracle(p):
     """Count orbits of the two-sided unipotent translation directly."""
@@ -649,28 +651,39 @@ def test_torus_blocks_raise_on_a_non_central_block(monkeypatch):
 
 
 def test_flatness_presentation_relations_by_module_generators(monkeypatch):
-    # one RowSolver on P (r.d x n = 160 x 96), then one per central torus
-    # block: r^2.b unknowns against the relations of the 6 module generators
-    # of ker P (6 r b columns) and the section equations (r c columns), where
-    # b = 4 or 2 and c = 12 or 6 are the ranks of e_O H and e_O J.  With all
-    # 64 kernel rows as relations a 4-block would have 64 r b + r c = 1340
-    # columns; the dense route solved one 480 x 480 section system
+    # one RowSolver on P (r.d x n = 160 x 96), then per central torus block
+    # one kernel of X, r.b rows against the relations of the 6 module
+    # generators of ker P (6 b columns), and one RowSolver on M, r.t rows
+    # against the section equations (r c columns), where b = 4 or 2 and
+    # c = 12 or 6 are the ranks of e_O H and e_O J, and t = r b - rank X = 12
+    # or 6.  With all 64 kernel rows as relations X would have 64 b columns;
+    # one generic solve per block eliminated r^2.b = 100 x 180 (50 x 90) and
+    # the dense route one 480 x 480 section system
     solver_shapes = []
+    kernel_shapes = []
     original_init = exactalg.RowSolver.__init__
+    original_kernel = hecke.kernel_array
 
     def recorded_init(self, ring, A):
         solver_shapes.append(np.shape(A))
         original_init(self, ring, A)
 
+    def recorded_kernel(ring, A):
+        kernel_shapes.append(np.shape(A))
+        return original_kernel(ring, A)
+
     monkeypatch.setattr(exactalg.RowSolver, "__init__", recorded_init)
+    monkeypatch.setattr(hecke, "kernel_array", recorded_kernel)
     rep = check_flatness(5, 1, "presentation")
     assert rep.verdicts["flat"] is True
-    assert sorted(solver_shapes) == sorted([(160, 96)] + [(100, 6 * 5 * 4 + 5 * 12)] * 6 + [(50, 6 * 5 * 2 + 5 * 6)] * 4)
+    assert sorted(solver_shapes) == sorted([(160, 96)] + [(5 * 12, 5 * 12)] * 6 + [(5 * 6, 5 * 6)] * 4)
+    assert sorted(kernel_shapes) == sorted([(5 * 4, 6 * 4)] * 6 + [(5 * 2, 6 * 2)] * 4)
 
 
-def test_flatness_at_p5_traces_at_most_6_mb():
+def test_flatness_at_p5_traces_at_most_3_mb():
     # the dense route held 32 block-diagonal 160 x 160 operators and
-    # eliminated one 480 x 960 system: a 16-18 MB traced peak
+    # eliminated one 480 x 960 system: a 16-18 MB traced peak; the Howell
+    # form of the stacked 160 x 800 block kernels peaked at 4.4-4.6 MiB
     build_hecke(5, 1)
     tracemalloc.start()
     try:
@@ -678,7 +691,7 @@ def test_flatness_at_p5_traces_at_most_6_mb():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 2**20
+    assert peak <= 3 * 2**20
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
@@ -766,6 +779,22 @@ def test_block_section_against_dense_oracle(p, e):
     assert np.array_equal(section, section_from_unknowns(alg, P, residue))
     if e == 1 or p <= 3:
         assert np.array_equal(raw, residue)
+
+
+@pytest.mark.parametrize(
+    "p,e", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+)
+def test_slot_residue_against_stacked_kernel_oracle(p, e):
+    # reduced one (k, j) slot at a time after the Kronecker block solves, y
+    # is the residue modulo the Howell form of the stacked block kernels;
+    # the section sends x_k to y_k
+    alg = build_hecke(p, e)
+    n = len(alg.dc_table)
+    chosen, P = hecke._module_generators(alg.ring, np.eye(n, dtype=np.int64), alg.orbit)
+    y = stacked_kernel_residue(alg, chosen, P)
+    section = hecke._section_via_presentation(alg, chosen, P)
+    assert np.array_equal(section[chosen], y.reshape(len(chosen), -1))
+    assert np.array_equal(section, section_from_unknowns(alg, P, y))
 
 
 def test_flatness_e2_recorded():
