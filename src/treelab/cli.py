@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import builtin_catalog, emit_catalog, select_modules
-from .exactalg import MAX_E, SUPPORTED_PRIMES
+from .exactalg import RingSpec
 from .grouprep import GModule
 from .halftree import (
     build_complex,
@@ -33,7 +33,7 @@ from .halftree import (
     sample_fixed_class,
     tree_reports,
 )
-from .hecke import HECKE_CHECKS, HECKE_PRIMES, hecke_suite
+from .hecke import HECKE_CHECKS, hecke_suite
 from .lemmas import lemma21_suite, lemma22_suite
 from .report import FAIL, PASS, LemmaReport, aggregate_status
 
@@ -83,15 +83,10 @@ class RunConfig:
         if self.command not in READS:
             raise ValueError(f"unknown command {self.command!r}")
         reads = READS[self.command]
-        if self.command == "all" and self.p not in HECKE_PRIMES:
-            reads = tuple(f for f in reads if f != "checks")  # no Hecke suite runs
         for field, flag in FLAGS.items():
             if field not in reads and getattr(self, field) != getattr(RunConfig, field):
-                raise ValueError(f"{self.command} --p {self.p} does not read {flag}")
-        if self.p not in SUPPORTED_PRIMES:
-            raise ValueError(f"p must be one of {SUPPORTED_PRIMES}")
-        if not 1 <= self.e <= MAX_E:
-            raise ValueError(f"e must lie in 1..{MAX_E}")
+                raise ValueError(f"{self.command} does not read {flag}")
+        RingSpec(self.p, self.e)  # refuses an unsupported p or e
         if self.command in FIELD_ONLY and self.e != 1:
             raise ValueError(f"{self.command} runs over F_p only: e must be 1")
         if not 1 <= self.depth <= MAX_DEPTH:
@@ -159,14 +154,12 @@ def run_suite(cfg: RunConfig) -> dict:
     elif cfg.command == "hecke":
         reports = hecke_suite(cfg.p, cfg.e, checks, seed, cfg.n_random)
     elif cfg.command == "all":
-        tasks = [
-            lambda: lemma21_suite(cfg.p, mods, seed, cfg.n_random),
-            lambda: lemma22_suite(cfg.p, cfg.e, seed, cfg.n_random),
-            lambda: _tree_reports(cfg, mods, ("corrpro", "presentation", "cogtri")),
+        reports = [
+            *lemma21_suite(cfg.p, mods, seed, cfg.n_random),
+            *lemma22_suite(cfg.p, cfg.e, seed, cfg.n_random),
+            *_tree_reports(cfg, mods, ("corrpro", "presentation", "cogtri")),
+            *hecke_suite(cfg.p, cfg.e, checks, seed, min(cfg.n_random, 5)),
         ]
-        if cfg.p in HECKE_PRIMES:
-            tasks.append(lambda: hecke_suite(cfg.p, cfg.e, checks, seed, min(cfg.n_random, 5)))
-        reports = [r for f in tasks for r in f()]
     else:
         raise ValueError(f"unknown command {cfg.command!r}")
     return {

@@ -21,7 +21,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .exactalg import (
-    SUPPORTED_PRIMES,
     CanonicalBasis,
     RingSpec,
     VerificationBug,
@@ -99,8 +98,7 @@ def build_group(kind: str, p: int) -> GroupData:
     """
     if kind not in ("sl2", "gl2"):
         raise ValueError(f"unknown group kind {kind!r}")
-    if p not in SUPPORTED_PRIMES:
-        raise ValueError(f"unsupported p = {p}")
+    RingSpec(p)  # refuses a prime it does not support
     elements = []
     for a in range(p):
         for b in range(p):

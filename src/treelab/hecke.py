@@ -93,7 +93,6 @@ class HeckeAlgebra:
         return span.span_log_size() == self.ring.e * self.dim
 
 
-HECKE_PRIMES = (2, 3, 5)
 HECKE_CHECKS = ("dim", "assoc", "vytastra", "flatness")
 
 
@@ -108,8 +107,6 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
     exactly one x, the coset of rep_j * rep_i^-1: T_w has a one at (i, j)
     when that x lies in w, which is the double-coset table.
     """
-    if p not in HECKE_PRIMES:
-        raise ValueError(f"supported primes for the Hecke algebra: {', '.join(map(str, HECKE_PRIMES))}")
     ring = RingSpec(p, e)
     N = ring.modulus
     group = build_group("gl2", p)

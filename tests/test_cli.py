@@ -126,6 +126,13 @@ def test_hecke_cli_subset_of_checks(capsys):
     assert lemmas == {"hecke_dim", "jbar_star_invariants", "hecke_assoc"}
 
 
+def test_all_runs_the_hecke_suite_at_p7(capsys):
+    code = main(["verify", "all", "--p", "7", "--depth", "1", "--seed", "1", "--check", "dim"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["lemma"] for r in doc["reports"]][-2:] == ["hecke_dim", "jbar_star_invariants"]
+
+
 def test_parser_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["verify", "bogus", "--p", "2"])
@@ -148,7 +155,7 @@ def test_parser_rejects_unknown_suite():
         ["verify", "presentation", "--p", "3", "--depth", "2", "--check", "dim"],
         ["verify", "corrpro", "--p", "3", "--depth", "2", "--module", "jbar", "--seed", "5"],
         ["verify", "lemma21", "--p", "3", "--seed", "1", "--jobs", "2"],
-        ["verify", "all", "--p", "7", "--depth", "1", "--seed", "1", "--check", "dim"],
+        ["verify", "hecke", "--p", "11", "--check", "dim"],
         ["verify", "hecke", "--p", "3", "--check", "nope"],
         ["verify", "hecke", "--p", "3", "--check", "dim,dimm"],
         ["verify", "all", "--p", "2", "--depth", "1", "--seed", "1", "--check", ","],
@@ -159,7 +166,7 @@ def test_parser_rejects_unknown_suite():
         ["reduce", "--p", "3", "--depth", "2", "--seed", "1", "--count", "-5"],
         ["catalog", "list", "--p", "7", "--e", "4"],
         ["catalog", "emit", "--p", "7", "--e", "30"],
-        ["verify", "hecke", "--p", "7", "--check", "dim"],
+        ["verify", "cogtri", "--p", "0"],
     ],
 )
 def test_ignored_or_invalid_flags_are_usage_errors(argv):

@@ -52,9 +52,12 @@ VERIFY = {
     "hecke --p 2 --e 2": "eebb1d8c426323fe78193d389100f1864a1cf73e8f3530ccc7779d7a02039912",
     "lemma22 --p 3 --e 3 --seed 7 --random 5": "25dd4fafbfa55c45435b5dc5bcae2517d25b7af1b8e0155be9261246f80afe25",
     "corrpro --p 3 --depth 4 --rho twist:1 --twist 2": "fbc2999d3e11c9f500736c5988749e7570f12fb9534201685d8b13459cda1aae",
-    # a 1240 x 3744 boundary and the largest flatness section system (480 x 480) in tier-1
+    # a 1240 x 3744 boundary, and the flatness section from six 60 x 60 and four 30 x 30 block systems
     "corrpro --p 5 --depth 3": "feca2083912737f7f9cfd9c285e0f804271248e8301a55e3207cfee4247dab17",
     "hecke --p 5": "8d456c67e683050bad6fc01be7fc9c925c2c10ae06d1dde23fd28b8007bee489",
+    # the largest Hecke algebra: 72 double cosets on 288 cosets, a section from
+    # fifteen 112 x 112 and six 56 x 56 block systems, two random modules
+    "hecke --p 7 --seed 7 --random 2": "0b39e190b31771aaef6ea49ec62a9f4ce2a898e5cd33bb9ee7b9ca1980185ab4",
     # the large end: a 4788 x 19200 boundary, reduced through the tree basis only
     "corrpro --p 7 --depth 3 --module jbar": "0fa8a72df665418b032f73eb4bd6ab254deb1cab70fde38726b404eca1ffcaad",
     "presentation --p 7 --depth 3 --module jbar": "6628a21b4c446b408112c6c505a09dbd528d83ffc23c8d2b6eee8c69088f94d3",

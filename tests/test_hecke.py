@@ -162,14 +162,13 @@ def test_table_build_against_loop_oracle(p, e):
     assert_matches_loop_oracle(build_hecke(p, e), p, e)
 
 
-def test_table_build_against_loop_oracle_at_p7(monkeypatch):
-    # p = 7 stays refused: the build, its laws and its verification run once,
-    # uncached.  With the group cached, a build that kept the dense
-    # (d, n, n) operator stack retained 52.9 MiB and peaked at 83.6 MiB;
-    # the (n, n) double-coset table retains 7.9 MiB and peaked at 38.6 MiB
+def test_table_build_against_loop_oracle_at_p7():
+    # the build, its laws and its verification run once, uncached.  With
+    # the group cached, a build that kept the dense (d, n, n) operator
+    # stack retained 52.9 MiB and peaked at 83.6 MiB; the (n, n)
+    # double-coset table retains 7.9 MiB and peaked at 38.6 MiB
     # while the (d, d, n) composite image stayed alive through the laws,
     # 32.8 MiB once it is freed before them
-    monkeypatch.setattr(hecke, "HECKE_PRIMES", (*hecke.HECKE_PRIMES, 7))
     cached = build_hecke.cache_info().currsize
     tracemalloc.start()
     try:
@@ -201,12 +200,26 @@ def test_build_raises_when_right_translation_does_not_permute_the_cosets(monkeyp
         build_hecke.__wrapped__(3)
 
 
-def test_refusal_names_the_supported_primes(monkeypatch):
-    with pytest.raises(ValueError, match=r"Hecke algebra: 2, 3, 5$"):
-        build_hecke.__wrapped__(7)
-    monkeypatch.setattr(hecke, "HECKE_PRIMES", (2, 3))
-    with pytest.raises(ValueError, match=r"Hecke algebra: 2, 3$"):
-        build_hecke.__wrapped__(5)
+@pytest.mark.parametrize(
+    "upper_gen,match",
+    [
+        # each coset is its own orbit: 16 cosets of GL2(F_3), not 2(p-1)^2 = 8
+        (IDENT, r"double coset count 16 != 2\(p-1\)\^2"),
+        # right translation by U^- gives the right count, but its orbits are no U double cosets
+        ((1, 0, 1, 1), "composite image is not double-coset invariant"),
+    ],
+    ids=["identity", "lower_gen"],
+)
+def test_build_raises_on_orbits_of_a_wrong_upper_generator(monkeypatch, upper_gen, match):
+    group = replace(build_group("gl2", 3), upper_gen=upper_gen)
+    monkeypatch.setattr(hecke, "build_group", lambda kind, p: group)
+    with pytest.raises(VerificationBug, match=match):
+        build_hecke.__wrapped__(3)
+
+
+def test_refusal_names_the_supported_primes():
+    with pytest.raises(ValueError, match=r"supported: \(2, 3, 5, 7\)$"):
+        build_hecke.__wrapped__(11)
 
 
 @pytest.mark.parametrize("p,gens", [(2, (0,)), (3, (1, 5, 6)), (5, (3, 17, 20))])
@@ -409,7 +422,7 @@ def test_check_assoc_fails_on_the_laws_of_a_bumped_tensor(monkeypatch, where):
 
 def test_unsupported_prime():
     with pytest.raises(ValueError):
-        build_hecke(7, 1)
+        build_hecke(11, 1)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (3, 2)])
@@ -692,6 +705,21 @@ def test_flatness_at_p5_traces_at_most_3_mb():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20
+
+
+def test_vytastra_and_flatness_at_p7_trace_at_most_24_mib():
+    # the largest algebra of the envelope, built outside the trace under the
+    # cache key the suite reads (build_hecke(7) would be another key); the
+    # flatness check peaks at 18.5 MiB, so a doubling fails
+    build_hecke(7, 1)
+    tracemalloc.start()
+    try:
+        reports = hecke_suite(7, 1, checks=("vytastra", "flatness"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in reports] == [PASS, PASS]
+    assert peak <= 24 * 2**20
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
