@@ -55,6 +55,13 @@ VERIFY = {
     # a 1240 x 3744 boundary, and the flatness section from six 60 x 60 and four 30 x 30 block systems
     "corrpro --p 5 --depth 3": "feca2083912737f7f9cfd9c285e0f804271248e8301a55e3207cfee4247dab17",
     "hecke --p 5": "8d456c67e683050bad6fc01be7fc9c925c2c10ae06d1dde23fd28b8007bee489",
+    # the benchmark's Hecke run: five random modules through both tensor
+    # presentations, the rank-2 modules by the balancing one
+    "hecke --p 5 --seed 7 --random 5": "bb468f5bcd2c2e8ef7a0b724cad87ce01ebe062507357fe5c4ef86b0b8aad027",
+    # the held-out benchmark seed: five random modules through the generators presentation
+    "hecke --p 5 --seed 1009 --random 5": "226e0ee5ddc4bc7a9cd0e28a89af7929848970a0949f92647323208022059f70",
+    # the tensor functor and flatness over Z/125, recorded as data
+    "hecke --p 5 --e 3": "21adfdb2952a1f2e46aa87096d7c54719c8ef4dbdab857cd7767afb2b6010750",
     # the largest Hecke algebra: 72 double cosets on 288 cosets, a section from
     # fifteen 112 x 112 and six 56 x 56 block systems, two random modules
     "hecke --p 7 --seed 7 --random 2": "0b39e190b31771aaef6ea49ec62a9f4ce2a898e5cd33bb9ee7b9ca1980185ab4",
