@@ -260,18 +260,18 @@ def trivial_module(group: GroupData, ring: RingSpec) -> GModule:
     return GModule(group, ring, {g: one for g in group.gens}, name="trivial")
 
 
+def block_diagonal(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The block-diagonal matrix of the given blocks, in order, and the first column of each."""
+    rows, cols = np.cumsum([(0, 0)] + [m.shape for m in mats], axis=0).T
+    out = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for m, i, j in zip(mats, rows, cols):
+        out[i : i + m.shape[0], j : j + m.shape[1]] = m
+    return out, cols
+
+
 def direct_sum(modules: Sequence[GModule], name: str = "") -> GModule:
     group, ring = modules[0].group, modules[0].ring
-    mats = {}
-    for g in group.gens:
-        blocks = [m.action(g) for m in modules]
-        total = sum(m.rank for m in modules)
-        big = np.zeros((total, total), dtype=np.int64)
-        off = 0
-        for b in blocks:
-            big[off : off + b.shape[0], off : off + b.shape[0]] = b
-            off += b.shape[0]
-        mats[g] = big
+    mats = {g: block_diagonal([m.action(g) for m in modules])[0] for g in group.gens}
     return GModule(group, ring, mats, name=name or "+".join(m.name for m in modules))
 
 

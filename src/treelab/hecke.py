@@ -10,16 +10,16 @@ in algebra order.
 
 The tensor functor pairs a right module M with the permutation module:
 K(M) = M (x) J over the algebra, presented as an explicit quotient with
-the inherited group action.  Flatness of J over the algebra is decided
-as a split-surjection problem: finitely generated flat = projective over
-an Artinian algebra.
+the inherited group action, one central torus block of J at a time.
+Flatness of J over the algebra is decided as a split-surjection problem:
+finitely generated flat = projective over an Artinian algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -36,8 +36,17 @@ from .exactalg import (
     split_test,
 )
 from .grouprep import IDENT, GModule, QuotientPresentation, build_group, invariants, jbar, primitive_root
-from .grouprep import torus_idempotents
+from .grouprep import block_diagonal, torus_idempotents
 from .report import RECORDED, LemmaReport, timed
+
+
+class TorusBlock(NamedTuple):
+    """A central torus idempotent e_O, the Howell bases of e_O H and e_O J, and the pivots of the latter."""
+
+    idem: np.ndarray
+    H: CanonicalBasis
+    J: CanonicalBasis
+    jcols: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +94,17 @@ class HeckeAlgebra:
         """Coefficient matrix of x -> x * T_u."""
         return self.struct[:, u, :] % self.ring.modulus
 
+    @cached_property
+    def blocks(self) -> list[TorusBlock]:
+        """The torus blocks, built on first use, with compact copies of the bases of e_O H and e_O J."""
+        out = []
+        for e_O in torus_blocks(self):  # the rows e_O T_v span e_O H, the rows of e_O's operator e_O J
+            H = howell_array(self.ring, np.tensordot(e_O, self.struct, axes=1) % self.ring.modulus)
+            J = howell_array(self.ring, self.left_action(e_O))
+            jcols = np.array([c for c, _ in J.pivots], dtype=np.int64)  # units: the torus acts freely on the cosets
+            out.append(TorusBlock(e_O, replace(H, mat=H.mat.copy()), replace(J, mat=J.mat.copy()), jcols))
+        return out
+
     def _generated_subalgebra_full(self, gens: tuple[int, ...]) -> bool:
         unit_vec = np.zeros((1, self.dim), dtype=np.int64)
         unit_vec[0, self.unit] = 1
@@ -96,8 +116,13 @@ class HeckeAlgebra:
 HECKE_CHECKS = ("dim", "assoc", "vytastra", "flatness")
 
 
-@lru_cache(maxsize=None)
 def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
+    """The algebra over Z/p^e, built once per (p, e): build_hecke(p) is build_hecke(p, 1)."""
+    return _build_hecke(p, e)
+
+
+@lru_cache(maxsize=None)
+def _build_hecke(p: int, e: int) -> HeckeAlgebra:
     """Double-coset basis, structure constants, exhaustive associativity.
 
     All of it is read off one table, tab[x, i] = the coset of rep_x * rep_i.
@@ -152,7 +177,7 @@ def build_hecke(p: int, e: int = 1) -> HeckeAlgebra:
 
 def _nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns and values of the nonzeros of each row of a, zero-padded to the longest row."""
-    idx = np.argsort(a == 0, axis=-1, kind="stable")[..., : (a != 0).sum(axis=-1).max(initial=0)]
+    idx = np.argsort(a == 0, axis=-1, kind="stable")[..., : (a != 0).sum(axis=-1).max(initial=0)].copy()  # not a view
     return idx, np.take_along_axis(a, idx, axis=-1)
 
 
@@ -278,15 +303,20 @@ def random_modules_hecke(alg: HeckeAlgebra, seed: int, count: int):
 class TensorModule(QuotientPresentation):
     """K(M) = M (x)_H J as an explicit quotient with its group action.
 
-    ambient: coordinates of a free carrier (M (x) J for the balancing
-    presentation, J^s for the generator presentation); rel: the relation
-    span; base_pairing: the comparison map M -> K(M), row per M-basis vector.
+    ambient: per kept torus block, `copies` copies of e_O J on BJ_O (M (x) e_O J
+    or (e_O J)^s); rel: the relation span; base_pairing: M -> K(M), row per M-basis vector.
     """
 
     alg: HeckeAlgebra
-    action_gens: dict
+    blocks: tuple[TorusBlock, ...]
+    copies: int
     base_pairing: np.ndarray
     presentation: str
+
+    def action(self, g) -> np.ndarray:
+        """g on the carrier: BJ_O @ A_g at the pivots per copy, a gather, as g permutes the cosets."""
+        src, eye = self.alg.J.action(g).argmax(axis=0), np.eye(self.copies, dtype=np.int64)  # (x A_g)[j] = x[src[j]]
+        return block_diagonal([np.kron(eye, b.J.mat[:, src[b.jcols]]) for b in self.blocks])[0]
 
 
 def _module_generators(
@@ -339,56 +369,61 @@ def _preimages(solver: RowSolver) -> np.ndarray:
     return Z
 
 
-def _carrier_action(alg: HeckeAlgebra, s: int) -> dict:
-    """The group action on J^s, one block per copy of J."""
-    return {g: np.kron(np.eye(s, dtype=np.int64), alg.J.action(g)) for g in alg.J.group.gens}
+def _block_pairing(alg: HeckeAlgebra, block: TorusBlock, qs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row (q, x) is sum_k e_k (x) q_k x on BJ_O, for q in H^s and rows x of X in e_O J, gathered on X's support."""
+    m, s, k = len(qs), qs.shape[1] // alg.dim, len(block.jcols)
+    supp = np.flatnonzero(X.any(axis=0))
+    rows = X[:, supp] @ qs.reshape(m * s, alg.dim)[:, alg.dc_table[np.ix_(supp, block.jcols)]]  # (m s, len X, k)
+    return rows.reshape(m, s, len(X), k).transpose(0, 2, 1, 3).reshape(m * len(X), s * k) % alg.ring.modulus
 
 
 def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
-    """The tensor of M with J over the algebra.
+    """The tensor of M with J over the algebra, one torus block of J at a time.
 
-    "balancing": ambient M (x) J, relations (m a) (x) x - m (x) (a x)
-    for algebra generators a (sufficient: the relation span is bilinear
-    in the module and vector slots, and generators reach every element).
-    "generators": present M as a quotient of a free module and tensor
-    the presentation; canonically the same module, far smaller to
-    compute when rank(M) * rank(J) is large.  The relations q (x) x for
-    q in ker P are spanned by those for module generators q of ker P,
-    since (q a) (x) x = q (x) (a x).
+    The central e_O split J into H-modules e_O J that the group preserves, so K(M) is the sum
+    of the M (x) e_O J, less those with M e_O = 0 (there m (x) x = m e_O (x) x).  On the bases
+    BJ_O the relations are block diagonal: their Howell form is the blocks' side by side.
+    "balancing": relations (m a) (x) x - m (x) (a x) for algebra generators a
+    and x in BJ_O (the relation span is bilinear, and generators reach every element).
+    "generators": tensor a presentation P: H^s -> M, canonically the same module
+    and far smaller when rank(M) * rank(J) is large; the relations q (x) x for
+    module generators q of ker P suffice, since (q a) (x) x = q (x) (a x).
     """
-    alg = M.alg
-    ring = alg.ring
-    n = len(alg.dc_table)
+    alg, ring = M.alg, M.alg.ring
+    N = ring.modulus
     if presentation == "auto":
-        presentation = "balancing" if M.rank * n <= 256 else "generators"
-    if presentation == "balancing":
-        r = M.rank
-        eye_r = np.eye(r, dtype=np.int64)
-        eye_n = np.eye(n, dtype=np.int64)
-        rel_rows = [np.kron(M.action[u], eye_n) - np.kron(eye_r, alg.dc_table == u) for u in alg.gens]
-        rel = howell_array(ring, np.concatenate(rel_rows) % ring.modulus)
-        base_pairing = np.kron(eye_r, eye_n[alg.base_coset_idx])  # row i is e_i (x) the base coset
-        return TensorModule(ring, r * n, rel, alg, _carrier_action(alg, r), base_pairing, "balancing")
-    if presentation != "generators":
+        presentation = "balancing" if M.rank * len(alg.dc_table) <= 256 else "generators"
+    if presentation not in ("balancing", "generators"):
         raise ValueError(f"unknown presentation {presentation!r}")
-    candidates = np.eye(M.rank, dtype=np.int64)
-    if M.cyclic is not None:
-        candidates = np.concatenate([np.atleast_2d(M.cyclic) % ring.modulus, candidates])
-    chosen, P = _module_generators(ring, candidates, M.action)
-    s = len(chosen)
-    d = alg.dim
-
-    def pairing(qs: np.ndarray, cosets: np.ndarray) -> np.ndarray:
-        """Row (q, x) is sum_k e_k (x) (q_k x), for q in the free module H^s, one gather."""
-        rows = qs.reshape(len(qs), s, d)[:, :, alg.dc_table[cosets]].transpose(0, 2, 1, 3)
-        return rows.reshape(len(qs) * len(cosets), s * n) % ring.modulus
-
-    solver = RowSolver(ring, P)
-    Q = solver.kernel.mat
-    rel_gens, _ = _module_generators(ring, Q, _free_orbit(alg.struct.transpose(1, 0, 2), s))
-    rel = span_sum(ring, [pairing(Q[rel_gens], np.arange(n))])
-    base_pairing = pairing(_preimages(solver), np.array([alg.base_coset_idx]))
-    return TensorModule(ring, s * n, rel, alg, _carrier_action(alg, s), base_pairing, "generators")
+    if presentation == "balancing":
+        images = np.asarray(M.action)  # images[u, i] = m_i T_u
+    else:
+        candidates = np.eye(M.rank, dtype=np.int64)
+        if M.cyclic is not None:
+            candidates = np.concatenate([np.atleast_2d(M.cyclic) % N, candidates])
+        chosen, P = _module_generators(ring, candidates, M.action)
+        images = P.reshape(len(chosen), alg.dim, M.rank).swapaxes(0, 1)  # images[u, j] = g_j T_u
+    on_m = np.tensordot([b.idem for b in alg.blocks], images, axes=1) % N  # g e_O per generator g; e_O is central
+    blocks = [b for b, act in zip(alg.blocks, on_m) if act.any()]
+    if presentation == "balancing":
+        eye_r, eye_d = np.eye(M.rank, dtype=np.int64), np.eye(alg.dim, dtype=np.int64)
+        Z, gens, raw = np.kron(eye_r, eye_d[alg.unit]), eye_d[list(alg.gens)], []  # m_i is e_i (x) the unit
+        for b in blocks:
+            C = _block_pairing(alg, b, gens, b.J.mat).reshape(len(gens), b.J.nrows, -1)  # BJ_O . T_a
+            eye_k = np.eye(b.J.nrows, dtype=np.int64)
+            raw.append(np.concatenate([np.kron(M.action[a], eye_k) - np.kron(eye_r, Ca) for a, Ca in zip(alg.gens, C)]))
+    else:
+        solver = RowSolver(ring, P)
+        Q = solver.kernel.mat
+        rel_gens, _ = _module_generators(ring, Q, _free_orbit(alg.struct.transpose(1, 0, 2), len(chosen)))
+        Z = _preimages(solver)
+        raw = [_block_pairing(alg, b, Q[rel_gens], b.J.mat) for b in blocks]
+    rels = [howell_array(ring, R % N) for R in raw]
+    mat, cols = block_diagonal([rel.mat for rel in rels])
+    rel = CanonicalBasis(ring, mat.shape[1], mat, tuple((int(j + c), g) for j, r in zip(cols, rels) for c, g in r.pivots))
+    pairs = [_block_pairing(alg, b, Z, b.idem[alg.dc_table[[alg.base_coset_idx]]] % N) for b in blocks]  # e_O . base
+    base_pairing = np.concatenate([np.zeros((M.rank, 0), dtype=np.int64), *pairs], axis=1)
+    return TensorModule(ring, rel.ncols, rel, alg, tuple(blocks), images.shape[1], base_pairing, presentation)
 
 
 @timed
@@ -398,7 +433,7 @@ def check_vytastra(M: HeckeModule, presentation: str = "auto") -> LemmaReport:
     ring = alg.ring
     desc = {"module": M.name or "anonymous", "p": alg.p, "e": ring.e, "rank": M.rank}
     K = tensor_K(M, presentation)
-    inv_pre = K.fixed_preimage([K.action_gens[alg.J.group.upper_gen]])
+    inv_pre = K.fixed_preimage([K.action(alg.J.group.upper_gen)])
     image, ker = image_and_preimage(ring, [K.base_pairing], K.rel)
     injective = ker.nrows == 0
     onto = inv_pre.is_subspace_of(image)
@@ -469,19 +504,21 @@ def check_flatness(p: int, e: int = 1, method: str = "auto") -> LemmaReport:
 def torus_blocks(alg: HeckeAlgebra) -> np.ndarray:
     """The central idempotents e_O of the algebra, one coefficient row each.
 
-    The torus elements T_t (t diagonal) multiply as the torus does, so the
-    left-regular operators of diag(z, 1) and diag(1, z) are commuting
-    operators of order dividing p - 1; the element e_chi of a character
-    chi = (i, j) is row `unit` of its joint eigen-idempotent.  T_s e_chi =
-    e_(chi^s) T_s, so summing over each Weyl orbit O = {(i, j), (j, i)}
-    gives an idempotent that commutes with T_s and the torus, which
-    generate the algebra (Vigneras); checked here on the generators.
+    The torus elements T_t (t diagonal) multiply as the torus does, so they
+    span a subalgebra on which left multiplication by diag(z, 1) and
+    diag(1, z) acts by commuting operators of order dividing p - 1; the
+    element e_chi of a character chi = (i, j) is the identity's row of its
+    joint eigen-idempotent there.  T_s e_chi = e_(chi^s) T_s, so summing
+    over each Weyl orbit O = {(i, j), (j, i)} gives an idempotent that
+    commutes with T_s and the torus, which generate the algebra (Vigneras);
+    checked here on the generators.
     """
-    N = alg.ring.modulus
-    q = alg.p - 1
-    z = primitive_root(alg.p)
-    torus = alg.dc_table[alg.base_coset_idx, alg.J.group.coset_of(np.reshape([(z, 0, 0, 1), (1, 0, 0, z)], (-1, 2, 2)))]
-    e_chi = torus_idempotents(alg.ring, [alg.left_regular(t) for t in torus])[:, alg.unit].reshape(q, q, -1)
+    N, p, q, z = alg.ring.modulus, alg.p, alg.p - 1, primitive_root(alg.p)
+    torus = [(pow(z, a, p), 0, 0, pow(z, b, p)) for a in range(q) for b in range(q)]  # diag(z^a, z^b) at a q + b
+    tor = alg.dc_table[alg.base_coset_idx, alg.J.group.coset_of(np.reshape(torus, (-1, 2, 2)))]
+    ops = [alg.left_regular(t)[np.ix_(tor, tor)] for t in np.take(tor, [q, 1], mode="wrap")]  # diag(z, 1), diag(1, z)
+    e_chi = np.zeros((q, q, alg.dim), dtype=np.int64)
+    e_chi.reshape(q * q, -1)[:, tor] = torus_idempotents(alg.ring, ops)[:, 0]  # the identity's row
     orbits = [(i, j) for i in range(q) for j in range(i, q)]
     blocks = np.stack([(e_chi[i, j] + e_chi[j, i]) % N if i != j else e_chi[i, i] for i, j in orbits])
     for g in alg.gens:
@@ -530,11 +567,9 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
     Pj = P.reshape(r, d, n)  # Pj[j] sends c in H to c . x_j
     y = np.zeros(r * r * d, dtype=np.int64)  # the summed solution, in (k, j, coefficient) order
     kernels = []  # per block: B, its kernel's Howell rows as (row, slot, beta), and their leading slots
-    for e_O in torus_blocks(alg):
-        B = howell_array(ring, np.tensordot(e_O, alg.struct, axes=1) % N)  # rows e_O T_v span e_O H
-        BP = np.einsum("bv,jvx->jbx", B.mat, Pj) % N  # the rows B @ P_j span e_O J
-        hcols = [c for c, _ in B.pivots]
-        jcols = [c for c, _ in howell_array(ring, BP.reshape(-1, n)).pivots]
+    for block in alg.blocks:
+        B, jcols, hcols = block.H, block.jcols, [c for c, _ in block.H.pivots]  # jcols: e_O J's, spanned by B @ P_j
+        BP = np.einsum("bv,jvx->jbx", B.mat, Pj) % N
         b = B.nrows
         # relation column (g, j, c) of sum_k q_k . y_k is a[:, j] @ X, section column (k, c) of y_k @ P is a[k] @ Y
         X = np.einsum("bv,gkvc->kbgc", B.mat, Lq[..., hcols]).reshape(r * b, -1) % N
@@ -542,7 +577,7 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
         M = np.einsum("tkb,jbc->jtkc", Z, BP[..., jcols]).reshape(r * len(Z), -1) % N
         solver = RowSolver(ring, M)
         # e_O x_k is row x_k of the operator of e_O, at the pivot columns
-        lam = solver.solve(alg.left_action(e_O)[chosen][:, jcols].reshape(-1))
+        lam = solver.solve(block.idem[alg.dc_table[np.ix_(chosen, jcols)]].reshape(-1) % N)
         if lam is None:
             return None
         # rows lambda -> a[k, j] = lambda_j @ Z[:, k]
@@ -558,10 +593,15 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
         k = sum(c < d for c, _ in H.pivots)
         _, Q = CanonicalBasis(ring, d, H.mat[:k, :d], H.pivots[:k]).quotients(y[s * d : (s + 1) * d])
         y[s * d :] = (y[s * d :] - (Q @ H.mat[:k, d:] % N) @ rows) % N
-    # the section on J through deterministic preimages: row j is
-    # sum_k z_jk . y_k, and row (k, w) of acted is T_w . y_k
+    # the section on J through deterministic preimages, summed over their few nonzeros:
+    # row j is sum_k z_jk . y_k, and row (k, w) of acted is T_w . y_k
     acted = (y.reshape(r, 1, r, d) @ alg.struct).reshape(r * d, r * d) % N
-    return (_preimages(P_solver) @ acted) % N
+    idx, val = _nonzeros(_preimages(P_solver))
+    section = np.zeros((len(idx), r * d), dtype=np.int64)
+    for col, v in zip(idx.T, val.T):  # in place: one gathered block is the only temporary
+        g = acted[col]
+        section += np.multiply(g, v[:, None], out=g)
+    return section % N
 
 
 @timed

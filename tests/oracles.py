@@ -17,14 +17,28 @@ carrier whose H^1 relations `augmentation_kernel` writes in closed form.
 as one generic system and reduces the summed solution modulo the Howell
 form of all block kernels stacked, independently of the Kronecker solve
 and the slot-by-slot reduction of `hecke._section_via_presentation`.
+`ambient_tensor_K` builds K(M) in the whole carrier (M (x) J, or J^s for
+the generators presentation) with one Howell form of all its relations,
+independently of the torus blocks of J that `hecke.tensor_K` reads, and
+`ambient_vytastra` asks it `check_vytastra`'s questions.
 """
 
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
 
-from treelab.exactalg import CanonicalBasis, RingSpec, RowSolver, _empty_basis, howell_array, span_closure
+from treelab.exactalg import (
+    CanonicalBasis,
+    RingSpec,
+    RowSolver,
+    _empty_basis,
+    howell_array,
+    image_and_preimage,
+    span_closure,
+    span_sum,
+)
 from treelab.grouprep import (
     Elem,
     GModule,
@@ -34,7 +48,14 @@ from treelab.grouprep import (
     quotient_gmodule,
     submodule_gmodule,
 )
-from treelab.hecke import HeckeAlgebra, _free_orbit, _module_generators, torus_blocks
+from treelab.hecke import (
+    HeckeAlgebra,
+    HeckeModule,
+    _free_orbit,
+    _module_generators,
+    _preimages,
+    torus_blocks,
+)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -215,3 +236,70 @@ def stacked_kernel_residue(alg: HeckeAlgebra, chosen: list[int], P: np.ndarray) 
         particular = (particular + Y[0].reshape(-1)) % N
         kernels.append(Y[1:].reshape(-1, r * r * d))
     return howell_array(ring, np.concatenate(kernels)).reduce(particular)
+
+
+@dataclass(frozen=True, eq=False)
+class AmbientTensor(QuotientPresentation):
+    """K(M) as a quotient of the whole carrier: M (x) J (balancing) or J^s (generators)."""
+
+    action_gens: dict
+    base_pairing: np.ndarray
+    presentation: str
+
+
+def ambient_tensor_K(M: HeckeModule, presentation: str = "auto") -> AmbientTensor:
+    """The tensor of M with J over the algebra, with one elimination of every relation.
+
+    "balancing": carrier M (x) J, relations (m a) (x) x - m (x) (a x) for
+    the algebra generators a.  "generators": M as a quotient of a free
+    module H^s, carrier J^s, relations q (x) x for the module generators
+    q of ker P.  The group acts on every copy of J.
+    """
+    alg = M.alg
+    ring = alg.ring
+    n = len(alg.dc_table)
+    if presentation == "auto":
+        presentation = "balancing" if M.rank * n <= 256 else "generators"
+    if presentation == "balancing":
+        r = M.rank
+        eye_r = np.eye(r, dtype=np.int64)
+        eye_n = np.eye(n, dtype=np.int64)
+        rel_rows = [np.kron(M.action[u], eye_n) - np.kron(eye_r, alg.dc_table == u) for u in alg.gens]
+        rel = howell_array(ring, np.concatenate(rel_rows) % ring.modulus)
+        base_pairing = np.kron(eye_r, eye_n[alg.base_coset_idx])  # row i is e_i (x) the base coset
+    else:
+        candidates = np.eye(M.rank, dtype=np.int64)
+        if M.cyclic is not None:
+            candidates = np.concatenate([np.atleast_2d(M.cyclic) % ring.modulus, candidates])
+        chosen, P = _module_generators(ring, candidates, M.action)
+        r = len(chosen)
+        d = alg.dim
+
+        def pairing(qs: np.ndarray, cosets: np.ndarray) -> np.ndarray:
+            """Row (q, x) is sum_k e_k (x) (q_k x), for q in the free module H^r."""
+            rows = qs.reshape(len(qs), r, d)[:, :, alg.dc_table[cosets]].transpose(0, 2, 1, 3)
+            return rows.reshape(len(qs) * len(cosets), r * n) % ring.modulus
+
+        solver = RowSolver(ring, P)
+        Q = solver.kernel.mat
+        rel_gens, _ = _module_generators(ring, Q, _free_orbit(alg.struct.transpose(1, 0, 2), r))
+        rel = span_sum(ring, [pairing(Q[rel_gens], np.arange(n))])
+        base_pairing = pairing(_preimages(solver), np.array([alg.base_coset_idx]))
+    action = {g: np.kron(np.eye(r, dtype=np.int64), alg.J.action(g)) for g in alg.J.group.gens}
+    return AmbientTensor(ring, r * n, rel, action, base_pairing, presentation)
+
+
+def ambient_vytastra(M: HeckeModule, presentation: str = "auto") -> tuple[dict, dict, str]:
+    """(verdicts, dims, presentation) of check_vytastra, asked of the ambient K(M)."""
+    ring = M.alg.ring
+    K = ambient_tensor_K(M, presentation)
+    inv_pre = K.fixed_preimage([K.action_gens[M.alg.J.group.upper_gen]])
+    image, ker = image_and_preimage(ring, [K.base_pairing], K.rel)
+    injective = ker.nrows == 0
+    onto = inv_pre.is_subspace_of(image)
+    dims = {
+        "module_log": ring.e * M.rank,
+        "invariants_log": inv_pre.span_log_size() - K.rel.span_log_size(),
+        "tensor_log": K.log_size(),
+    }
+    return {"injective": injective, "onto_invariants": onto, "bijective": injective and onto}, dims, K.presentation

@@ -33,7 +33,7 @@ from treelab.hecke import (
 )
 from treelab.report import FAIL, PASS, RECORDED
 
-from oracles import stacked_kernel_residue
+from oracles import ambient_vytastra, stacked_kernel_residue
 
 
 def double_cosets_oracle(p):
@@ -169,10 +169,10 @@ def test_table_build_against_loop_oracle_at_p7():
     # double-coset table retains 7.9 MiB and peaked at 38.6 MiB
     # while the (d, d, n) composite image stayed alive through the laws,
     # 32.8 MiB once it is freed before them
-    cached = build_hecke.cache_info().currsize
+    cached = hecke._build_hecke.cache_info().currsize
     tracemalloc.start()
     try:
-        alg = build_hecke.__wrapped__(7)
+        alg = hecke._build_hecke.__wrapped__(7, 1)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -180,7 +180,7 @@ def test_table_build_against_loop_oracle_at_p7():
     assert alg.dim == 2 * 6**2
     assert alg.laws == {"associative": True, "unit_laws": True}
     assert_matches_loop_oracle(alg, 7, 1)
-    assert build_hecke.cache_info().currsize == cached
+    assert hecke._build_hecke.cache_info().currsize == cached
 
 
 def test_build_raises_when_right_translation_does_not_permute_the_cosets(monkeypatch):
@@ -197,7 +197,7 @@ def test_build_raises_when_right_translation_does_not_permute_the_cosets(monkeyp
 
     monkeypatch.setattr(hecke, "build_group", lambda kind, p: Collapsed())
     with pytest.raises(VerificationBug, match="does not permute the cosets"):
-        build_hecke.__wrapped__(3)
+        hecke._build_hecke.__wrapped__(3, 1)
 
 
 @pytest.mark.parametrize(
@@ -214,12 +214,16 @@ def test_build_raises_on_orbits_of_a_wrong_upper_generator(monkeypatch, upper_ge
     group = replace(build_group("gl2", 3), upper_gen=upper_gen)
     monkeypatch.setattr(hecke, "build_group", lambda kind, p: group)
     with pytest.raises(VerificationBug, match=match):
-        build_hecke.__wrapped__(3)
+        hecke._build_hecke.__wrapped__(3, 1)
+
+
+def test_build_is_one_cache_entry_however_e_is_passed():
+    assert build_hecke(3) is build_hecke(3, 1)
 
 
 def test_refusal_names_the_supported_primes():
     with pytest.raises(ValueError, match=r"supported: \(2, 3, 5, 7\)$"):
-        build_hecke.__wrapped__(11)
+        hecke._build_hecke.__wrapped__(11, 1)
 
 
 @pytest.mark.parametrize("p,gens", [(2, (0,)), (3, (1, 5, 6)), (5, (3, 17, 20))])
@@ -244,7 +248,7 @@ def test_suite_checks_the_generators_once(monkeypatch):
         return original(self, gens)
 
     monkeypatch.setattr(hecke.HeckeAlgebra, "_generated_subalgebra_full", counted)
-    build_hecke.cache_clear()
+    hecke._build_hecke.cache_clear()
     hecke_suite(5, seed=7, n_random=5)
     assert len(calls) == 1
 
@@ -315,7 +319,7 @@ def test_suite_evaluates_the_algebra_laws_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(hecke, "_algebra_laws", counted)
-    build_hecke.cache_clear()
+    hecke._build_hecke.cache_clear()
     reports = hecke_suite(5, seed=7, n_random=5)
     assert len(calls) == 1
     (assoc,) = [r for r in reports if r.lemma == "hecke_assoc"]
@@ -539,34 +543,95 @@ def test_tensor_additive_on_direct_sums():
         assert kAB.log_size() == kA.log_size() + kB.log_size()
 
 
+def carrier_rows(K):
+    """Row (O, i, b) of the block carrier is e_i (x) BJ_O[b] in the whole carrier (M (x) J or J^s)."""
+    return np.concatenate([np.kron(np.eye(K.copies, dtype=np.int64), b.J.mat) for b in K.blocks])
+
+
 def test_tensor_unit_canonical_map_is_equivariant_isomorphism():
-    # the evaluation pairing of the balancing carrier onto J kills the
-    # relations, is bijective on the quotient, and commutes with the
-    # group action
+    # the evaluation pairing of the balancing carrier onto J, read through
+    # the block bases of J, kills the relations, is bijective on the
+    # quotient, and commutes with the group action
     for p in (2, 3):
         alg = build_hecke(p, 1)
         K = tensor_K(free_module(alg, 1), "balancing")
         ring = alg.ring
         N = ring.modulus
         n = len(alg.dc_table)
-        ev = dense_operators(alg).reshape(alg.dim * n, n)
+        ev = carrier_rows(K) @ dense_operators(alg).reshape(alg.dim * n, n) % N
         assert not np.any((K.rel.mat @ ev) % N)  # relations die
         # bijective: the quotient has the size of J and ev is onto
         assert K.log_size() == n
         assert howell_array(ring, ev).nrows == n
         for g in alg.J.group.gens:
-            lhs = (K.action_gens[g] @ ev) % N
+            lhs = (K.action(g) @ ev) % N
             rhs = (ev @ alg.J.action(g)) % N
             assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("presentation", ["balancing", "generators"])
+def test_block_carrier_action_is_the_carrier_action(presentation):
+    # BJ_O @ A_g read at the pivot columns is the action of g on the whole carrier
+    alg = build_hecke(3, 1)
+    N = alg.ring.modulus
+    for M in [free_module(alg, 1), *random_modules_hecke(alg, 21, 3)]:
+        K = tensor_K(M, presentation)
+        rows = carrier_rows(K)
+        for g in alg.J.group.gens:
+            whole = np.kron(np.eye(K.copies, dtype=np.int64), alg.J.action(g))
+            assert np.array_equal(K.action(g) @ rows % N, rows @ whole % N)
 
 
 def test_tensor_group_action_descends():
     alg = build_hecke(3, 1)
     K = tensor_K(free_module(alg, 1), "balancing")
     N = alg.ring.modulus
-    for g, A in K.action_gens.items():
-        moved = (K.rel.mat @ A) % N
+    for g in alg.J.group.gens:
+        moved = (K.rel.mat @ K.action(g)) % N
         assert K.rel.contains_rows(moved)
+
+
+def verdicts_and_dims(rep):
+    return rep.verdicts, rep.dims, rep.details["presentation"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_block_vytastra_against_ambient_oracle_on_the_free_module(p, e):
+    # K(H) = J: every torus block is kept, and the block relations must
+    # present the same quotient as one elimination in the whole carrier
+    M = free_module(build_hecke(p, e), 1, name="free:1")
+    assert verdicts_and_dims(check_vytastra(M)) == ambient_vytastra(M)
+
+
+@pytest.mark.parametrize("p,seeds", [(2, (21, 3)), (3, (21, 1)), (5, (7,))])
+@pytest.mark.parametrize("presentation", ["balancing", "generators"])
+def test_block_vytastra_against_ambient_oracle_on_quotients(p, seeds, presentation):
+    # the quotients kill some torus blocks, which the block route drops
+    # (p = 2 has one block); the golden digests hold the suite at seed 1009
+    alg = build_hecke(p, 1)
+    kept = set()
+    for seed in seeds:
+        for M in random_modules_hecke(alg, seed, 5):
+            assert verdicts_and_dims(check_vytastra(M, presentation)) == ambient_vytastra(M, presentation)
+            kept.add(len(tensor_K(M, presentation).blocks))
+    assert p == 2 or min(kept) < len(alg.blocks)
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+def test_vytastra_at_p5_traces_at_most_3_mib(seed):
+    # the benchmark's modules: with their relations eliminated in the whole
+    # carrier the suite peaked at 3.98 (seed 7) and 1.86 MiB (seed 1009),
+    # one torus block at a time at 1.5-1.6 MiB, the block bases included
+    vars(build_hecke(5, 1)).pop("blocks", None)  # built again inside the trace
+    tracemalloc.start()
+    try:
+        reports = hecke_suite(5, 1, ("vytastra",), seed, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in reports] == [PASS] * 6
+    assert peak <= 3 * 2**20
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -624,6 +689,9 @@ def test_flatness_reads_false_on_a_non_central_block(monkeypatch):
         return blocks
 
     monkeypatch.setattr(hecke, "torus_blocks", tampered)
+    alg = build_hecke(5, 1)
+    alg.blocks  # cached, so the untampered blocks are put back after the test
+    monkeypatch.delitem(vars(alg), "blocks")
     rep = check_flatness(5, 1, "presentation")
     assert rep.verdicts == {"flat": False}
     assert rep.status == FAIL
@@ -632,8 +700,8 @@ def test_flatness_reads_false_on_a_non_central_block(monkeypatch):
 
 def test_flatness_raises_when_a_torus_block_is_missing(monkeypatch):
     # without the first block the summed solution misses that block's part of each x_k
-    real = hecke.torus_blocks
-    monkeypatch.setattr(hecke, "torus_blocks", lambda alg: real(alg)[1:])
+    alg = build_hecke(5, 1)
+    monkeypatch.setitem(vars(alg), "blocks", alg.blocks[1:])
     with pytest.raises(VerificationBug, match="section identity fails"):
         check_flatness(5, 1, "presentation")
 
@@ -654,11 +722,17 @@ def test_flatness_raises_on_a_section_that_is_no_module_map(monkeypatch):
 
 
 def test_torus_blocks_raise_on_a_non_central_block(monkeypatch):
-    # every character's element e_chi replaced by the basis vector T_3
+    # every character's element e_chi replaced by the torus element
+    # diag(1, z^3), which is not central; the idempotents are read on the
+    # torus subalgebra, in the order diag(z^a, z^b) at a (p - 1) + b
     alg = build_hecke(5)
-    fake = np.zeros((16, alg.dim, alg.dim), dtype=np.int64)
-    fake[:, alg.unit, 3] = 1
-    monkeypatch.setattr(hecke, "torus_idempotents", lambda ring, ops: fake)
+
+    def fake(ring, ops):
+        out = np.zeros((16, *ops[0].shape), dtype=np.int64)
+        out[:, 0, 3] = 1
+        return out
+
+    monkeypatch.setattr(hecke, "torus_idempotents", fake)
     with pytest.raises(VerificationBug, match="not central"):
         hecke.torus_blocks(alg)
 
@@ -708,8 +782,8 @@ def test_flatness_at_p5_traces_at_most_3_mb():
 
 
 def test_vytastra_and_flatness_at_p7_trace_at_most_24_mib():
-    # the largest algebra of the envelope, built outside the trace under the
-    # cache key the suite reads (build_hecke(7) would be another key); the
+    # the largest algebra of the envelope, built outside the trace
+    # (build_hecke(7) and build_hecke(7, 1) are one cache entry); the
     # flatness check peaks at 18.5 MiB, so a doubling fails
     build_hecke(7, 1)
     tracemalloc.start()
@@ -851,7 +925,7 @@ def test_fixed_preimage_already_contains_the_tensor_relations(presentation):
     upper = alg.J.group.upper_gen
     for M in [free_module(alg, 1)] + list(random_modules_hecke(alg, 21, 3)):
         K = tensor_K(M, presentation)
-        op = K.action_gens[upper]
+        op = K.action(upper)
         eye = np.eye(K.ambient, dtype=np.int64)
         pre = preimage_kernel(alg.ring, [(op - eye) % alg.ring.modulus], K.rel)
         assert K.fixed_preimage([op]) == span_sum(alg.ring, [pre.mat, K.rel.mat])
@@ -875,8 +949,8 @@ def test_vytastra_reads_false_on_a_zero_pairing(monkeypatch):
 
 
 def test_vytastra_quotient_questions_eliminate_at_the_section_columns(monkeypatch):
-    # the random K(M) have 4-29 dimensions at p = 5 in a 96-192-dim ambient
-    # with 67-187 relation rows: K.fixed_preimage and the pairing's image_and_preimage
+    # the random K(M) have 4-29 dimensions at p = 5 in a 12-48-dim block
+    # carrier with 8-40 relation rows: K.fixed_preimage and the pairing's image_and_preimage
     # each eliminate one matrix with a row per section column of K, so a
     # fall-back to the ambient split fails here.  tensor_K's own
     # eliminations are not counted
