@@ -176,8 +176,8 @@ def _build_hecke(p: int, e: int) -> HeckeAlgebra:
 
 
 def _nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns and values of the nonzeros of each row of a, zero-padded to the longest row."""
-    idx = np.argsort(a == 0, axis=-1, kind="stable")[..., : (a != 0).sum(axis=-1).max(initial=0)].copy()  # not a view
+    """Columns and values of the nonzeros of each row of a, zero-padded to the longest row, not views of a temporary."""
+    idx = np.argsort(a == 0, axis=-1, kind="stable")[..., : (a != 0).sum(axis=-1).max(initial=0)].copy()
     return idx, np.take_along_axis(a, idx, axis=-1)
 
 
@@ -568,7 +568,7 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
     y = np.zeros(r * r * d, dtype=np.int64)  # the summed solution, in (k, j, coefficient) order
     kernels = []  # per block: B, its kernel's Howell rows as (row, slot, beta), and their leading slots
     for block in alg.blocks:
-        B, jcols, hcols = block.H, block.jcols, [c for c, _ in block.H.pivots]  # jcols: e_O J's, spanned by B @ P_j
+        B, jcols, hcols = block.H, block.jcols, [c for c, _ in block.H.pivots]  # the rows B @ P_j span e_O J
         BP = np.einsum("bv,jvx->jbx", B.mat, Pj) % N
         b = B.nrows
         # relation column (g, j, c) of sum_k q_k . y_k is a[:, j] @ X, section column (k, c) of y_k @ P is a[k] @ Y
