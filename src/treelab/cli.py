@@ -153,15 +153,13 @@ def run_suite(cfg: RunConfig) -> dict:
         reports = _tree_reports(cfg, mods, (cfg.command,))
     elif cfg.command == "hecke":
         reports = hecke_suite(cfg.p, cfg.e, checks, seed, cfg.n_random)
-    elif cfg.command == "all":
+    else:  # "all": validate() refused unknown commands, and reduce runs through _cmd_reduce
         reports = [
             *lemma21_suite(cfg.p, mods, seed, cfg.n_random),
             *lemma22_suite(cfg.p, cfg.e, seed, cfg.n_random),
             *_tree_reports(cfg, mods, ("corrpro", "presentation", "cogtri")),
             *hecke_suite(cfg.p, cfg.e, checks, seed, min(cfg.n_random, 5)),
         ]
-    else:
-        raise ValueError(f"unknown command {cfg.command!r}")
     return {
         "tool": "treelab",
         "version": __version__,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -240,6 +240,18 @@ class GModule:
         self._cache[g] = m
         return m
 
+    @cached_property
+    def lower_invariants(self) -> CanonicalBasis:
+        """The lower-unipotent invariants, checked to generate the module.
+
+        This is the hypothesis of the coefficient system and of the
+        comparison map, decided once per module; raises ValueError when it fails.
+        """
+        inv = invariants(self, [self.group.lower_gen])
+        if generated_submodule(self, inv.mat).nrows != self.rank:
+            raise ValueError("module not generated by lower-unipotent invariants")
+        return inv
+
     def verify_action(self, samples: int = 100, seed: int = 0) -> None:
         """Spot-check action(g) @ action(h) = action(gh) and invertibility."""
         rng = np.random.default_rng(seed)
@@ -295,28 +307,9 @@ def invariants(M: GModule, subgroup: Iterable[Elem]) -> CanonicalBasis:
     return kernel_array(M.ring, np.concatenate(blocks, axis=1))
 
 
-def generated_submodule(
-    M: GModule, vectors: np.ndarray, gens: Optional[Sequence[Elem]] = None
-) -> CanonicalBasis:
-    """Smallest action-stable submodule containing the given row vectors.
-
-    gens defaults to the full group's generators; passing a subgroup's
-    generators closes up under that subgroup only.
-    """
-    gens = tuple(gens) if gens is not None else M.group.gens
-    return span_closure(M.ring, vectors, [M.action(g) for g in gens])
-
-
-def generated_by_lower_invariants(W: GModule) -> CanonicalBasis:
-    """The lower-unipotent invariants of W, checked to generate W.
-
-    This is the hypothesis of the coefficient system and of the
-    comparison map; raises ValueError when it fails.
-    """
-    inv = invariants(W, [W.group.lower_gen])
-    if generated_submodule(W, inv.mat).nrows != W.rank:
-        raise ValueError("module not generated by lower-unipotent invariants")
-    return inv
+def generated_submodule(M: GModule, vectors: np.ndarray) -> CanonicalBasis:
+    """Smallest action-stable submodule containing the given row vectors."""
+    return span_closure(M.ring, vectors, [M.action(g) for g in M.group.gens])
 
 
 @dataclass(frozen=True, eq=False)

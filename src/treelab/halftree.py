@@ -36,7 +36,6 @@ from .grouprep import (
     GModule,
     _matpow,
     augmentation_kernel,
-    generated_by_lower_invariants,
     h1_procyclic,
     invariants,
     primitive_root,
@@ -103,7 +102,7 @@ def build_coeff_spec(W: GModule, rho_choice: str = "w0", twist_u: int = 1) -> Co
         raise ValueError("coefficient systems are built over e = 1")
     if twist_u % p == 0:
         raise ValueError("twist exponent must be a unit mod p")
-    inv_lower = generated_by_lower_invariants(W)
+    inv_lower = W.lower_invariants
     inv_upper = invariants(W, [group.upper_gen])
     rho = resolve_rho(W, rho_choice, inv_lower)
     image = howell_array(ring, rho)

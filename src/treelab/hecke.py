@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -303,8 +303,8 @@ def random_modules_hecke(alg: HeckeAlgebra, seed: int, count: int):
 class TensorModule(QuotientPresentation):
     """K(M) = M (x)_H J as an explicit quotient with its group action.
 
-    ambient: per kept torus block, `copies` copies of e_O J on BJ_O (M (x) e_O J
-    or (e_O J)^s); rel: the relation span; base_pairing: M -> K(M), row per M-basis vector.
+    ambient: per kept torus block, (e_O J)^s on BJ_O for the presentation H^s -> M
+    (s = copies); rel: the relation span; base_pairing: M -> K(M), row per M-basis vector.
     """
 
     alg: HeckeAlgebra
@@ -320,20 +320,17 @@ class TensorModule(QuotientPresentation):
 
 
 def _module_generators(
-    ring: RingSpec, candidates: np.ndarray, ops: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+    ring: RingSpec, candidates: np.ndarray, ops: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[list[int], np.ndarray]:
     """Greedy module generators among the candidate rows, and the presentation.
 
     The candidates span a module, and a module is spanned by the images
     v @ op of its elements, so each candidate outside the span reached so
     far is kept together with its orbit, until the orbits fill the
-    candidates' span.  ops is a stacked (k, m, m) array of operators, or
-    a callable that returns the (k, m) images of a row in one product.
+    candidates' span.  ops returns the (k, m) images of a row in one product.
     Returns (indices of the kept candidates, P), where P maps the free
-    module onto that span: row (j, w) is kept candidate j @ ops[w].
+    module onto that span: row (j, w) is image w of kept candidate j.
     """
-    N = ring.modulus
-    stack = None if callable(ops) else np.asarray(ops)
     target = howell_array(ring, candidates).span_log_size()
     chosen: list[int] = []
     orbits = [np.zeros((0, candidates.shape[1]), dtype=np.int64)]
@@ -344,50 +341,51 @@ def _module_generators(
         if not np.any(v) or span.contains(v):
             continue
         chosen.append(i)
-        orbits.append((ops(v) if stack is None else v @ stack) % N)
+        orbits.append(ops(v) % ring.modulus)
         span = span.extend(orbits[-1])
     if span.span_log_size() != target:
         raise VerificationBug("module generator search failed")
     return chosen, np.concatenate(orbits)
 
 
-def _free_orbit(struct: np.ndarray, r: int) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> the rows v @ kron(I_r, struct[u]) over every u, from one product.
+def _relations(ring: RingSpec, P: np.ndarray, struct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Module generators of ker P, and the deterministic preimage under P of every unit vector, from one RowSolver.
 
-    With struct = alg.struct the rows are T_u . v on H^r; with
-    struct.transpose(1, 0, 2) they are v . T_u.
+    P: H^r -> X presents a module X.  The generators are searched through the rows v @ kron(I_r, struct[u])
+    over every u: T_u . v with struct = alg.struct (X a left module), v . T_u with struct.transpose(1, 0, 2).
     """
     d = struct.shape[0]
-    return lambda v: (v.reshape(r, d) @ struct).reshape(d, -1)
-
-
-def _preimages(solver: RowSolver) -> np.ndarray:
-    """The deterministic preimage under P of every unit vector, one row each."""
+    r = len(P) // d
+    solver = RowSolver(ring, P)
+    K = solver.kernel.mat
+    rel_gens, _ = _module_generators(ring, K, lambda v: (v.reshape(r, d) @ struct).reshape(d, -1))
     Z, ok = solver.solve_rows(np.eye(solver.n, dtype=np.int64))
     if not ok.all():
         raise VerificationBug("presentation does not reach a basis vector")
-    return Z
+    return K[rel_gens], Z
 
 
 def _block_pairing(alg: HeckeAlgebra, block: TorusBlock, qs: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Row (q, x) is sum_k e_k (x) q_k x on BJ_O, for q in H^s and rows x of X in e_O J, gathered on X's support."""
     m, s, k = len(qs), qs.shape[1] // alg.dim, len(block.jcols)
-    supp = np.flatnonzero(X.any(axis=0))
-    rows = X[:, supp] @ qs.reshape(m * s, alg.dim)[:, alg.dc_table[np.ix_(supp, block.jcols)]]  # (m s, len X, k)
+    supp, comps = np.flatnonzero(X.any(axis=0)), qs.reshape(m * s, alg.dim)
+    nz = np.flatnonzero(comps.any(axis=1))  # only the nonzero q_k are gathered: a balancing relation has few
+    rows = np.zeros((m * s, len(X), k), dtype=np.int64)
+    rows[nz] = X[:, supp] @ comps[nz][:, alg.dc_table[np.ix_(supp, block.jcols)]]
     return rows.reshape(m, s, len(X), k).transpose(0, 2, 1, 3).reshape(m * len(X), s * k) % alg.ring.modulus
 
 
 def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
     """The tensor of M with J over the algebra, one torus block of J at a time.
 
-    The central e_O split J into H-modules e_O J that the group preserves, so K(M) is the sum
-    of the M (x) e_O J, less those with M e_O = 0 (there m (x) x = m e_O (x) x).  On the bases
-    BJ_O the relations are block diagonal: their Howell form is the blocks' side by side.
-    "balancing": relations (m a) (x) x - m (x) (a x) for algebra generators a
-    and x in BJ_O (the relation span is bilinear, and generators reach every element).
-    "generators": tensor a presentation P: H^s -> M, canonically the same module
-    and far smaller when rank(M) * rank(J) is large; the relations q (x) x for
-    module generators q of ker P suffice, since (q a) (x) x = q (x) (a x).
+    M is H^s modulo the right module generated by the rows of R, Z holds preimages of M's basis,
+    and K(M) is J^s modulo the q (x) x for q in R and x in J, as (q a) (x) x = q (x) (a x).  The
+    central e_O split J into H-modules e_O J that the group preserves: K(M) is the sum of the
+    (e_O J)^s modulo the q (x) x for x in BJ_O, less those with M e_O = 0 (there m (x) x = m e_O (x) x),
+    and its relations are the blocks' Howell forms side by side.  "balancing": M by its own basis,
+    s = rank(M), and R the e_i T_a - sum_j A_a[i, j] e_j for the algebra generators a; the e_i span
+    H^s modulo them, as the a generate H.  "generators": module generators of M, canonically the
+    same module and far smaller when rank(M) * rank(J) is large.
     """
     alg, ring = M.alg, M.alg.ring
     N = ring.modulus
@@ -395,35 +393,27 @@ def tensor_K(M: HeckeModule, presentation: str = "auto") -> TensorModule:
         presentation = "balancing" if M.rank * len(alg.dc_table) <= 256 else "generators"
     if presentation not in ("balancing", "generators"):
         raise ValueError(f"unknown presentation {presentation!r}")
+    images = np.asarray(M.action)  # images[u, i] = m_i T_u
     if presentation == "balancing":
-        images = np.asarray(M.action)  # images[u, i] = m_i T_u
+        eye_s, eye_d = np.eye(M.rank, dtype=np.int64), np.eye(alg.dim, dtype=np.int64)
+        s, Z = M.rank, np.kron(eye_s, eye_d[alg.unit])  # m_i is e_i
+        R = np.concatenate([np.kron(eye_s, eye_d[a]) - np.kron(M.action[a], eye_d[alg.unit]) for a in alg.gens]) % N
     else:
         candidates = np.eye(M.rank, dtype=np.int64)
         if M.cyclic is not None:
             candidates = np.concatenate([np.atleast_2d(M.cyclic) % N, candidates])
-        chosen, P = _module_generators(ring, candidates, M.action)
-        images = P.reshape(len(chosen), alg.dim, M.rank).swapaxes(0, 1)  # images[u, j] = g_j T_u
+        chosen, P = _module_generators(ring, candidates, lambda v: v @ images)
+        s = len(chosen)
+        R, Z = _relations(ring, P, alg.struct.transpose(1, 0, 2))
+        images = P.reshape(s, alg.dim, M.rank).swapaxes(0, 1)  # images[u, j] = g_j T_u
     on_m = np.tensordot([b.idem for b in alg.blocks], images, axes=1) % N  # g e_O per generator g; e_O is central
     blocks = [b for b, act in zip(alg.blocks, on_m) if act.any()]
-    if presentation == "balancing":
-        eye_r, eye_d = np.eye(M.rank, dtype=np.int64), np.eye(alg.dim, dtype=np.int64)
-        Z, gens, raw = np.kron(eye_r, eye_d[alg.unit]), eye_d[list(alg.gens)], []  # m_i is e_i (x) the unit
-        for b in blocks:
-            C = _block_pairing(alg, b, gens, b.J.mat).reshape(len(gens), b.J.nrows, -1)  # BJ_O . T_a
-            eye_k = np.eye(b.J.nrows, dtype=np.int64)
-            raw.append(np.concatenate([np.kron(M.action[a], eye_k) - np.kron(eye_r, Ca) for a, Ca in zip(alg.gens, C)]))
-    else:
-        solver = RowSolver(ring, P)
-        Q = solver.kernel.mat
-        rel_gens, _ = _module_generators(ring, Q, _free_orbit(alg.struct.transpose(1, 0, 2), len(chosen)))
-        Z = _preimages(solver)
-        raw = [_block_pairing(alg, b, Q[rel_gens], b.J.mat) for b in blocks]
-    rels = [howell_array(ring, R % N) for R in raw]
+    rels = [howell_array(ring, _block_pairing(alg, b, R, b.J.mat)) for b in blocks]
     mat, cols = block_diagonal([rel.mat for rel in rels])
     rel = CanonicalBasis(ring, mat.shape[1], mat, tuple((int(j + c), g) for j, r in zip(cols, rels) for c, g in r.pivots))
     pairs = [_block_pairing(alg, b, Z, b.idem[alg.dc_table[[alg.base_coset_idx]]] % N) for b in blocks]  # e_O . base
     base_pairing = np.concatenate([np.zeros((M.rank, 0), dtype=np.int64), *pairs], axis=1)
-    return TensorModule(ring, rel.ncols, rel, alg, tuple(blocks), images.shape[1], base_pairing, presentation)
+    return TensorModule(ring, rel.ncols, rel, alg, tuple(blocks), s, base_pairing, presentation)
 
 
 @timed
@@ -559,11 +549,9 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
     n = len(alg.dc_table)
     d = alg.dim
     r = len(chosen)
-    P_solver = RowSolver(ring, P)
-    K = P_solver.kernel.mat
-    rel_gens, _ = _module_generators(ring, K, _free_orbit(alg.struct, r))
+    Q, preimages = _relations(ring, P, alg.struct)
     # Lq[g, k] = L(q_k) for relation generator g, where L(c) = sum_u c_u struct[u] is x -> c * x
-    Lq = np.tensordot(K[rel_gens].reshape(-1, r, d), alg.struct, axes=1) % N
+    Lq = np.tensordot(Q.reshape(-1, r, d), alg.struct, axes=1) % N
     Pj = P.reshape(r, d, n)  # Pj[j] sends c in H to c . x_j
     y = np.zeros(r * r * d, dtype=np.int64)  # the summed solution, in (k, j, coefficient) order
     kernels = []  # per block: B, its kernel's Howell rows as (row, slot, beta), and their leading slots
@@ -596,7 +584,7 @@ def _section_via_presentation(alg: HeckeAlgebra, chosen: list[int], P: np.ndarra
     # the section on J through deterministic preimages, summed over their few nonzeros:
     # row j is sum_k z_jk . y_k, and row (k, w) of acted is T_w . y_k
     acted = (y.reshape(r, 1, r, d) @ alg.struct).reshape(r * d, r * d) % N
-    idx, val = _nonzeros(_preimages(P_solver))
+    idx, val = _nonzeros(preimages)
     section = np.zeros((len(idx), r * d), dtype=np.int64)
     for col, v in zip(idx.T, val.T):  # in place: one gathered block is the only temporary
         g = acted[col]

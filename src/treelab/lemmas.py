@@ -32,7 +32,6 @@ from .grouprep import (
     augmentation_kernel,
     build_group,
     direct_sum,
-    generated_by_lower_invariants,
     generated_submodule,
     h1_procyclic,
     invariants,
@@ -79,7 +78,7 @@ def build_comparison(W: GModule) -> ComparisonPair:
         raise ValueError("requires e = 1")
     p = W.group.p
     upper = W.action(W.group.upper_gen)
-    inv = generated_by_lower_invariants(W)
+    inv = W.lower_invariants
     mult = translate_stack(W.ring, inv.mat, upper, p)
     return ComparisonPair(W, inv, h1_procyclic(W.ring, upper, p), mult)
 

@@ -51,9 +51,8 @@ from treelab.grouprep import (
 from treelab.hecke import (
     HeckeAlgebra,
     HeckeModule,
-    _free_orbit,
     _module_generators,
-    _preimages,
+    _relations,
     torus_blocks,
 )
 
@@ -211,9 +210,8 @@ def stacked_kernel_residue(alg: HeckeAlgebra, chosen: list[int], P: np.ndarray) 
     n = len(alg.dc_table)
     d = alg.dim
     r = len(chosen)
-    K = RowSolver(ring, P).kernel.mat
-    rel_gens, _ = _module_generators(ring, K, _free_orbit(alg.struct, r))
-    Lq = np.tensordot(K[rel_gens].reshape(-1, r, d), alg.struct, axes=1) % N
+    Q, _ = _relations(ring, P, alg.struct)
+    Lq = np.tensordot(Q.reshape(-1, r, d), alg.struct, axes=1) % N
     Pj = P.reshape(r, d, n)
     eye_r = np.eye(r, dtype=np.int64)
     particular = np.zeros(r * r * d, dtype=np.int64)
@@ -271,7 +269,7 @@ def ambient_tensor_K(M: HeckeModule, presentation: str = "auto") -> AmbientTenso
         candidates = np.eye(M.rank, dtype=np.int64)
         if M.cyclic is not None:
             candidates = np.concatenate([np.atleast_2d(M.cyclic) % ring.modulus, candidates])
-        chosen, P = _module_generators(ring, candidates, M.action)
+        chosen, P = _module_generators(ring, candidates, lambda v: v @ np.asarray(M.action))
         r = len(chosen)
         d = alg.dim
 
@@ -280,11 +278,9 @@ def ambient_tensor_K(M: HeckeModule, presentation: str = "auto") -> AmbientTenso
             rows = qs.reshape(len(qs), r, d)[:, :, alg.dc_table[cosets]].transpose(0, 2, 1, 3)
             return rows.reshape(len(qs) * len(cosets), r * n) % ring.modulus
 
-        solver = RowSolver(ring, P)
-        Q = solver.kernel.mat
-        rel_gens, _ = _module_generators(ring, Q, _free_orbit(alg.struct.transpose(1, 0, 2), r))
-        rel = span_sum(ring, [pairing(Q[rel_gens], np.arange(n))])
-        base_pairing = pairing(_preimages(solver), np.array([alg.base_coset_idx]))
+        R, Z = _relations(ring, P, alg.struct.transpose(1, 0, 2))
+        rel = span_sum(ring, [pairing(R, np.arange(n))])
+        base_pairing = pairing(Z, np.array([alg.base_coset_idx]))
     action = {g: np.kron(np.eye(r, dtype=np.int64), alg.J.action(g)) for g in alg.J.group.gens}
     return AmbientTensor(ring, r * n, rel, action, base_pairing, presentation)
 

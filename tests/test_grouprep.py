@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treelab.catalog import builtin_catalog
-from treelab.exactalg import RingSpec, VerificationBug, howell_array, kernel_array
+from treelab.exactalg import RingSpec, VerificationBug, howell_array, kernel_array, span_closure
 from treelab.grouprep import (
     IDENT,
     QuotientPresentation,
@@ -180,7 +180,7 @@ def test_lower_invariants_generate_under_upper_subgroup_alone(p):
     grp = build_group("sl2", p)
     J = jbar(grp, RingSpec(p, 1))
     inv = invariants(J, [grp.lower_gen])
-    span = generated_submodule(J, inv.mat, [grp.upper_gen])
+    span = span_closure(J.ring, inv.mat, [J.action(grp.upper_gen)])
     assert span.nrows == J.rank
 
 

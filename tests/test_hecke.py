@@ -618,6 +618,36 @@ def test_block_vytastra_against_ambient_oracle_on_quotients(p, seeds, presentati
     assert p == 2 or min(kept) < len(alg.blocks)
 
 
+def basis_relation_cases():
+    for p in (2, 3):
+        for e in (1, 2, 3):
+            yield from (free_module(build_hecke(p, e), s) for s in (1, 2))
+    for p, seed in ((2, 21), (3, 21), (5, 7)):
+        yield from random_modules_hecke(build_hecke(p), seed, 3)
+
+
+def test_balancing_relations_generate_the_kernel_of_the_basis_presentation(monkeypatch):
+    # the relations R that the balancing route pairs with each BJ_O, closed
+    # under the right action on H^r, are the kernel of M's presentation by
+    # its basis, whose row (i, w) is m_i T_w
+    paired = []
+    real = hecke._block_pairing
+
+    def spy(alg, block, qs, X):
+        paired.append(qs)
+        return real(alg, block, qs, X)
+
+    monkeypatch.setattr(hecke, "_block_pairing", spy)
+    for M in basis_relation_cases():
+        alg, r = M.alg, M.rank
+        paired.clear()
+        tensor_K(M, "balancing")
+        R = paired[0]  # the relations, paired with the first kept block
+        right = [np.kron(np.eye(r, dtype=np.int64), alg.right_regular(a)) for a in alg.gens]
+        basis = np.asarray(M.action).swapaxes(0, 1).reshape(r * alg.dim, r)
+        assert span_closure(alg.ring, R, right) == kernel_array(alg.ring, basis), M.name
+
+
 @pytest.mark.parametrize("seed", [7, 1009])
 def test_vytastra_at_p5_traces_at_most_3_mib(seed):
     # the benchmark's modules: with their relations eliminated in the whole
@@ -835,9 +865,9 @@ def dense_presentation_section(alg, chosen, P):
     def blockdiag(mat):
         return np.kron(np.eye(r, dtype=np.int64), mat)
 
-    left_ops = [blockdiag(alg.left_regular(u)) for u in range(d)]
+    left_ops = np.stack([blockdiag(alg.left_regular(u)) for u in range(d)])
     K = kernel_array(ring, P).mat
-    rel_gens, _ = hecke._module_generators(ring, K, left_ops)
+    rel_gens, _ = hecke._module_generators(ring, K, lambda v: v @ left_ops)
     def left_regular_combo(c):
         """Coefficient matrix of x -> (sum_u c_u T_u) * x."""
         return np.tensordot(c % ring.modulus, alg.struct, axes=(0, 0)) % ring.modulus
@@ -862,7 +892,7 @@ def section_from_unknowns(alg, P, y):
     m = r * alg.dim
     left_ops = [np.kron(np.eye(r, dtype=np.int64), alg.left_regular(u)) for u in range(alg.dim)]
     acted = np.stack([y[k * m : (k + 1) * m] @ op for k in range(r) for op in left_ops]) % N
-    return (hecke._preimages(RowSolver(alg.ring, P)) @ acted) % N
+    return (hecke._relations(alg.ring, P, alg.struct)[1] @ acted) % N
 
 
 @pytest.mark.parametrize(
@@ -873,7 +903,8 @@ def test_block_section_against_dense_oracle(p, e):
     # dense solve at e = 1 (and, as it happens, at p <= 3) as well
     alg = build_hecke(p, e)
     n = len(alg.dc_table)
-    chosen, P = hecke._module_generators(alg.ring, np.eye(n, dtype=np.int64), dense_operators(alg))
+    T = dense_operators(alg)
+    chosen, P = hecke._module_generators(alg.ring, np.eye(n, dtype=np.int64), lambda v: v @ T)
     scattered, P_scattered = hecke._module_generators(alg.ring, np.eye(n, dtype=np.int64), alg.orbit)
     assert scattered == chosen and np.array_equal(P_scattered, P)
     raw, residue = dense_presentation_section(alg, chosen, P)
@@ -978,10 +1009,11 @@ def test_vytastra_quotient_questions_eliminate_at_the_section_columns(monkeypatc
 
 def test_module_generator_search_fails_when_the_orbits_stay_zero():
     with pytest.raises(VerificationBug, match="module generator search failed"):
-        hecke._module_generators(RingSpec(3), np.eye(3, dtype=np.int64), np.zeros((1, 3, 3), dtype=np.int64))
+        hecke._module_generators(RingSpec(3), np.eye(3, dtype=np.int64), lambda v: np.zeros((1, 3), dtype=np.int64))
 
 
 def test_preimages_fail_off_the_image_of_the_presentation():
-    # the rows of P span only the first coordinate, so e_1 has no preimage
+    # over the algebra F_3 itself (d = 1) the rows of P span only the first
+    # coordinate, so e_1 has no preimage
     with pytest.raises(VerificationBug, match="presentation does not reach a basis vector"):
-        hecke._preimages(RowSolver(RingSpec(3), [[1, 0], [2, 0]]))
+        hecke._relations(RingSpec(3), np.array([[1, 0], [2, 0]]), np.ones((1, 1, 1), dtype=np.int64))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from treelab.catalog import builtin_catalog, get_module
+from treelab.cli import RunConfig, run_suite
 from treelab import grouprep, lemmas
 from treelab.exactalg import RingSpec, VerificationBug, howell_array, kernel_array, preimage_kernel, span_sum
 from treelab.grouprep import (
@@ -267,17 +268,24 @@ def test_suites_pass_and_are_seed_stable():
 
 
 def test_lemma21_suite_decides_the_hypothesis_once_per_module(monkeypatch):
+    # the lower invariants are cached on the module, so lemma21 and the tree
+    # suites of one `all` run close each catalog module's only once
     calls = []
-    original = lemmas.generated_by_lower_invariants
+    cached = vars(GModule)["lower_invariants"]
+    original = cached.func
 
     def counted(W):
         calls.append(W.name)
         return original(W)
 
-    monkeypatch.setattr(lemmas, "generated_by_lower_invariants", counted)
+    monkeypatch.setattr(cached, "func", counted)  # counts each computation the cache lets through
     reports = lemma21_suite(3, builtin_catalog(3, 1), seed=1, n_random=3)
     assert len(calls) == len(reports) // 2 == len(builtin_catalog(3, 1)) + 3
     assert len(set(calls)) == len(calls)
+    calls.clear()
+    doc = run_suite(RunConfig("all", p=3, depth=3, seed=1))
+    assert doc["aggregate"] == PASS
+    assert calls == [W.name for W in builtin_catalog(3, 1)]
 
 
 def test_lemma21_suite_takes_the_coinvariants_once_per_module(monkeypatch):
